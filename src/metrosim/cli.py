@@ -7,6 +7,7 @@ command exit nonzero without aborting the rest of the grid.
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -216,6 +217,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--disable-landuse", action="store_true", help="freeze land use for the whole run")
         p.add_argument("--congested-eval", action="store_true",
                        help="evaluate candidate links on congested instead of free-flow times")
+        p.add_argument("-v", "--log-level", type=str.upper, default="WARNING",
+                       choices=("DEBUG", "INFO", "WARNING", "ERROR"),
+                       help="stderr log level (default WARNING); DEBUG logs each decision's search")
 
     p_run = sub.add_parser("run", help="one simulation run")
     add_common(p_run)
@@ -240,6 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    logging.basicConfig(level=args.log_level, format="%(levelname)s %(name)s: %(message)s")
     try:
         config = _apply_overrides(load_config(args.config), args)
         if args.command == "run":

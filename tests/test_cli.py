@@ -2,11 +2,15 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import metrosim
 from metrosim.cli import main, spearman_trend, sweep_configurations
 from metrosim.config import config_to_dict, two_city_config
 from metrosim.landuse import accessibility
@@ -63,6 +67,20 @@ class TestRun:
         main(["run", "--config", str(cfg_path), "--seed", "3", "--out", str(out_b)])
         for name in ("history.csv", "decisions.csv", "final_state.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    def test_debug_log_level_reports_each_search(self, tmp_path):
+        # Logging is set up by the entry point, so this runs it as a program.
+        cfg_path = write_config(tmp_path, steps=2)
+        env = {**os.environ, "PYTHONPATH": str(Path(metrosim.__file__).resolve().parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "metrosim.cli", "run", "--config", str(cfg_path), "-v", "debug",
+             "--out", str(tmp_path / "debug")],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert proc.stderr.count("n_candidates") == 2
+        main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "quiet")])
+        for name in ("history.csv", "decisions.csv", "final_state.json"):
+            assert (tmp_path / "debug" / name).read_bytes() == (tmp_path / "quiet" / name).read_bytes()
 
     def test_invalid_config_exits_2_and_names_field(self, tmp_path, capsys):
         cfg = config_to_dict(two_city_config())

@@ -9,13 +9,16 @@ from metrosim.config import two_city_config
 from metrosim.governance import (
     CandidateLink,
     Stakeholder,
+    _candidate_times,
+    _LinkGains,
+    _territory_accessibility,
     decide_and_build,
     enumerate_candidates,
     evaluate_candidate,
     objective,
     select_stakeholder,
 )
-from metrosim.transport import Network, build_network, shortest_times
+from metrosim.transport import Network, build_network, intra_cell_time, shortest_times
 from metrosim.world import assign_territories, init_metropolis
 
 
@@ -26,6 +29,25 @@ def make_metropolis(**cfg_kwargs):
     cfg_kwargs.setdefault("dominant_position", (0, 0))
     cfg = two_city_config(**cfg_kwargs)
     return assign_territories(init_metropolis(cfg, 1000.0, 1000.0), cfg.centers)
+
+
+STAKEHOLDERS = (Stakeholder(kind="governor"), Stakeholder(kind="mayor", mayor=0),
+                Stakeholder(kind="mayor", mayor=1))
+
+
+def random_case(n: int, seed: int):
+    """An n x n metropolis with seeded perturbed land use and a few random links."""
+    metropolis = make_metropolis(grid_rows=n, grid_cols=n, minor_position=(n - 1, n - 1))
+    rng = random.Random(seed)
+    np_rng = np.random.default_rng(seed)
+    metropolis.workers *= np_rng.uniform(0.5, 1.5, metropolis.workers.shape)
+    metropolis.jobs *= np_rng.uniform(0.5, 1.5, metropolis.jobs.shape)
+    cfg = metropolis.config
+    net = Network(metropolis.n_cells)
+    for _ in range(rng.randint(1, n)):
+        c = rng.choice(enumerate_candidates(net, metropolis))
+        net.add_link(c.a, c.b, c.length_km, cfg.v_link, cfg.capacity)
+    return metropolis, net
 
 
 # ---------------------------------------------------------------------------
@@ -197,14 +219,64 @@ def test_evaluation_leaves_network_untouched():
 
 
 def test_incremental_evaluation_matches_full_recompute():
-    metropolis = make_metropolis()
-    net = build_network(metropolis, ((0, 6), (6, 12), (3, 8)))
-    governor = Stakeholder(kind="governor")
-    _, record = decide_and_build(metropolis, net, governor)
-    for a, b, value in record.evaluations[::7]:
-        length = float(np.hypot(*(metropolis.centroids[a] - metropolis.centroids[b])))
-        direct = evaluate_candidate(metropolis, net, CandidateLink(a=a, b=b, length_km=length), governor)
-        assert value == pytest.approx(direct, rel=1e-12)
+    # The free-flow search scores only the candidates its bound cannot rule
+    # out. Its decision must still be the exhaustive argmax (smallest (a, b)
+    # on ties), its objective_after bit-identical to an exhaustive pass over
+    # the one-link relaxation, and every score it reports must match a full
+    # shortest-path recomputation.
+    for n, seed in ((5, 0), (5, 1), (5, 2), (10, 0), (10, 1), (10, 2)):
+        metropolis, net = random_case(n, seed)
+        candidates = enumerate_candidates(net, metropolis)
+        d_base = shortest_times(net, metropolis, free_flow=True)
+        floor = intra_cell_time(metropolis)
+        for stakeholder in STAKEHOLDERS:
+            _, record = decide_and_build(metropolis, net, stakeholder)
+            full = {(c.a, c.b): evaluate_candidate(metropolis, net, c, stakeholder) for c in candidates}
+            oracle = max(full, key=full.__getitem__)  # first maximum in enumeration order
+            assert record.chosen == oracle
+            assert record.objective_after == pytest.approx(full[oracle], rel=1e-12)
+
+            cells = stakeholder.territory_cells(metropolis)
+            relaxed = [
+                _territory_accessibility(
+                    metropolis, _candidate_times(d_base, c, c.length_km / metropolis.config.v_link, floor), cells)
+                for c in candidates
+            ]
+            assert record.objective_after == max(relaxed)
+
+            assert record.n_candidates == len(candidates)
+            assert 0 < len(record.evaluations) <= len(candidates)
+            for a, b, value in record.evaluations:
+                assert value == pytest.approx(full[(a, b)], rel=1e-12)
+            if n == 10:
+                assert len(record.evaluations) < len(candidates) // 4  # the bound prunes
+
+
+def test_gain_bound_holds_for_every_candidate():
+    for n, seed in ((5, 3), (5, 4), (10, 5)):
+        metropolis, net = random_case(n, seed)
+        candidates = enumerate_candidates(net, metropolis)
+        d_base = shortest_times(net, metropolis, free_flow=True)
+        for stakeholder in STAKEHOLDERS:
+            before = objective(metropolis, d_base, stakeholder)
+            gains = _LinkGains(metropolis, d_base, stakeholder.territory_cells(metropolis), candidates)
+            bounds = gains.bounds()
+            for k, cand in enumerate(candidates):
+                exact = evaluate_candidate(metropolis, net, cand, stakeholder) - before
+                assert exact <= bounds[k] + 1e-12 * abs(before)
+                assert gains.gain(k) == pytest.approx(exact, abs=1e-12 * abs(before))
+
+
+def test_free_flow_times_obey_triangle_inequality():
+    # The free-flow search is exact only because d_ij <= d_ik + d_kj: its
+    # block split of a link's gain and its pruning bound both rest on it.
+    for n, seed in ((5, 6), (10, 7), (10, 8)):
+        metropolis, net = random_case(n, seed)
+        d = shortest_times(net, metropolis, free_flow=True)
+        np.fill_diagonal(d, 0.0)
+        tol = 1e-12 * d.max()
+        for k in range(metropolis.n_cells):
+            assert (d <= d[:, k, None] + d[None, k, :] + tol).all()
 
 
 # ---------------------------------------------------------------------------
@@ -233,18 +305,21 @@ def test_no_candidates_records_no_build():
 
 
 def test_equal_objectives_break_to_first_pair():
-    # A perfectly mirror-symmetric metropolis: candidates come in value-equal
-    # mirrored pairs, so the winner must be the enumeration-first of its pair.
-    cfg = two_city_config(grid_rows=1, grid_cols=4, minor_position=(0, 3), dominant_position=(0, 0),
-                          minor_amplitude=100.0, dominant_amplitude=100.0,
-                          minor_job_share=0.5, dominant_job_share=0.5)
-    metropolis = assign_territories(init_metropolis(cfg, 100.0, 100.0), cfg.centers)
-    built, record = decide_and_build(metropolis, Network(4), Stakeholder(kind="governor"))
-    values = {(a, b): v for a, b, v in record.evaluations}
-    assert values[(0, 1)] == pytest.approx(values[(2, 3)], rel=1e-12)
-    best = max(record.evaluations, key=lambda t: t[2])[2]
-    firsts = [(a, b) for a, b, v in record.evaluations if v >= best - abs(best) * 1e-15]
-    assert record.chosen == firsts[0]
+    # A perfectly mirror-symmetric 1 x cols metropolis: candidates come in
+    # value-equal mirrored pairs, so the winner must be the enumeration-first
+    # of its pair. On 1 x 5 the two middle links tie for the maximum.
+    for cols in (4, 5):
+        cfg = two_city_config(grid_rows=1, grid_cols=cols, minor_position=(0, cols - 1),
+                              dominant_position=(0, 0), minor_amplitude=100.0, dominant_amplitude=100.0,
+                              minor_job_share=0.5, dominant_job_share=0.5)
+        metropolis = assign_territories(init_metropolis(cfg, 100.0, 100.0), cfg.centers)
+        built, record = decide_and_build(metropolis, Network(cols), Stakeholder(kind="governor"))
+        values = {(a, b): v for a, b, v in record.evaluations}
+        assert values[(0, 1)] == pytest.approx(values[(cols - 2, cols - 1)], rel=1e-12)
+        best = max(values.values())
+        firsts = [ab for ab, v in values.items() if v >= best - abs(best) * 1e-15]
+        assert record.chosen == firsts[0]
+    assert firsts == [(1, 2), (2, 3)]
 
 
 def test_chosen_link_dominates_all_candidates():
