@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
 
@@ -61,40 +61,17 @@ class ScenarioConfig:
     congestion_in_evaluation: bool = False
     initial_links: tuple[tuple[int, int], ...] = ()
 
+    def __post_init__(self) -> None:
+        validate(self)
+
     @property
     def n_cells(self) -> int:
         return self.grid_rows * self.grid_cols
 
 
-# JSON key -> attribute name. "lambda" is a Python keyword, hence the rename.
-_KEY_TO_ATTR = {
-    "grid_rows": "grid_rows",
-    "grid_cols": "grid_cols",
-    "cell_size_km": "cell_size_km",
-    "categories": "categories",
-    "centers": "centers",
-    "lambda": "lam",
-    "nu": "nu",
-    "gamma": "gamma",
-    "mu": "mu",
-    "xi": "xi",
-    "m": "m",
-    "m_prime": "m_prime",
-    "relocation_fraction": "relocation_fraction",
-    "landuse_enabled": "landuse_enabled",
-    "steps": "steps",
-    "v_local": "v_local",
-    "v_link": "v_link",
-    "capacity": "capacity",
-    "bpr_alpha": "bpr_alpha",
-    "bpr_beta": "bpr_beta",
-    "furness_tolerance": "furness_tolerance",
-    "furness_max_iter": "furness_max_iter",
-    "assignment_iterations": "assignment_iterations",
-    "network_extension_radius": "network_extension_radius",
-    "congestion_in_evaluation": "congestion_in_evaluation",
-    "initial_links": "initial_links",
-}
+# JSON key -> attribute name, in field order. "lambda" is a Python keyword,
+# hence the rename.
+_KEY_TO_ATTR = {("lambda" if f.name == "lam" else f.name): f.name for f in fields(ScenarioConfig)}
 _OPTIONAL_KEYS = {"network_extension_radius", "congestion_in_evaluation", "initial_links"}
 _CENTER_KEYS = {"position", "amplitude", "gradient", "job_share", "mix"}
 
@@ -181,7 +158,7 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
             raise ConfigError(f"initial_links[{i}]: expected [a, b]")
         links.append((_require_int(pair[0], f"initial_links[{i}][0]"), _require_int(pair[1], f"initial_links[{i}][1]")))
 
-    config = ScenarioConfig(
+    return ScenarioConfig(
         grid_rows=_require_int(doc["grid_rows"], "grid_rows"),
         grid_cols=_require_int(doc["grid_cols"], "grid_cols"),
         cell_size_km=_require_real(doc["cell_size_km"], "cell_size_km"),
@@ -209,8 +186,6 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
         congestion_in_evaluation=_require_bool(doc.get("congestion_in_evaluation", False), "congestion_in_evaluation"),
         initial_links=tuple(links),
     )
-    validate(config)
-    return config
 
 
 def validate(config: ScenarioConfig) -> None:
@@ -349,8 +324,8 @@ def two_city_config(
 
     The defaults give a mildly congested 10x10 metropolis with two
     socio-professional categories, the dominant city holding most workers
-    and jobs; keyword overrides are applied with dataclasses.replace after
-    the centre list is assembled.
+    and jobs; keyword overrides set any other ScenarioConfig field and
+    replace the defaults below.
     """
     centers = (
         CenterSpec(position=minor_position, amplitude=minor_amplitude, gradient=gradient,
@@ -358,7 +333,7 @@ def two_city_config(
         CenterSpec(position=dominant_position, amplitude=dominant_amplitude, gradient=gradient,
                    job_share=dominant_job_share, mix=(0.5, 0.5)),
     )
-    config = ScenarioConfig(
+    defaults = dict(
         grid_rows=grid_rows,
         grid_cols=grid_cols,
         cell_size_km=1.0,
@@ -383,7 +358,4 @@ def two_city_config(
         furness_max_iter=500,
         assignment_iterations=4,
     )
-    if overrides:
-        config = replace(config, **overrides)
-    validate(config)
-    return config
+    return ScenarioConfig(**(defaults | overrides))

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ScenarioConfig, validate
+from .config import ScenarioConfig
 from .governance import DecisionRecord, decide_and_build, select_stakeholder
 from .landuse import accessibility, cell_scores, relocate
 from .transport import (
@@ -69,7 +69,6 @@ def _indicators(metropolis: Metropolis, d: np.ndarray, od: ODMatrix, link_count:
 
 def initial_state(config: ScenarioConfig, seed: int) -> SimState:
     """World at step 0: initial densities, the pre-seeded network, free-flow times."""
-    validate(config)
     workers, jobs = natural_totals(config)
     metropolis = assign_territories(init_metropolis(config, workers, jobs), config.centers)
     network = build_network(metropolis, config.initial_links)
@@ -105,7 +104,7 @@ def step(state: SimState, *, swap_mayor_weights: bool = False) -> SimState:
 
     if cfg.landuse_enabled:
         scores = cell_scores(metropolis, d)
-        metropolis = relocate(metropolis, scores, cfg.mu, cfg.relocation_fraction, state.rng)
+        metropolis = relocate(metropolis, scores, cfg.mu, cfg.relocation_fraction)
 
     weights = mayor_weights(metropolis)
     if swap_mayor_weights:

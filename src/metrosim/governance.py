@@ -133,9 +133,7 @@ def enumerate_candidates(network: Network, metropolis: Metropolis) -> list[Candi
                 pairs.add((a, b))
     pts = metropolis.centroids
     candidates = []
-    for a, b in sorted(pairs):
-        if network.has_link(a, b):
-            continue
+    for a, b in sorted(pairs - network.pairs()):
         length = float(np.hypot(*(pts[a] - pts[b])))
         candidates.append(CandidateLink(a=a, b=b, length_km=length))
     return candidates

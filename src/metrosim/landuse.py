@@ -6,7 +6,6 @@ reallocation of a fixed fraction of workers and jobs each step.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,16 +98,13 @@ def relocate(
     scores: CellScore,
     mu: float,
     relocation_fraction: float,
-    rng: random.Random,
 ) -> Metropolis:
     """Move a fixed fraction of each category between cells by logit shares.
 
     The pool removed from every cell proportionally is reallocated as expected
     mass pool * P(c); counts stay continuous, so no multinomial sampling is
-    needed and per-category totals are conserved to rounding. The rng argument
-    is reserved for a sampled variant and is not consumed.
+    needed and per-category totals are conserved to rounding.
     """
-    del rng
     if not (0.0 <= relocation_fraction <= 1.0):
         raise ValueError("relocation_fraction must lie in [0, 1]")
     out = metropolis.copy()

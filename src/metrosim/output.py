@@ -50,6 +50,7 @@ def write_decisions_csv(path: str | Path, decisions: list[DecisionRecord]) -> No
 
 def write_final_state_json(path: str | Path, state: SimState) -> None:
     """Full dump for offline verification: land use, network, times, densities."""
+    net = state.network
     doc = {
         "config": config_to_dict(state.config),
         "step": state.step_index,
@@ -57,16 +58,11 @@ def write_final_state_json(path: str | Path, state: SimState) -> None:
         "jobs": state.metropolis.jobs.tolist(),
         "territory": state.metropolis.territory.tolist(),
         "links": [
-            {
-                "from": l.a,
-                "to": l.b,
-                "length_km": l.length_km,
-                "v_link": l.v_link,
-                "capacity": l.capacity,
-                "flow": l.flow,
-                "congested_time": l.congested_time,
-            }
-            for l in state.network.links
+            {"from": a, "to": b, "length_km": length, "v_link": v_link, "capacity": capacity,
+             "flow": flow, "congested_time": time}
+            for a, b, length, v_link, capacity, flow, time in zip(
+                net.a.tolist(), net.b.tolist(), net.length_km.tolist(), net.v_link.tolist(),
+                net.capacity.tolist(), net.flow.tolist(), net.congested_time.tolist())
         ],
         "travel_times": state.travel_times.tolist(),
         "worker_density_history": [dens.tolist() for dens in state.density_history],
@@ -107,28 +103,6 @@ def write_trend_csv(path: str | Path, trends: dict[str, float]) -> None:
         writer.writerow(["configuration", "spearman_xi_accessibility"])
         for name in sorted(trends):
             writer.writerow([name, _fmt(trends[name])])
-
-
-def write_cell_scores_csv(path: str | Path, scores, mu: float) -> None:
-    """Worker-side score sheet per cell and category, for map rendering.
-
-    P is the logit share the relocation step would use on these utilities.
-    """
-    from .landuse import CellScore, choice_probabilities
-
-    assert isinstance(scores, CellScore)
-    n, s = scores.worker_access.shape
-    shares = np.stack([choice_probabilities(scores.worker_utility[:, cat], mu) for cat in range(s)], axis=1)
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["cell_id", "s", "X", "F", "U", "P"])
-        for cell in range(n):
-            for cat in range(s):
-                writer.writerow([cell, cat,
-                                 _fmt(scores.worker_access[cell, cat]),
-                                 _fmt(scores.worker_form[cell, cat]),
-                                 _fmt(scores.worker_utility[cell, cat]),
-                                 _fmt(shares[cell, cat])])
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,8 @@ cheap.
 """
 from __future__ import annotations
 
-import csv
 import logging
-from dataclasses import dataclass, field, replace
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,79 +29,69 @@ log = logging.getLogger(__name__)
 # Network
 
 
-@dataclass
-class Link:
-    """One undirected regional road between two cell centroids."""
+class Network:
+    """Regional road graph over cell centroids as parallel per-link arrays in build order.
 
-    a: int
-    b: int
-    length_km: float
-    v_link: float
-    capacity: float
-    flow: float = 0.0
-    congested_time: float = field(default=0.0)
+    Link i runs between cells a[i] and b[i]; each link is stored once and
+    traversed both ways.
+    """
 
-    def __post_init__(self) -> None:
-        if self.congested_time <= 0.0:
-            self.congested_time = self.free_flow_time
+    def __init__(self, n_cells: int):
+        self.n_cells = n_cells
+        self.a = np.empty(0, dtype=int)
+        self.b = np.empty(0, dtype=int)
+        self.length_km = np.empty(0)
+        self.v_link = np.empty(0)
+        self.capacity = np.empty(0)
+        self.flow = np.empty(0)
+        self.congested_time = np.empty(0)
 
     @property
-    def free_flow_time(self) -> float:
+    def free_flow_time(self) -> np.ndarray:
         return self.length_km / self.v_link
-
-
-class Network:
-    """Regional road graph over cell centroids; links stored once, traversed both ways."""
-
-    def __init__(self, n_cells: int, links: list[Link] | None = None):
-        self.n_cells = n_cells
-        self.links: list[Link] = []
-        self._index: dict[tuple[int, int], int] = {}
-        for link in links or []:
-            self._insert(link)
 
     @staticmethod
     def key(a: int, b: int) -> tuple[int, int]:
         return (a, b) if a < b else (b, a)
 
-    def _insert(self, link: Link) -> None:
-        if link.a == link.b:
-            raise ValueError(f"link endpoints must differ, got ({link.a}, {link.b})")
-        if not (0 <= link.a < self.n_cells and 0 <= link.b < self.n_cells):
-            raise ValueError(f"link endpoint outside the grid: ({link.a}, {link.b})")
-        if link.length_km <= 0.0 or link.capacity <= 0.0:
-            raise ValueError("link length and capacity must be positive")
-        k = self.key(link.a, link.b)
-        if k in self._index:
-            raise ValueError(f"duplicate link {k}")
-        self._index[k] = len(self.links)
-        self.links.append(link)
+    def pairs(self) -> set[tuple[int, int]]:
+        """Every link as its (smaller, larger) endpoint pair."""
+        return {self.key(a, b) for a, b in zip(self.a.tolist(), self.b.tolist())}
 
     def has_link(self, a: int, b: int) -> bool:
-        return self.key(a, b) in self._index
+        return self.key(a, b) in self.pairs()
 
-    def add_link(self, a: int, b: int, length_km: float, v_link: float, capacity: float) -> Link:
-        link = Link(a=a, b=b, length_km=length_km, v_link=v_link, capacity=capacity)
-        self._insert(link)
-        return link
+    def add_link(self, a: int, b: int, length_km: float, v_link: float, capacity: float) -> int:
+        """Append a link at free-flow time with no flow; returns its index."""
+        if a == b:
+            raise ValueError(f"link endpoints must differ, got ({a}, {b})")
+        if not (0 <= a < self.n_cells and 0 <= b < self.n_cells):
+            raise ValueError(f"link endpoint outside the grid: ({a}, {b})")
+        if length_km <= 0.0 or capacity <= 0.0:
+            raise ValueError("link length and capacity must be positive")
+        if self.has_link(a, b):
+            raise ValueError(f"duplicate link {self.key(a, b)}")
+        self.a = np.append(self.a, a)
+        self.b = np.append(self.b, b)
+        self.length_km = np.append(self.length_km, length_km)
+        self.v_link = np.append(self.v_link, v_link)
+        self.capacity = np.append(self.capacity, capacity)
+        self.flow = np.append(self.flow, 0.0)
+        self.congested_time = np.append(self.congested_time, length_km / v_link)
+        return len(self) - 1
 
     def copy(self) -> "Network":
-        return Network(self.n_cells, [replace(l) for l in self.links])
+        net = Network(self.n_cells)
+        for name in ("a", "b", "length_km", "v_link", "capacity", "flow", "congested_time"):
+            setattr(net, name, getattr(self, name).copy())
+        return net
 
     def endpoints(self) -> list[int]:
         """Sorted cells touched by at least one link."""
-        seen: set[int] = set()
-        for l in self.links:
-            seen.add(l.a)
-            seen.add(l.b)
-        return sorted(seen)
+        return sorted(set(self.a.tolist()) | set(self.b.tolist()))
 
     def __len__(self) -> int:
-        return len(self.links)
-
-
-def empty_network(metropolis: Metropolis) -> Network:
-    return Network(metropolis.n_cells)
+        return len(self.a)
 
 
 def build_network(metropolis: Metropolis, pairs: tuple[tuple[int, int], ...]) -> Network:
@@ -114,23 +102,6 @@ def build_network(metropolis: Metropolis, pairs: tuple[tuple[int, int], ...]) ->
     for a, b in pairs:
         length = float(np.hypot(*(pts[a] - pts[b])))
         net.add_link(a, b, length, config.v_link, config.capacity)
-    return net
-
-
-def network_to_edge_list(network: Network) -> list[dict]:
-    return [
-        {"from": l.a, "to": l.b, "capacity": l.capacity, "v_link": l.v_link}
-        for l in network.links
-    ]
-
-
-def network_from_edge_list(edges: list[dict], metropolis: Metropolis) -> Network:
-    net = Network(metropolis.n_cells)
-    pts = metropolis.centroids
-    for e in edges:
-        a, b = int(e["from"]), int(e["to"])
-        length = float(np.hypot(*(pts[a] - pts[b])))
-        net.add_link(a, b, length, float(e["v_link"]), float(e["capacity"]))
     return net
 
 
@@ -171,7 +142,7 @@ class _Closure:
     edge_link: np.ndarray              # (t, t) link index when a direct terminal hop rides the link, else -1
 
 
-def _close_network(afc: np.ndarray, links: list[Link], link_times: np.ndarray) -> _Closure | None:
+def _close_network(afc: np.ndarray, network: Network, link_times: np.ndarray) -> _Closure | None:
     """Exact shortest times over the AFC-complete graph plus regional links.
 
     Returns None when there are no links (the AFC matrix is already the
@@ -179,21 +150,21 @@ def _close_network(afc: np.ndarray, links: list[Link], link_times: np.ndarray) -
     legs satisfy the triangle inequality, so optimal routes only ever turn at
     link endpoints.
     """
-    if not links:
+    if not len(network):
         return None
-    n = afc.shape[0]
-    terminals = np.array(sorted({l.a for l in links} | {l.b for l in links}))
+    terminals = np.array(network.endpoints())
     t = len(terminals)
-    term_of = {node: i for i, node in enumerate(terminals)}
 
+    # Links are unique per endpoint pair, so each terminal-graph edge is
+    # written at most once.
     w = afc[np.ix_(terminals, terminals)].copy()
     edge_link = np.full((t, t), -1, dtype=int)
-    for li, link in enumerate(links):
-        ia, ib = term_of[link.a], term_of[link.b]
-        time = link_times[li]
-        if time < w[ia, ib]:
-            w[ia, ib] = w[ib, ia] = time
-            edge_link[ia, ib] = edge_link[ib, ia] = li
+    ia = np.searchsorted(terminals, network.a)
+    ib = np.searchsorted(terminals, network.b)
+    li = np.nonzero(link_times < w[ia, ib])[0]
+    ia, ib = ia[li], ib[li]
+    w[ia, ib] = w[ib, ia] = link_times[li]
+    edge_link[ia, ib] = edge_link[ib, ia] = li
 
     # Floyd-Warshall with successor tracking on the small endpoint graph.
     dist = w.copy()
@@ -238,8 +209,8 @@ def shortest_times(network: Network, metropolis: Metropolis, *, free_flow: bool 
     diagonal carries the intra-cell time floor.
     """
     afc = _afc_movement(metropolis)
-    times = np.array([l.free_flow_time if free_flow else l.congested_time for l in network.links])
-    closure = _close_network(afc, network.links, times)
+    times = network.free_flow_time if free_flow else network.congested_time
+    closure = _close_network(afc, network, times)
     d = afc.copy() if closure is None else closure.d.copy()
     np.fill_diagonal(d, intra_cell_time(metropolis))
     return d
@@ -386,9 +357,14 @@ def distribute(demand: Demand, d: np.ndarray, lam: float, tol: float, max_iter: 
 
 
 def bpr_time(t0, flow, capacity, alpha: float, beta: float):
-    """Volume-delay function: t0 * (1 + alpha * (flow / capacity) ** beta)."""
+    """Volume-delay function: t0 * (1 + alpha * (flow / capacity) ** beta).
+
+    float_power calls the C library's pow element by element, as scalar
+    powers do; np.power's SIMD loop can round differently in the last bit,
+    so times would then depend on whether links are updated one at a time.
+    """
     ratio = np.asarray(flow, dtype=float) / capacity
-    out = np.asarray(t0, dtype=float) * (1.0 + alpha * ratio**beta)
+    out = np.asarray(t0, dtype=float) * (1.0 + alpha * np.float_power(ratio, beta))
     return float(out) if out.ndim == 0 else out
 
 
@@ -435,13 +411,11 @@ def assign_traffic(od: np.ndarray, network: Network, metropolis: Metropolis, ite
     net = network.copy()
     afc = _afc_movement(metropolis)
     for k in range(1, iterations + 1):
-        times = np.array([l.congested_time for l in net.links])
-        closure = _close_network(afc, net.links, times)
-        loads = _load_all_or_nothing(od, closure, len(net.links))
+        closure = _close_network(afc, net, net.congested_time)
+        loads = _load_all_or_nothing(od, closure, len(net))
         w = 1.0 / k
-        for li, link in enumerate(net.links):
-            link.flow = (1.0 - w) * link.flow + w * loads[li]
-            link.congested_time = bpr_time(link.free_flow_time, link.flow, link.capacity, cfg.bpr_alpha, cfg.bpr_beta)
+        net.flow = (1.0 - w) * net.flow + w * loads
+        net.congested_time = bpr_time(net.free_flow_time, net.flow, net.capacity, cfg.bpr_alpha, cfg.bpr_beta)
     return net, shortest_times(net, metropolis)
 
 
@@ -452,13 +426,3 @@ def total_travel_time(od: ODMatrix | np.ndarray, d: np.ndarray) -> float:
         flows = flows.sum(axis=0)
     return float((flows * d).sum())
 
-
-def write_matrix_csv(path: str | Path, matrix: np.ndarray) -> None:
-    """Debug export of a square matrix as (row, col, value) records."""
-    arr = np.asarray(matrix)
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["row", "col", "value"])
-        for i in range(arr.shape[0]):
-            for j in range(arr.shape[1]):
-                writer.writerow([i, j, repr(float(arr[i, j]))])

@@ -9,19 +9,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import CenterSpec, ConfigError, ScenarioConfig, validate
-
-
-@dataclass(frozen=True)
-class Cell:
-    """Read-only view of one grid cell."""
-
-    id: int
-    row: int
-    col: int
-    workers: np.ndarray   # per-category counts, shape (S,)
-    jobs: np.ndarray      # per-category counts, shape (S,)
-    territory_id: int
+from .config import CenterSpec, ConfigError, ScenarioConfig
 
 
 @dataclass(eq=False)
@@ -42,21 +30,6 @@ class Metropolis:
     def n_cells(self) -> int:
         return self.workers.shape[0]
 
-    @property
-    def n_categories(self) -> int:
-        return self.workers.shape[1]
-
-    def cell(self, cell_id: int) -> Cell:
-        row, col = divmod(cell_id, self.config.grid_cols)
-        return Cell(
-            id=cell_id,
-            row=row,
-            col=col,
-            workers=self.workers[cell_id].copy(),
-            jobs=self.jobs[cell_id].copy(),
-            territory_id=int(self.territory[cell_id]),
-        )
-
     def copy(self) -> "Metropolis":
         return Metropolis(
             config=self.config,
@@ -76,13 +49,6 @@ def grid_centroids(config: ScenarioConfig) -> np.ndarray:
     size = config.cell_size_km
     pts = np.stack([(xx.ravel() + 0.5) * size, (yy.ravel() + 0.5) * size], axis=1)
     return pts
-
-
-def centroid_distances(config: ScenarioConfig) -> np.ndarray:
-    """Euclidean km distances between all cell centres, shape (N, N)."""
-    pts = grid_centroids(config)
-    diff = pts[:, None, :] - pts[None, :, :]
-    return np.hypot(diff[..., 0], diff[..., 1])
 
 
 def _center_fields(config: ScenarioConfig) -> np.ndarray:
@@ -121,7 +87,6 @@ def init_metropolis(config: ScenarioConfig, total_workers: float, total_jobs: fl
     totals match the requested values exactly, split by the centres' category
     mixes. Territories start unassigned (all zero).
     """
-    validate(config)
     fields = _center_fields(config)  # (M, N)
     mixes = np.array([c.mix for c in config.centers])  # (M, S)
     job_shares = np.array([c.job_share for c in config.centers])  # (M,)

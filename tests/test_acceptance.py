@@ -91,17 +91,17 @@ def test_criterion_2_shortest_path_oracle():
             if net.has_link(a, b):
                 continue
             length = float(np.hypot(*(metropolis.centroids[a] - metropolis.centroids[b])))
-            link = net.add_link(a, b, length, v_link=rng.uniform(10.0, 130.0), capacity=100.0)
-            link.congested_time = link.free_flow_time * rng.uniform(1.0, 3.0)
+            li = net.add_link(a, b, length, v_link=rng.uniform(10.0, 130.0), capacity=100.0)
+            net.congested_time[li] = net.free_flow_time[li] * rng.uniform(1.0, 3.0)
 
         d = shortest_times(net, metropolis)
 
         pts = metropolis.centroids
         diff = pts[:, None, :] - pts[None, :, :]
         weights = np.hypot(diff[..., 0], diff[..., 1]) / cfg.v_local
-        for link in net.links:
-            if link.congested_time < weights[link.a, link.b]:
-                weights[link.a, link.b] = weights[link.b, link.a] = link.congested_time
+        for a, b, t in zip(net.a.tolist(), net.b.tolist(), net.congested_time.tolist()):
+            if t < weights[a, b]:
+                weights[a, b] = weights[b, a] = t
         oracle = _floyd_warshall(weights)
         np.fill_diagonal(oracle, intra_cell_time(metropolis))
         worst = max(worst, float(np.max(np.abs(d - oracle))))

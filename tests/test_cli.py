@@ -85,10 +85,12 @@ class TestRun:
     def test_invalid_config_exits_2_and_names_field(self, tmp_path, capsys):
         cfg = config_to_dict(two_city_config())
         cfg["xi"] = 1.5
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(cfg), encoding="utf-8")
-        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
-        assert "xi" in capsys.readouterr().err
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg), encoding="utf-8")
+        good = write_config(tmp_path, steps=1)
+        for path, extra, field in ((bad, [], "xi"), (good, ["--steps", "-1"], "steps")):
+            assert main(["run", "--config", str(path), "--out", str(tmp_path / "o"), *extra]) == 2
+            assert field in capsys.readouterr().err
 
     def test_unwritable_out_dir_exits_3(self, tmp_path):
         cfg_path = write_config(tmp_path, steps=1)

@@ -209,13 +209,13 @@ def test_new_fast_link_strictly_improves_objective():
 def test_evaluation_leaves_network_untouched():
     metropolis = make_metropolis()
     net = build_network(metropolis, ((0, 6),))
-    net.links[0].flow = 42.0
-    net.links[0].congested_time = 0.5
+    net.flow[0] = 42.0
+    net.congested_time[0] = 0.5
     c = CandidateLink(a=6, b=12, length_km=1.414)
     evaluate_candidate(metropolis, net, c, Stakeholder(kind="governor"))
     assert len(net) == 1
-    assert net.links[0].flow == 42.0
-    assert net.links[0].congested_time == 0.5
+    assert net.flow[0] == 42.0
+    assert net.congested_time[0] == 0.5
 
 
 def test_incremental_evaluation_matches_full_recompute():

@@ -17,11 +17,8 @@ from metrosim.transport import (
     furness_distribution,
     generate_demand,
     intra_cell_time,
-    network_from_edge_list,
-    network_to_edge_list,
     shortest_times,
     total_travel_time,
-    write_matrix_csv,
 )
 from metrosim.world import assign_territories, init_metropolis
 
@@ -86,14 +83,14 @@ def dijkstra_load_oracle(metropolis, network, od):
         for j in range(n):
             afc[i, j] = float(np.hypot(*(pts[i] - pts[j]))) / cfg.v_local
     link_time = {}
-    for li, l in enumerate(network.links):
-        link_time[(l.a, l.b)] = link_time[(l.b, l.a)] = (l.congested_time, li)
+    for li, (a, b, t) in enumerate(zip(network.a.tolist(), network.b.tolist(), network.congested_time.tolist())):
+        link_time[(a, b)] = link_time[(b, a)] = (t, li)
     w = afc.copy()
     for (a, b), (t, _li) in link_time.items():
         if t < w[a, b]:
             w[a, b] = t
 
-    loads = np.zeros(len(network.links))
+    loads = np.zeros(len(network))
     for src in range(n):
         dist = np.full(n, np.inf)
         prev = np.full(n, -1)
@@ -176,10 +173,10 @@ def test_shortest_times_match_floyd_warshall_on_random_networks():
             if net.has_link(a, b):
                 continue
             length = float(np.hypot(*(metropolis.centroids[a] - metropolis.centroids[b])))
-            link = net.add_link(a, b, length, v_link=rng.uniform(10.0, 120.0), capacity=50.0)
-            link.congested_time = link.free_flow_time * rng.uniform(1.0, 2.5)
+            li = net.add_link(a, b, length, v_link=rng.uniform(10.0, 120.0), capacity=50.0)
+            net.congested_time[li] = net.free_flow_time[li] * rng.uniform(1.0, 2.5)
             pairs.append((a, b))
-            times.append(link.congested_time)
+            times.append(net.congested_time[li])
         d = shortest_times(net, metropolis)
         oracle = floyd_warshall_oracle(metropolis, pairs, times)
         assert np.max(np.abs(d - oracle)) < 1e-9, f"trial {trial}"
@@ -214,19 +211,6 @@ def test_network_rejects_duplicates_and_self_loops():
         net.add_link(1, 0, 1.0, 60.0, 10.0)
     with pytest.raises(ValueError):
         net.add_link(2, 2, 1.0, 60.0, 10.0)
-
-
-def test_edge_list_round_trip():
-    metropolis = make_metropolis()
-    cfg = metropolis.config
-    net = build_network(metropolis, ((0, 1), (3, 8)))
-    edges = network_to_edge_list(net)
-    assert edges == [
-        {"from": 0, "to": 1, "capacity": cfg.capacity, "v_link": cfg.v_link},
-        {"from": 3, "to": 8, "capacity": cfg.capacity, "v_link": cfg.v_link},
-    ]
-    rebuilt = network_from_edge_list(edges, metropolis)
-    assert [(l.a, l.b, l.length_km) for l in rebuilt.links] == [(l.a, l.b, l.length_km) for l in net.links]
 
 
 # ---------------------------------------------------------------------------
@@ -342,14 +326,23 @@ def test_bpr_strictly_increasing_in_flow():
     assert (np.diff(times) > 0).all()
 
 
+def test_bpr_on_arrays_matches_one_link_at_a_time():
+    # assign_traffic updates all link times as one array; each must equal the
+    # scalar call bit for bit, or outputs would depend on the update form.
+    rng = np.random.default_rng(5)
+    t0 = rng.uniform(0.01, 0.1, 2000)
+    flows = rng.uniform(0.0, 1000.0, 2000)
+    times = bpr_time(t0, flows, 100.0, 0.15, 4.0)
+    assert times.tolist() == [bpr_time(t, f, 100.0, 0.15, 4.0) for t, f in zip(t0.tolist(), flows.tolist())]
+
+
 def test_zero_od_leaves_network_free_flow():
     metropolis = make_metropolis()
     net = build_network(metropolis, ((0, 1), (1, 2)))
     od = np.zeros((metropolis.n_cells, metropolis.n_cells))
     loaded, d = assign_traffic(od, net, metropolis, iterations=3)
-    for link in loaded.links:
-        assert link.flow == 0.0
-        assert link.congested_time == link.free_flow_time
+    assert (loaded.flow == 0.0).all()
+    assert np.array_equal(loaded.congested_time, loaded.free_flow_time)
     assert np.array_equal(d, shortest_times(net, metropolis, free_flow=True))
 
 
@@ -359,7 +352,7 @@ def test_assignment_leaves_input_network_untouched():
     od = np.zeros((metropolis.n_cells, metropolis.n_cells))
     od[0, 12] = 50.0
     assign_traffic(od, net, metropolis, iterations=2)
-    assert net.links[0].flow == 0.0
+    assert net.flow[0] == 0.0
 
 
 def test_parallel_routes_balance_after_even_iterations():
@@ -372,7 +365,7 @@ def test_parallel_routes_balance_after_even_iterations():
     od = np.zeros((n, n))
     od[0, 8] = od[8, 0] = 120.0
     loaded, _ = assign_traffic(od, net, metropolis, iterations=4)
-    flows = {(l.a, l.b): l.flow for l in loaded.links}
+    flows = dict(zip(zip(loaded.a.tolist(), loaded.b.tolist()), loaded.flow.tolist()))
     assert flows[(0, 2)] == pytest.approx(flows[(0, 6)], abs=1e-6)
     assert flows[(2, 8)] == pytest.approx(flows[(6, 8)], abs=1e-6)
     assert flows[(0, 2)] == pytest.approx(120.0, abs=1e-6)
@@ -398,7 +391,7 @@ def test_single_link_congests_or_migrates_to_local_roads():
 
     loaded, d = assign_traffic(od, net, metropolis, iterations=2)
     # Iteration 1 loads everything; iteration 2 migrates to AFC; the average halves the load.
-    assert loaded.links[0].flow == pytest.approx(capacity, rel=1e-12)
+    assert loaded.flow[0] == pytest.approx(capacity, rel=1e-12)
     assert d[0, 3] <= afc + 1e-15
 
 
@@ -421,8 +414,7 @@ def test_loads_match_path_walk_oracle():
 
         loaded, _ = assign_traffic(od, net, metropolis, iterations=1)
         oracle = dijkstra_load_oracle(metropolis, net, od)
-        got = np.array([l.flow for l in loaded.links])
-        assert np.max(np.abs(got - oracle)) < 1e-9, f"trial {trial}"
+        assert np.max(np.abs(loaded.flow - oracle)) < 1e-9, f"trial {trial}"
 
 
 # ---------------------------------------------------------------------------
@@ -452,11 +444,3 @@ def test_total_travel_time_matches_double_loop():
                 expected += flows[s, i, j] * d[i, j]
     assert total_travel_time(flows, d) == pytest.approx(expected, rel=1e-12)
 
-
-def test_matrix_csv_export(tmp_path):
-    path = tmp_path / "d.csv"
-    write_matrix_csv(path, np.array([[0.0, 1.5], [2.5, 0.0]]))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "row,col,value"
-    assert lines[2] == "0,1,1.5"
-    assert len(lines) == 5

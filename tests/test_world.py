@@ -195,6 +195,10 @@ class TestConfigJson:
         with pytest.raises(ConfigError, match=r"centers\[0\].mix"):
             config_from_dict(doc)
 
+    def test_replace_revalidates(self):
+        with pytest.raises(ConfigError, match="steps"):
+            replace(two_city_config(), steps=-1)
+
     def test_invalid_json_reported(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
