@@ -46,15 +46,6 @@ class Stakeholder:
         return METROPOLITAN if self.kind == "governor" else LOCAL
 
 
-@dataclass(frozen=True)
-class CandidateLink:
-    """A buildable link between two cells; speed and capacity come from config."""
-
-    a: int
-    b: int
-    length_km: float
-
-
 @dataclass
 class DecisionRecord:
     """One governance step: who decided, what was evaluated, what was built.
@@ -101,42 +92,26 @@ def select_stakeholder(xi: float, weights: np.ndarray, rng: random.Random) -> tu
     return Stakeholder(kind="mayor", mayor=mayor), (level_draw, mayor_draw)
 
 
-def _chebyshev(metropolis: Metropolis, a: int, b: int) -> int:
-    cols = metropolis.config.grid_cols
-    ra, ca = divmod(a, cols)
-    rb, cb = divmod(b, cols)
-    return max(abs(ra - rb), abs(ca - cb))
-
-
-def enumerate_candidates(network: Network, metropolis: Metropolis) -> list[CandidateLink]:
-    """All buildable links, in ascending (a, b) order.
+def enumerate_candidates(network: Network, metropolis: Metropolis) -> tuple[np.ndarray, np.ndarray]:
+    """All buildable links as endpoint arrays (a, b), a < b, in ascending (a, b) order.
 
     A pair qualifies when the cells are grid-adjacent (8-neighbourhood), or
     when both already touch the network and lie within the configured
     extension radius of each other. Existing links are excluded.
     """
     cfg = metropolis.config
-    rows, cols = cfg.grid_rows, cfg.grid_cols
-    pairs: set[tuple[int, int]] = set()
-    for r in range(rows):
-        for c in range(cols):
-            a = r * cols + c
-            for dr, dc in ((0, 1), (1, -1), (1, 0), (1, 1)):
-                r2, c2 = r + dr, c + dc
-                if 0 <= r2 < rows and 0 <= c2 < cols:
-                    pairs.add((a, r2 * cols + c2))
-    touched = network.endpoints()
-    radius = cfg.network_extension_radius
-    for i, a in enumerate(touched):
-        for b in touched[i + 1 :]:
-            if 1 <= _chebyshev(metropolis, a, b) <= radius:
-                pairs.add((a, b))
-    pts = metropolis.centroids
-    candidates = []
-    for a, b in sorted(pairs - network.pairs()):
-        length = float(np.hypot(*(pts[a] - pts[b])))
-        candidates.append(CandidateLink(a=a, b=b, length_km=length))
-    return candidates
+    n = metropolis.n_cells
+    # int16 keeps the (N, N) temporaries small. It holds any row or column
+    # index of a grid whose (N, N) distance matrix fits in memory.
+    cells = np.arange(n)
+    row = (cells // cfg.grid_cols).astype(np.int16)
+    col = (cells % cfg.grid_cols).astype(np.int16)
+    chebyshev = np.maximum(np.abs(row[:, None] - row[None, :]), np.abs(col[:, None] - col[None, :]))
+    touched = np.zeros(n, dtype=bool)
+    touched[network.a] = touched[network.b] = True
+    ok = (chebyshev == 1) | (touched[:, None] & touched[None, :] & (chebyshev <= cfg.network_extension_radius))
+    ok[network.a, network.b] = ok[network.b, network.a] = False
+    return np.nonzero(np.triu(ok, 1))
 
 
 def _territory_accessibility(metropolis: Metropolis, d: np.ndarray, cells: np.ndarray) -> float:
@@ -151,7 +126,7 @@ def objective(metropolis: Metropolis, d: np.ndarray, stakeholder: Stakeholder) -
     return _territory_accessibility(metropolis, d, stakeholder.territory_cells(metropolis))
 
 
-def _candidate_times(d: np.ndarray, candidate: CandidateLink, link_time: float, floor: float) -> np.ndarray:
+def _candidate_times(d: np.ndarray, a: int, b: int, link_time: float, floor: float) -> np.ndarray:
     """Travel times after adding one link, from the base all-pairs times.
 
     Exact single-edge update: any new route crosses the link once, so the new
@@ -160,26 +135,28 @@ def _candidate_times(d: np.ndarray, candidate: CandidateLink, link_time: float, 
     """
     base = d.copy()
     np.fill_diagonal(base, 0.0)
-    via = base[:, candidate.a][:, None] + (link_time + base[candidate.b, :])[None, :]
+    via = base[:, a][:, None] + (link_time + base[b, :])[None, :]
     out = np.minimum(base, np.minimum(via, via.T))
     np.fill_diagonal(out, floor)
     return out
 
 
-def evaluate_candidate(
-    metropolis: Metropolis,
-    network: Network,
-    candidate: CandidateLink,
-    stakeholder: Stakeholder,
-) -> float:
-    """Objective after hypothetically building one link; the inputs stay untouched.
+def _with_link(metropolis: Metropolis, network: Network, a: int, b: int) -> Network:
+    """A copy of the network plus link a-b: centre distance, configured speed and capacity."""
+    cfg = metropolis.config
+    net = network.copy()
+    net.add_link(a, b, float(metropolis.distance_km[a, b]), cfg.v_link, cfg.capacity)
+    return net
+
+
+def evaluate_candidate(metropolis: Metropolis, network: Network, a: int, b: int, stakeholder: Stakeholder) -> float:
+    """Objective after hypothetically building the link a-b; the inputs stay untouched.
 
     Free-flow times by default; with congestion_in_evaluation set, the current
     travel demand is redistributed and assigned on the extended network first.
     """
     cfg = metropolis.config
-    trial = network.copy()
-    trial.add_link(candidate.a, candidate.b, candidate.length_km, cfg.v_link, cfg.capacity)
+    trial = _with_link(metropolis, network, a, b)
     if cfg.congestion_in_evaluation:
         od = _current_od(metropolis, network)
         _, d = assign_traffic(od, trial, metropolis, cfg.assignment_iterations)
@@ -219,7 +196,7 @@ class _LinkGains:
     """
 
     def __init__(self, metropolis: Metropolis, d_base: np.ndarray, cells: np.ndarray,
-                 candidates: list[CandidateLink]):
+                 a: np.ndarray, b: np.ndarray):
         cfg = metropolis.config
         K = d_base.copy()
         np.fill_diagonal(K, 0.0)
@@ -229,9 +206,8 @@ class _LinkGains:
         self.cells = cells
         self.workers = metropolis.workers[cells]                     # (|T|, S)
         self.jobs = metropolis.jobs                                  # (N, S)
-        self.a = np.array([cand.a for cand in candidates])
-        self.b = np.array([cand.b for cand in candidates])
-        self.c = np.exp(-cfg.nu * np.array([cand.length_km / cfg.v_link for cand in candidates]))
+        self.a, self.b = a, b
+        self.c = np.exp(-cfg.nu * (metropolis.distance_km[a, b] / cfg.v_link))
 
     def _block(self, x: int, y: int, c: float) -> float:
         """Exact gain of the pairs whose new best route runs x -> y over the link."""
@@ -284,7 +260,8 @@ class _LinkGains:
 def _free_flow_search(
     metropolis: Metropolis,
     d_base: np.ndarray,
-    candidates: list[CandidateLink],
+    a: np.ndarray,
+    b: np.ndarray,
     cells: np.ndarray,
     before: float,
     step: int,
@@ -298,7 +275,7 @@ def _free_flow_search(
     maximum in enumeration order wins. Returns the winner's index and the
     objective of every scored candidate by index.
     """
-    link_gains = _LinkGains(metropolis, d_base, cells, candidates)
+    link_gains = _LinkGains(metropolis, d_base, cells, a, b)
     bounds = link_gains.bounds()
     margin = PRUNE_MARGIN * abs(before)
     best = -np.inf
@@ -315,14 +292,13 @@ def _free_flow_search(
     values = {k: before + g for k, g in gains.items()}
     shortlist = [k for k in sorted(gains) if gains[k] >= best - margin]
     for k in shortlist:
-        cand = candidates[k]
-        d_trial = _candidate_times(d_base, cand, cand.length_km / cfg.v_link, floor)
+        d_trial = _candidate_times(d_base, a[k], b[k], metropolis.distance_km[a[k], b[k]] / cfg.v_link, floor)
         values[k] = _territory_accessibility(metropolis, d_trial, cells)
     best_idx = _first_max({k: values[k] for k in shortlist})
 
     top = sorted(gains.values(), reverse=True)[:2]
     log.debug("step %d: n_candidates %d, scored %d, shortlist %d, best - runner-up gain %s",
-              step, len(candidates), len(gains), len(shortlist),
+              step, len(a), len(gains), len(shortlist),
               f"{top[0] - top[1]:.6g}" if len(top) == 2 else "n/a")
     return best_idx, values
 
@@ -343,7 +319,7 @@ def decide_and_build(
     congested evaluation re-assigns traffic for every candidate.
     """
     cfg = metropolis.config
-    candidates = enumerate_candidates(network, metropolis)
+    a, b = enumerate_candidates(network, metropolis)
     cells = stakeholder.territory_cells(metropolis)
 
     if cfg.congestion_in_evaluation:
@@ -353,7 +329,7 @@ def decide_and_build(
         d_base = shortest_times(network, metropolis, free_flow=True)
     before = _territory_accessibility(metropolis, d_base, cells)
 
-    if not candidates:
+    if not len(a):
         log.info("step %d: network saturated, no candidate links", step)
         record = DecisionRecord(
             step=step, level=stakeholder.level, mayor=stakeholder.mayor,
@@ -365,22 +341,19 @@ def decide_and_build(
 
     if cfg.congestion_in_evaluation:
         scores = {}
-        for k, cand in enumerate(candidates):
-            trial = network.copy()
-            trial.add_link(cand.a, cand.b, cand.length_km, cfg.v_link, cfg.capacity)
+        for k, (x, y) in enumerate(zip(a.tolist(), b.tolist())):
+            trial = _with_link(metropolis, network, x, y)
             _, d_trial = assign_traffic(od, trial, metropolis, cfg.assignment_iterations)
             scores[k] = _territory_accessibility(metropolis, d_trial, cells)
         best_idx = _first_max(scores)
     else:
-        best_idx, scores = _free_flow_search(metropolis, d_base, candidates, cells, before, step)
+        best_idx, scores = _free_flow_search(metropolis, d_base, a, b, cells, before, step)
 
-    chosen = candidates[best_idx]
-    built = network.copy()
-    built.add_link(chosen.a, chosen.b, chosen.length_km, cfg.v_link, cfg.capacity)
+    chosen = (int(a[best_idx]), int(b[best_idx]))
     record = DecisionRecord(
         step=step, level=stakeholder.level, mayor=stakeholder.mayor,
-        n_candidates=len(candidates), chosen=(chosen.a, chosen.b),
+        n_candidates=len(a), chosen=chosen,
         objective_before=before, objective_after=scores[best_idx],
-        draws=draws, evaluations=[(candidates[k].a, candidates[k].b, scores[k]) for k in sorted(scores)],
+        draws=draws, evaluations=[(int(a[k]), int(b[k]), scores[k]) for k in sorted(scores)],
     )
-    return built, record
+    return _with_link(metropolis, network, *chosen), record

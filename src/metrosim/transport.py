@@ -9,9 +9,9 @@ complete AFC graph (every cell pair connected at the local-road speed) with
 regional links layered on top; AFC legs obey the triangle inequality, so any
 shortest path alternates AFC legs with regional links and its intermediate
 stops can only be link endpoints. Shortest times are therefore computed
-exactly by closing the small endpoint subgraph and joining AFC access legs,
-which keeps the exhaustive candidate evaluation in the governance module
-cheap.
+exactly by closing the small endpoint subgraph and joining AFC access legs.
+The AFC times are the metropolis's fixed cell-centre distances over the
+local-road speed.
 """
 from __future__ import annotations
 
@@ -50,16 +50,8 @@ class Network:
     def free_flow_time(self) -> np.ndarray:
         return self.length_km / self.v_link
 
-    @staticmethod
-    def key(a: int, b: int) -> tuple[int, int]:
-        return (a, b) if a < b else (b, a)
-
-    def pairs(self) -> set[tuple[int, int]]:
-        """Every link as its (smaller, larger) endpoint pair."""
-        return {self.key(a, b) for a, b in zip(self.a.tolist(), self.b.tolist())}
-
     def has_link(self, a: int, b: int) -> bool:
-        return self.key(a, b) in self.pairs()
+        return bool(((self.a == a) & (self.b == b) | (self.a == b) & (self.b == a)).any())
 
     def add_link(self, a: int, b: int, length_km: float, v_link: float, capacity: float) -> int:
         """Append a link at free-flow time with no flow; returns its index."""
@@ -70,7 +62,7 @@ class Network:
         if length_km <= 0.0 or capacity <= 0.0:
             raise ValueError("link length and capacity must be positive")
         if self.has_link(a, b):
-            raise ValueError(f"duplicate link {self.key(a, b)}")
+            raise ValueError(f"duplicate link {(min(a, b), max(a, b))}")
         self.a = np.append(self.a, a)
         self.b = np.append(self.b, b)
         self.length_km = np.append(self.length_km, length_km)
@@ -98,10 +90,8 @@ def build_network(metropolis: Metropolis, pairs: tuple[tuple[int, int], ...]) ->
     """Network from (a, b) cell pairs; geometry and capacity come from the config."""
     config = metropolis.config
     net = Network(metropolis.n_cells)
-    pts = metropolis.centroids
     for a, b in pairs:
-        length = float(np.hypot(*(pts[a] - pts[b])))
-        net.add_link(a, b, length, config.v_link, config.capacity)
+        net.add_link(a, b, float(metropolis.distance_km[a, b]), config.v_link, config.capacity)
     return net
 
 
@@ -113,20 +103,6 @@ def intra_cell_time(metropolis: Metropolis) -> float:
     """Within-cell travel time floor: half a cell at the local speed."""
     cfg = metropolis.config
     return (cfg.cell_size_km / 2.0) / cfg.v_local
-
-
-def _afc_movement(metropolis: Metropolis) -> np.ndarray:
-    """AFC travel times with a zero diagonal (pure movement, no floor)."""
-    pts = metropolis.centroids
-    diff = pts[:, None, :] - pts[None, :, :]
-    return np.hypot(diff[..., 0], diff[..., 1]) / metropolis.config.v_local
-
-
-def afc_times(metropolis: Metropolis) -> np.ndarray:
-    """AFC travel-time matrix including the intra-cell floor on the diagonal."""
-    d = _afc_movement(metropolis)
-    np.fill_diagonal(d, intra_cell_time(metropolis))
-    return d
 
 
 @dataclass
@@ -208,7 +184,7 @@ def shortest_times(network: Network, metropolis: Metropolis, *, free_flow: bool 
     access and egress to the link network ride local roads at v_local. The
     diagonal carries the intra-cell time floor.
     """
-    afc = _afc_movement(metropolis)
+    afc = metropolis.distance_km / metropolis.config.v_local
     times = network.free_flow_time if free_flow else network.congested_time
     closure = _close_network(afc, network, times)
     d = afc.copy() if closure is None else closure.d.copy()
@@ -252,8 +228,6 @@ class FurnessResult:
     """Doubly-constrained gravity matrix with its balancing state."""
 
     flows: np.ndarray               # (N, N)
-    row_factors: np.ndarray         # (N,)
-    col_factors: np.ndarray         # (N,)
     destinations_scaled: np.ndarray  # (N,) destination marginals after rescaling
     residual: float                 # max marginal relative error at exit
     iterations: int
@@ -287,7 +261,7 @@ def furness_distribution(
     total_a, total_e = a.sum(), e.sum()
     if total_a <= 0.0 or total_e <= 0.0:
         zeros = np.zeros((n, n))
-        return FurnessResult(zeros, np.zeros(n), np.zeros(n), e * 0.0, 0.0, 0, True)
+        return FurnessResult(zeros, e * 0.0, 0.0, 0, True)
     e = e * (total_a / total_e)
 
     kernel = np.exp(-lam * d)
@@ -304,9 +278,9 @@ def furness_distribution(
         flows = (p * a)[:, None] * (q * e)[None, :] * kernel
         residual = _marginal_error(flows, a, e)
         if residual < tol:
-            return FurnessResult(flows, p, q, e, residual, iterations, True)
+            return FurnessResult(flows, e, residual, iterations, True)
     log.warning("gravity balancing stopped at max_iter=%d with residual %.3e", max_iter, residual)
-    return FurnessResult(flows, p, q, e, residual, iterations, False)
+    return FurnessResult(flows, e, residual, iterations, False)
 
 
 @dataclass
@@ -316,8 +290,6 @@ class ODMatrix:
     flows: np.ndarray               # (S, N, N)
     origins: np.ndarray             # (N, S)
     destinations_scaled: np.ndarray  # (N, S)
-    row_factors: np.ndarray         # (N, S)
-    col_factors: np.ndarray         # (N, S)
     residuals: np.ndarray           # (S,)
     converged: np.ndarray           # (S,) bool
     iterations: np.ndarray          # (S,) int
@@ -332,8 +304,6 @@ def distribute(demand: Demand, d: np.ndarray, lam: float, tol: float, max_iter: 
     n, s = demand.origins.shape
     flows = np.zeros((s, n, n))
     destinations_scaled = np.zeros((n, s))
-    row_factors = np.zeros((n, s))
-    col_factors = np.zeros((n, s))
     residuals = np.zeros(s)
     converged = np.ones(s, dtype=bool)
     iterations = np.zeros(s, dtype=int)
@@ -343,13 +313,10 @@ def distribute(demand: Demand, d: np.ndarray, lam: float, tol: float, max_iter: 
         result = furness_distribution(demand.origins[:, cat], demand.destinations[:, cat], d, lam, tol, max_iter)
         flows[cat] = result.flows
         destinations_scaled[:, cat] = result.destinations_scaled
-        row_factors[:, cat] = result.row_factors
-        col_factors[:, cat] = result.col_factors
         residuals[cat] = result.residual
         converged[cat] = result.converged
         iterations[cat] = result.iterations
-    return ODMatrix(flows, demand.origins.copy(), destinations_scaled, row_factors, col_factors,
-                    residuals, converged, iterations)
+    return ODMatrix(flows, demand.origins.copy(), destinations_scaled, residuals, converged, iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +376,7 @@ def assign_traffic(od: np.ndarray, network: Network, metropolis: Metropolis, ite
         raise ValueError("iterations must be >= 1")
     cfg = metropolis.config
     net = network.copy()
-    afc = _afc_movement(metropolis)
+    afc = metropolis.distance_km / cfg.v_local
     for k in range(1, iterations + 1):
         closure = _close_network(afc, net, net.congested_time)
         loads = _load_all_or_nothing(od, closure, len(net))

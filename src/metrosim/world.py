@@ -17,13 +17,15 @@ class Metropolis:
     """Grid of cells with per-category worker/job counts and a mayor partition.
 
     Arrays are row-major over cells: cell id = row * grid_cols + col.
+    `distance_km` is the fixed grid geometry: computed once by
+    init_metropolis, shared (not copied) by `copy()`, never written.
     """
 
     config: ScenarioConfig
-    workers: np.ndarray    # (N, S)
-    jobs: np.ndarray       # (N, S)
-    territory: np.ndarray  # (N,) mayor index
-    centroids: np.ndarray  # (N, 2) km coordinates of cell centres
+    workers: np.ndarray      # (N, S)
+    jobs: np.ndarray         # (N, S)
+    territory: np.ndarray    # (N,) mayor index
+    distance_km: np.ndarray  # (N, N) straight-line km between cell centres
     n_mayors: int
 
     @property
@@ -36,7 +38,7 @@ class Metropolis:
             workers=self.workers.copy(),
             jobs=self.jobs.copy(),
             territory=self.territory.copy(),
-            centroids=self.centroids,
+            distance_km=self.distance_km,
             n_mayors=self.n_mayors,
         )
 
@@ -49,6 +51,13 @@ def grid_centroids(config: ScenarioConfig) -> np.ndarray:
     size = config.cell_size_km
     pts = np.stack([(xx.ravel() + 0.5) * size, (yy.ravel() + 0.5) * size], axis=1)
     return pts
+
+
+def grid_distances(config: ScenarioConfig) -> np.ndarray:
+    """Straight-line distances between cell centres in km, shape (N, N)."""
+    pts = grid_centroids(config)
+    diff = pts[:, None, :] - pts[None, :, :]
+    return np.hypot(diff[..., 0], diff[..., 1])
 
 
 def _center_fields(config: ScenarioConfig) -> np.ndarray:
@@ -109,7 +118,7 @@ def init_metropolis(config: ScenarioConfig, total_workers: float, total_jobs: fl
         workers=workers,
         jobs=jobs,
         territory=np.zeros(config.n_cells, dtype=int),
-        centroids=grid_centroids(config),
+        distance_km=grid_distances(config),
         n_mayors=len(config.centers),
     )
 
@@ -120,13 +129,10 @@ def assign_territories(metropolis: Metropolis, centers: tuple[CenterSpec, ...]) 
     Ties go to the lowest centre index. The partition is fixed for the whole
     run; nothing downstream reassigns cells.
     """
-    config = metropolis.config
-    pts = metropolis.centroids
-    centre_pts = np.array(
-        [((c.position[1] + 0.5) * config.cell_size_km, (c.position[0] + 0.5) * config.cell_size_km) for c in centers]
-    )
-    dist = np.hypot(pts[:, None, 0] - centre_pts[None, :, 0], pts[:, None, 1] - centre_pts[None, :, 1])
-    territory = dist.argmin(axis=1)  # argmin takes the first minimum: lowest index wins ties
+    cols = metropolis.config.grid_cols
+    centre_cells = [c.position[0] * cols + c.position[1] for c in centers]
+    # argmin takes the first minimum: lowest index wins ties
+    territory = metropolis.distance_km[:, centre_cells].argmin(axis=1)
     return replace(metropolis, territory=territory, n_mayors=len(centers))
 
 

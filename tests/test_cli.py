@@ -116,7 +116,7 @@ class TestRun:
         history = read_csv(out / "history.csv")
 
         from metrosim.config import config_from_dict
-        from metrosim.world import grid_centroids
+        from metrosim.world import grid_distances
 
         cfg = config_from_dict(dump["config"])
         metropolis = Metropolis(
@@ -124,7 +124,7 @@ class TestRun:
             workers=np.array(dump["workers"]),
             jobs=np.array(dump["jobs"]),
             territory=np.array(dump["territory"]),
-            centroids=grid_centroids(cfg),
+            distance_km=grid_distances(cfg),
             n_mayors=len(cfg.centers),
         )
         d = np.array(dump["travel_times"])

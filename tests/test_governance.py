@@ -1,13 +1,13 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from metrosim.config import two_city_config
 from metrosim.governance import (
-    CandidateLink,
     Stakeholder,
     _candidate_times,
     _LinkGains,
@@ -19,7 +19,7 @@ from metrosim.governance import (
     select_stakeholder,
 )
 from metrosim.transport import Network, build_network, intra_cell_time, shortest_times
-from metrosim.world import assign_territories, init_metropolis
+from metrosim.world import assign_territories, grid_centroids, init_metropolis
 
 
 def make_metropolis(**cfg_kwargs):
@@ -29,6 +29,34 @@ def make_metropolis(**cfg_kwargs):
     cfg_kwargs.setdefault("dominant_position", (0, 0))
     cfg = two_city_config(**cfg_kwargs)
     return assign_territories(init_metropolis(cfg, 1000.0, 1000.0), cfg.centers)
+
+
+def candidate_pairs(network, metropolis):
+    """enumerate_candidates as a list of (a, b) pairs of ints."""
+    a, b = enumerate_candidates(network, metropolis)
+    return list(zip(a.tolist(), b.tolist()))
+
+
+def enumerate_candidates_oracle(network, metropolis):
+    """Brute-force candidate pairs, walking the grid cell by cell."""
+    cfg = metropolis.config
+    rows, cols = cfg.grid_rows, cfg.grid_cols
+    pairs = set()
+    for r in range(rows):
+        for c in range(cols):
+            a = r * cols + c
+            for dr, dc in ((0, 1), (1, -1), (1, 0), (1, 1)):
+                r2, c2 = r + dr, c + dc
+                if 0 <= r2 < rows and 0 <= c2 < cols:
+                    pairs.add((a, r2 * cols + c2))
+    touched = network.endpoints()
+    for i, a in enumerate(touched):
+        for b in touched[i + 1 :]:
+            (ra, ca), (rb, cb) = divmod(a, cols), divmod(b, cols)
+            if 1 <= max(abs(ra - rb), abs(ca - cb)) <= cfg.network_extension_radius:
+                pairs.add((a, b))
+    links = {(min(a, b), max(a, b)) for a, b in zip(network.a.tolist(), network.b.tolist())}
+    return sorted(pairs - links)
 
 
 STAKEHOLDERS = (Stakeholder(kind="governor"), Stakeholder(kind="mayor", mayor=0),
@@ -45,8 +73,8 @@ def random_case(n: int, seed: int):
     cfg = metropolis.config
     net = Network(metropolis.n_cells)
     for _ in range(rng.randint(1, n)):
-        c = rng.choice(enumerate_candidates(net, metropolis))
-        net.add_link(c.a, c.b, c.length_km, cfg.v_link, cfg.capacity)
+        a, b = rng.choice(candidate_pairs(net, metropolis))
+        net.add_link(a, b, float(metropolis.distance_km[a, b]), cfg.v_link, cfg.capacity)
     return metropolis, net
 
 
@@ -108,22 +136,20 @@ def test_draw_order_is_level_then_mayor():
 def test_two_by_two_grid_has_six_candidates():
     metropolis = make_metropolis(grid_rows=2, grid_cols=2,
                                  minor_position=(1, 1), dominant_position=(0, 0))
-    candidates = enumerate_candidates(Network(4), metropolis)
-    assert [(c.a, c.b) for c in candidates] == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    assert candidate_pairs(Network(4), metropolis) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
 
 def test_saturated_network_has_no_candidates():
     metropolis = make_metropolis(grid_rows=2, grid_cols=2,
                                  minor_position=(1, 1), dominant_position=(0, 0))
     net = build_network(metropolis, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
-    assert enumerate_candidates(net, metropolis) == []
+    assert candidate_pairs(net, metropolis) == []
 
 
 def test_candidates_are_unique_and_sorted():
     metropolis = make_metropolis()
     net = build_network(metropolis, ((0, 1), (6, 12)))
-    candidates = enumerate_candidates(net, metropolis)
-    pairs = [(c.a, c.b) for c in candidates]
+    pairs = candidate_pairs(net, metropolis)
     assert len(pairs) == len(set(pairs))
     assert pairs == sorted(pairs)
     assert all(a < b for a, b in pairs)
@@ -133,19 +159,29 @@ def test_candidates_are_unique_and_sorted():
 def test_extension_candidates_respect_radius():
     metropolis = make_metropolis()  # 5x5, extension radius 3
     net = build_network(metropolis, ((0, 1), (3, 4)))  # touched cells: 0, 1, 3, 4
-    candidates = {(c.a, c.b) for c in enumerate_candidates(net, metropolis)}
+    candidates = set(candidate_pairs(net, metropolis))
     assert (1, 4) in candidates       # both touched, Chebyshev 3
     assert (0, 3) in candidates       # both touched, Chebyshev 3
     assert (0, 4) not in candidates   # both touched but Chebyshev 4: too far
     assert (0, 7) not in candidates   # cell 7 does not touch the network
 
 
+def test_enumeration_matches_loop_oracle():
+    for n, seed in ((5, 0), (5, 1), (5, 2), (10, 0), (10, 1), (10, 2)):
+        metropolis, net = random_case(n, seed)
+        # The same links stored with their endpoints swapped (b < a).
+        flipped = build_network(metropolis, tuple(zip(net.b.tolist(), net.a.tolist())))
+        for radius in (1, 3, n):
+            case = replace(metropolis, config=replace(metropolis.config, network_extension_radius=radius))
+            for network in (net, flipped):
+                assert candidate_pairs(network, case) == enumerate_candidates_oracle(network, case)
+
+
 def test_candidate_lengths_are_centroid_distances():
     metropolis = make_metropolis()
-    candidates = enumerate_candidates(Network(metropolis.n_cells), metropolis)
-    for c in candidates[:10]:
-        expected = float(np.hypot(*(metropolis.centroids[c.a] - metropolis.centroids[c.b])))
-        assert c.length_km == pytest.approx(expected, rel=1e-12)
+    pts = grid_centroids(metropolis.config)
+    for a, b in candidate_pairs(Network(metropolis.n_cells), metropolis):
+        assert metropolis.distance_km[a, b] == float(np.hypot(*(pts[a] - pts[b])))
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +227,7 @@ def test_collinear_candidate_changes_nothing():
     net = build_network(metropolis, ((0, 1), (1, 2)))
     governor = Stakeholder(kind="governor")
     base = objective(metropolis, shortest_times(net, metropolis, free_flow=True), governor)
-    chain_twin = CandidateLink(a=0, b=2, length_km=2.0 * metropolis.config.cell_size_km)
-    value = evaluate_candidate(metropolis, net, chain_twin, governor)
+    value = evaluate_candidate(metropolis, net, 0, 2, governor)
     assert value == pytest.approx(base, rel=1e-12)
 
 
@@ -201,8 +236,7 @@ def test_new_fast_link_strictly_improves_objective():
     net = Network(metropolis.n_cells)
     governor = Stakeholder(kind="governor")
     base = objective(metropolis, shortest_times(net, metropolis, free_flow=True), governor)
-    c = CandidateLink(a=0, b=6, length_km=float(np.hypot(*(metropolis.centroids[0] - metropolis.centroids[6]))))
-    improved = evaluate_candidate(metropolis, net, c, governor)
+    improved = evaluate_candidate(metropolis, net, 0, 6, governor)
     assert improved > base
 
 
@@ -211,8 +245,7 @@ def test_evaluation_leaves_network_untouched():
     net = build_network(metropolis, ((0, 6),))
     net.flow[0] = 42.0
     net.congested_time[0] = 0.5
-    c = CandidateLink(a=6, b=12, length_km=1.414)
-    evaluate_candidate(metropolis, net, c, Stakeholder(kind="governor"))
+    evaluate_candidate(metropolis, net, 6, 12, Stakeholder(kind="governor"))
     assert len(net) == 1
     assert net.flow[0] == 42.0
     assert net.congested_time[0] == 0.5
@@ -226,12 +259,13 @@ def test_incremental_evaluation_matches_full_recompute():
     # shortest-path recomputation.
     for n, seed in ((5, 0), (5, 1), (5, 2), (10, 0), (10, 1), (10, 2)):
         metropolis, net = random_case(n, seed)
-        candidates = enumerate_candidates(net, metropolis)
+        candidates = candidate_pairs(net, metropolis)
         d_base = shortest_times(net, metropolis, free_flow=True)
         floor = intra_cell_time(metropolis)
+        v_link = metropolis.config.v_link
         for stakeholder in STAKEHOLDERS:
             _, record = decide_and_build(metropolis, net, stakeholder)
-            full = {(c.a, c.b): evaluate_candidate(metropolis, net, c, stakeholder) for c in candidates}
+            full = {(a, b): evaluate_candidate(metropolis, net, a, b, stakeholder) for a, b in candidates}
             oracle = max(full, key=full.__getitem__)  # first maximum in enumeration order
             assert record.chosen == oracle
             assert record.objective_after == pytest.approx(full[oracle], rel=1e-12)
@@ -239,8 +273,8 @@ def test_incremental_evaluation_matches_full_recompute():
             cells = stakeholder.territory_cells(metropolis)
             relaxed = [
                 _territory_accessibility(
-                    metropolis, _candidate_times(d_base, c, c.length_km / metropolis.config.v_link, floor), cells)
-                for c in candidates
+                    metropolis, _candidate_times(d_base, a, b, metropolis.distance_km[a, b] / v_link, floor), cells)
+                for a, b in candidates
             ]
             assert record.objective_after == max(relaxed)
 
@@ -255,14 +289,14 @@ def test_incremental_evaluation_matches_full_recompute():
 def test_gain_bound_holds_for_every_candidate():
     for n, seed in ((5, 3), (5, 4), (10, 5)):
         metropolis, net = random_case(n, seed)
-        candidates = enumerate_candidates(net, metropolis)
+        a, b = enumerate_candidates(net, metropolis)
         d_base = shortest_times(net, metropolis, free_flow=True)
         for stakeholder in STAKEHOLDERS:
             before = objective(metropolis, d_base, stakeholder)
-            gains = _LinkGains(metropolis, d_base, stakeholder.territory_cells(metropolis), candidates)
+            gains = _LinkGains(metropolis, d_base, stakeholder.territory_cells(metropolis), a, b)
             bounds = gains.bounds()
-            for k, cand in enumerate(candidates):
-                exact = evaluate_candidate(metropolis, net, cand, stakeholder) - before
+            for k in range(len(a)):
+                exact = evaluate_candidate(metropolis, net, a[k], b[k], stakeholder) - before
                 assert exact <= bounds[k] + 1e-12 * abs(before)
                 assert gains.gain(k) == pytest.approx(exact, abs=1e-12 * abs(before))
 

@@ -14,7 +14,7 @@ from metrosim.landuse import (
     urban_form,
     utility,
 )
-from metrosim.transport import afc_times
+from metrosim.transport import Network, shortest_times
 from metrosim.world import assign_territories, init_metropolis
 
 
@@ -25,6 +25,11 @@ def make_metropolis(**cfg_kwargs):
     cfg_kwargs.setdefault("dominant_position", (0, 0))
     cfg = two_city_config(**cfg_kwargs)
     return assign_territories(init_metropolis(cfg, 1000.0, 1000.0), cfg.centers)
+
+
+def afc_times(metropolis):
+    """Travel times on an empty network: local roads only, intra-cell floor on the diagonal."""
+    return shortest_times(Network(metropolis.n_cells), metropolis)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ import pytest
 from metrosim.config import two_city_config
 from metrosim.transport import (
     Network,
-    afc_times,
     assign_traffic,
     bpr_time,
     build_network,
@@ -20,7 +19,7 @@ from metrosim.transport import (
     shortest_times,
     total_travel_time,
 )
-from metrosim.world import assign_territories, init_metropolis
+from metrosim.world import assign_territories, grid_centroids, init_metropolis
 
 
 def make_metropolis(rows=5, cols=5, **cfg_kwargs):
@@ -34,15 +33,22 @@ def make_metropolis(rows=5, cols=5, **cfg_kwargs):
 # Oracles
 
 
-def floyd_warshall_oracle(metropolis, links, times):
-    """Dense all-pairs relaxation over AFC edges plus regional links."""
+def afc_oracle(metropolis):
+    """Local-road times between cell centres, one pair at a time, zero diagonal."""
     cfg = metropolis.config
-    pts = metropolis.centroids
+    pts = grid_centroids(cfg)
     n = metropolis.n_cells
     w = np.zeros((n, n))
     for i in range(n):
         for j in range(n):
             w[i, j] = float(np.hypot(*(pts[i] - pts[j]))) / cfg.v_local
+    return w
+
+
+def floyd_warshall_oracle(metropolis, links, times):
+    """Dense all-pairs relaxation over AFC edges plus regional links."""
+    n = metropolis.n_cells
+    w = afc_oracle(metropolis)
     for (a, b), t in zip(links, times):
         if t < w[a, b]:
             w[a, b] = w[b, a] = t
@@ -75,13 +81,8 @@ def dijkstra_load_oracle(metropolis, network, od):
     Ties between a link edge and the AFC edge of the same pair go to AFC,
     matching the production rule that equal-time traffic stays local.
     """
-    cfg = metropolis.config
-    pts = metropolis.centroids
     n = metropolis.n_cells
-    afc = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            afc[i, j] = float(np.hypot(*(pts[i] - pts[j]))) / cfg.v_local
+    afc = afc_oracle(metropolis)
     link_time = {}
     for li, (a, b, t) in enumerate(zip(network.a.tolist(), network.b.tolist(), network.congested_time.tolist())):
         link_time[(a, b)] = link_time[(b, a)] = (t, li)
@@ -131,7 +132,9 @@ def test_empty_network_times_are_afc():
     metropolis = make_metropolis()
     net = Network(metropolis.n_cells)
     d = shortest_times(net, metropolis)
-    assert np.array_equal(d, afc_times(metropolis))
+    expected = afc_oracle(metropolis)
+    np.fill_diagonal(expected, intra_cell_time(metropolis))
+    assert np.array_equal(d, expected)
 
 
 def test_fast_link_on_segment_dominates():
@@ -166,13 +169,14 @@ def test_shortest_times_match_floyd_warshall_on_random_networks():
         cols = rng.randint(2, 5)
         metropolis = make_metropolis(rows=rows, cols=cols)
         n = metropolis.n_cells
+        pts = grid_centroids(metropolis.config)
         net = Network(n)
         pairs, times = [], []
         for _ in range(rng.randint(0, 12)):
             a, b = rng.sample(range(n), 2)
             if net.has_link(a, b):
                 continue
-            length = float(np.hypot(*(metropolis.centroids[a] - metropolis.centroids[b])))
+            length = float(np.hypot(*(pts[a] - pts[b])))
             li = net.add_link(a, b, length, v_link=rng.uniform(10.0, 120.0), capacity=50.0)
             net.congested_time[li] = net.free_flow_time[li] * rng.uniform(1.0, 2.5)
             pairs.append((a, b))
@@ -230,7 +234,7 @@ def test_one_sided_category_is_skipped(caplog):
     metropolis.jobs[:, 0] = 0.0
     demand = generate_demand(metropolis)
     assert not demand.active[0]
-    d = afc_times(metropolis)
+    d = shortest_times(Network(metropolis.n_cells), metropolis)
     od = distribute(demand, d, lam=0.5, tol=1e-8, max_iter=200)
     assert od.flows[0].sum() == 0.0
 
@@ -400,12 +404,13 @@ def test_loads_match_path_walk_oracle():
     for trial in range(8):
         metropolis = make_metropolis(rows=3, cols=4)
         n = metropolis.n_cells
+        pts = grid_centroids(metropolis.config)
         net = Network(n)
         for _ in range(rng.randint(2, 7)):
             a, b = rng.sample(range(n), 2)
             if net.has_link(a, b):
                 continue
-            length = float(np.hypot(*(metropolis.centroids[a] - metropolis.centroids[b])))
+            length = float(np.hypot(*(pts[a] - pts[b])))
             net.add_link(a, b, length, v_link=rng.uniform(50.0, 110.0), capacity=100.0)
         od = np.zeros((n, n))
         for _ in range(12):
