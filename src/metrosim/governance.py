@@ -6,6 +6,7 @@ territory accessibility, and the argmax link is built.
 """
 from __future__ import annotations
 
+import copy
 import logging
 import random
 from dataclasses import dataclass
@@ -51,9 +52,12 @@ class DecisionRecord:
     """One governance step: who decided, what was evaluated, what was built.
 
     `evaluations` holds (a, b, objective) for the scored candidates only, in
-    enumeration order. Under free-flow evaluation the bound-pruned search
-    omits candidates whose gain bound rules them out; `n_candidates` still
-    counts every candidate, and decisions.csv is unchanged.
+    enumeration order. Both evaluation modes build their decision in one
+    scoring loop over a shortlist. Under congested evaluation the shortlist
+    is every candidate. Under free-flow evaluation the bound-pruned search
+    omits candidates whose gain bound rules them out, and its other scored
+    candidates keep their bound-phase objective; `n_candidates` still counts
+    every candidate.
     """
 
     step: int
@@ -121,11 +125,6 @@ def _territory_accessibility(metropolis: Metropolis, d: np.ndarray, cells: np.nd
     return float((metropolis.workers[cells] * reachable_jobs).sum())
 
 
-def objective(metropolis: Metropolis, d: np.ndarray, stakeholder: Stakeholder) -> float:
-    """Stakeholder payoff: territory workers' accessibility to all metropolitan jobs."""
-    return _territory_accessibility(metropolis, d, stakeholder.territory_cells(metropolis))
-
-
 def _candidate_times(d: np.ndarray, a: int, b: int, link_time: float, floor: float) -> np.ndarray:
     """Travel times after adding one link, from the base all-pairs times.
 
@@ -144,43 +143,11 @@ def _candidate_times(d: np.ndarray, a: int, b: int, link_time: float, floor: flo
 def _with_link(metropolis: Metropolis, network: Network, a: int, b: int) -> Network:
     """A copy of the network plus link a-b: centre distance, configured speed and capacity."""
     cfg = metropolis.config
-    net = network.copy()
+    # A shallow copy suffices: add_link rebinds every per-link array through
+    # np.append, so the new network shares no array with the input.
+    net = copy.copy(network)
     net.add_link(a, b, float(metropolis.distance_km[a, b]), cfg.v_link, cfg.capacity)
     return net
-
-
-def evaluate_candidate(metropolis: Metropolis, network: Network, a: int, b: int, stakeholder: Stakeholder) -> float:
-    """Objective after hypothetically building the link a-b; the inputs stay untouched.
-
-    Free-flow times by default; with congestion_in_evaluation set, the current
-    travel demand is redistributed and assigned on the extended network first.
-    """
-    cfg = metropolis.config
-    trial = _with_link(metropolis, network, a, b)
-    if cfg.congestion_in_evaluation:
-        od = _current_od(metropolis, network)
-        _, d = assign_traffic(od, trial, metropolis, cfg.assignment_iterations)
-    else:
-        d = shortest_times(trial, metropolis, free_flow=True)
-    return objective(metropolis, d, stakeholder)
-
-
-def _current_od(metropolis: Metropolis, network: Network) -> np.ndarray:
-    cfg = metropolis.config
-    demand = generate_demand(metropolis)
-    d = shortest_times(network, metropolis)
-    od = distribute(demand, d, cfg.lam, cfg.furness_tolerance, cfg.furness_max_iter)
-    return od.total()
-
-
-def _first_max(scores: dict[int, float]) -> int:
-    """Index of the largest score; ties go to the first in enumeration order."""
-    order = sorted(scores)
-    best = order[0]
-    for k in order[1:]:
-        if scores[k] > scores[best]:
-            best = k
-    return best
 
 
 class _LinkGains:
@@ -257,7 +224,7 @@ class _LinkGains:
         return np.minimum(row_ab, col_ab) + np.minimum(row_ba, col_ba)
 
 
-def _free_flow_search(
+def _free_flow_shortlist(
     metropolis: Metropolis,
     d_base: np.ndarray,
     a: np.ndarray,
@@ -265,15 +232,13 @@ def _free_flow_search(
     cells: np.ndarray,
     before: float,
     step: int,
-) -> tuple[int, dict[int, float]]:
-    """Exact argmax over the candidates on free-flow times, by bound-pruned best-first search.
+) -> tuple[list[int], dict[int, float]]:
+    """Candidates that may hold the free-flow maximum, by bound-pruned best-first search.
 
     Candidates are scored (_LinkGains.gain) in descending bound order until a
-    bound falls below the best gain minus PRUNE_MARGIN * |before|. Every
-    scored candidate within that margin of the best is re-scored on the full
-    one-link relaxation, as an exhaustive pass would score it, and the first
-    maximum in enumeration order wins. Returns the winner's index and the
-    objective of every scored candidate by index.
+    bound falls below the best gain minus PRUNE_MARGIN * |before|. Returns the
+    scored candidates within that margin of the best, in enumeration order,
+    and the objective (before + gain) of every scored candidate by index.
     """
     link_gains = _LinkGains(metropolis, d_base, cells, a, b)
     bounds = link_gains.bounds()
@@ -285,22 +250,13 @@ def _free_flow_search(
             break
         gains[k] = link_gains.gain(k)
         best = max(best, gains[k])
-    del link_gains  # frees its (N, N) arrays before the exact re-scoring
-
-    cfg = metropolis.config
-    floor = intra_cell_time(metropolis)
-    values = {k: before + g for k, g in gains.items()}
     shortlist = [k for k in sorted(gains) if gains[k] >= best - margin]
-    for k in shortlist:
-        d_trial = _candidate_times(d_base, a[k], b[k], metropolis.distance_km[a[k], b[k]] / cfg.v_link, floor)
-        values[k] = _territory_accessibility(metropolis, d_trial, cells)
-    best_idx = _first_max({k: values[k] for k in shortlist})
 
     top = sorted(gains.values(), reverse=True)[:2]
     log.debug("step %d: n_candidates %d, scored %d, shortlist %d, best - runner-up gain %s",
               step, len(a), len(gains), len(shortlist),
               f"{top[0] - top[1]:.6g}" if len(top) == 2 else "n/a")
-    return best_idx, values
+    return shortlist, {k: before + g for k, g in gains.items()}
 
 
 def decide_and_build(
@@ -313,47 +269,51 @@ def decide_and_build(
 ) -> tuple[Network, DecisionRecord]:
     """Score the candidates for the stakeholder and build the best one.
 
-    Ties go to the smallest (a, b) pair in enumeration order. An empty
-    candidate set records a no-build. Free-flow evaluation runs the exact
-    bound-pruned search of _free_flow_search on the base all-pairs times;
-    congested evaluation re-assigns traffic for every candidate.
+    The evaluation mode sets the base times and trial_times(k), the times
+    after building candidate k. Free-flow evaluation relaxes the base
+    all-pairs times over the one new link and shortlists only the candidates
+    that the bound-pruned search of _free_flow_shortlist cannot rule out.
+    Congested evaluation re-distributes the current demand once and assigns
+    it onto the network plus each candidate; every candidate is shortlisted.
+    Each shortlisted candidate is scored on its trial times, and the first
+    maximum in enumeration order (the smallest (a, b) pair) is built. An
+    empty candidate set records a no-build.
     """
     cfg = metropolis.config
     a, b = enumerate_candidates(network, metropolis)
     cells = stakeholder.territory_cells(metropolis)
 
     if cfg.congestion_in_evaluation:
-        od = _current_od(metropolis, network)
+        od = distribute(generate_demand(metropolis), shortest_times(network, metropolis),
+                        cfg.lam, cfg.furness_tolerance, cfg.furness_max_iter).total()
         _, d_base = assign_traffic(od, network, metropolis, cfg.assignment_iterations)
+        before = _territory_accessibility(metropolis, d_base, cells)
+        shortlist, scores = list(range(len(a))), {}
+
+        def trial_times(k: int) -> np.ndarray:
+            trial = _with_link(metropolis, network, a[k], b[k])
+            return assign_traffic(od, trial, metropolis, cfg.assignment_iterations)[1]
     else:
         d_base = shortest_times(network, metropolis, free_flow=True)
-    before = _territory_accessibility(metropolis, d_base, cells)
+        before = _territory_accessibility(metropolis, d_base, cells)
+        shortlist, scores = _free_flow_shortlist(metropolis, d_base, a, b, cells, before, step)
+        floor = intra_cell_time(metropolis)
 
-    if not len(a):
-        log.info("step %d: network saturated, no candidate links", step)
-        record = DecisionRecord(
-            step=step, level=stakeholder.level, mayor=stakeholder.mayor,
-            n_candidates=0, chosen=None,
-            objective_before=before, objective_after=before,
-            draws=draws, evaluations=[],
-        )
-        return network.copy(), record
+        def trial_times(k: int) -> np.ndarray:
+            return _candidate_times(d_base, a[k], b[k], metropolis.distance_km[a[k], b[k]] / cfg.v_link, floor)
 
-    if cfg.congestion_in_evaluation:
-        scores = {}
-        for k, (x, y) in enumerate(zip(a.tolist(), b.tolist())):
-            trial = _with_link(metropolis, network, x, y)
-            _, d_trial = assign_traffic(od, trial, metropolis, cfg.assignment_iterations)
-            scores[k] = _territory_accessibility(metropolis, d_trial, cells)
-        best_idx = _first_max(scores)
-    else:
-        best_idx, scores = _free_flow_search(metropolis, d_base, a, b, cells, before, step)
+    for k in shortlist:
+        scores[k] = _territory_accessibility(metropolis, trial_times(k), cells)
+    best = max(shortlist, key=scores.__getitem__, default=None)
 
-    chosen = (int(a[best_idx]), int(b[best_idx]))
+    chosen = None if best is None else (int(a[best]), int(b[best]))
     record = DecisionRecord(
         step=step, level=stakeholder.level, mayor=stakeholder.mayor,
         n_candidates=len(a), chosen=chosen,
-        objective_before=before, objective_after=scores[best_idx],
+        objective_before=before, objective_after=before if best is None else scores[best],
         draws=draws, evaluations=[(int(a[k]), int(b[k]), scores[k]) for k in sorted(scores)],
     )
+    if chosen is None:
+        log.info("step %d: network saturated, no candidate links", step)
+        return network.copy(), record
     return _with_link(metropolis, network, *chosen), record

@@ -14,11 +14,17 @@ from metrosim.governance import (
     _territory_accessibility,
     decide_and_build,
     enumerate_candidates,
-    evaluate_candidate,
-    objective,
     select_stakeholder,
 )
-from metrosim.transport import Network, build_network, intra_cell_time, shortest_times
+from metrosim.transport import (
+    Network,
+    assign_traffic,
+    build_network,
+    distribute,
+    generate_demand,
+    intra_cell_time,
+    shortest_times,
+)
 from metrosim.world import assign_territories, grid_centroids, init_metropolis
 
 
@@ -57,6 +63,25 @@ def enumerate_candidates_oracle(network, metropolis):
                 pairs.add((a, b))
     links = {(min(a, b), max(a, b)) for a, b in zip(network.a.tolist(), network.b.tolist())}
     return sorted(pairs - links)
+
+
+def evaluate_candidate_oracle(metropolis, network, a, b, stakeholder):
+    """Objective after building a-b, recomputed from scratch on a copy of the network.
+
+    Free-flow shortest times by default; with congestion_in_evaluation set,
+    the current demand is re-distributed on the current times and assigned
+    on the extended network.
+    """
+    cfg = metropolis.config
+    trial = network.copy()
+    trial.add_link(a, b, float(metropolis.distance_km[a, b]), cfg.v_link, cfg.capacity)
+    if cfg.congestion_in_evaluation:
+        od = distribute(generate_demand(metropolis), shortest_times(network, metropolis),
+                        cfg.lam, cfg.furness_tolerance, cfg.furness_max_iter)
+        _, d = assign_traffic(od.total(), trial, metropolis, cfg.assignment_iterations)
+    else:
+        d = shortest_times(trial, metropolis, free_flow=True)
+    return _territory_accessibility(metropolis, d, stakeholder.territory_cells(metropolis))
 
 
 STAKEHOLDERS = (Stakeholder(kind="governor"), Stakeholder(kind="mayor", mayor=0),
@@ -191,8 +216,9 @@ def test_candidate_lengths_are_centroid_distances():
 def test_governor_objective_sums_mayor_objectives():
     metropolis = make_metropolis()
     d = shortest_times(Network(metropolis.n_cells), metropolis)
-    total = objective(metropolis, d, Stakeholder(kind="governor"))
-    mayors = sum(objective(metropolis, d, Stakeholder(kind="mayor", mayor=i)) for i in range(2))
+    total = _territory_accessibility(metropolis, d, Stakeholder(kind="governor").territory_cells(metropolis))
+    mayors = sum(_territory_accessibility(metropolis, d, Stakeholder(kind="mayor", mayor=i).territory_cells(metropolis))
+                 for i in range(2))
     assert total == pytest.approx(mayors, rel=1e-12)
 
 
@@ -200,7 +226,8 @@ def test_empty_territory_objective_is_zero():
     metropolis = make_metropolis()
     metropolis.territory[:] = 0  # mayor 1 owns nothing
     d = shortest_times(Network(metropolis.n_cells), metropolis)
-    assert objective(metropolis, d, Stakeholder(kind="mayor", mayor=1)) == 0.0
+    mayor = Stakeholder(kind="mayor", mayor=1)
+    assert _territory_accessibility(metropolis, d, mayor.territory_cells(metropolis)) == 0.0
 
 
 def test_single_cell_territory_objective():
@@ -211,7 +238,8 @@ def test_single_cell_territory_objective():
     from metrosim.landuse import accessibility
 
     _, _, total_access = accessibility(metropolis, d, metropolis.config.nu)
-    assert objective(metropolis, d, Stakeholder(kind="mayor", mayor=1)) == pytest.approx(
+    mayor = Stakeholder(kind="mayor", mayor=1)
+    assert _territory_accessibility(metropolis, d, mayor.territory_cells(metropolis)) == pytest.approx(
         float(total_access[13]), rel=1e-12
     )
 
@@ -226,8 +254,9 @@ def test_collinear_candidate_changes_nothing():
     metropolis = make_metropolis()
     net = build_network(metropolis, ((0, 1), (1, 2)))
     governor = Stakeholder(kind="governor")
-    base = objective(metropolis, shortest_times(net, metropolis, free_flow=True), governor)
-    value = evaluate_candidate(metropolis, net, 0, 2, governor)
+    base = _territory_accessibility(metropolis, shortest_times(net, metropolis, free_flow=True),
+                                    governor.territory_cells(metropolis))
+    value = evaluate_candidate_oracle(metropolis, net, 0, 2, governor)
     assert value == pytest.approx(base, rel=1e-12)
 
 
@@ -235,20 +264,27 @@ def test_new_fast_link_strictly_improves_objective():
     metropolis = make_metropolis()
     net = Network(metropolis.n_cells)
     governor = Stakeholder(kind="governor")
-    base = objective(metropolis, shortest_times(net, metropolis, free_flow=True), governor)
-    improved = evaluate_candidate(metropolis, net, 0, 6, governor)
+    base = _territory_accessibility(metropolis, shortest_times(net, metropolis, free_flow=True),
+                                    governor.territory_cells(metropolis))
+    improved = evaluate_candidate_oracle(metropolis, net, 0, 6, governor)
     assert improved > base
 
 
 def test_evaluation_leaves_network_untouched():
-    metropolis = make_metropolis()
-    net = build_network(metropolis, ((0, 6),))
-    net.flow[0] = 42.0
-    net.congested_time[0] = 0.5
-    evaluate_candidate(metropolis, net, 6, 12, Stakeholder(kind="governor"))
-    assert len(net) == 1
-    assert net.flow[0] == 42.0
-    assert net.congested_time[0] == 0.5
+    # Neither the trial networks nor the built network may change the
+    # input network's arrays, in either evaluation mode.
+    names = ("a", "b", "length_km", "v_link", "capacity", "flow", "congested_time")
+    for congested in (False, True):
+        metropolis = make_metropolis(grid_rows=3, grid_cols=3, minor_position=(2, 2),
+                                     congestion_in_evaluation=congested)
+        net = build_network(metropolis, ((0, 4),))
+        net.flow[0] = 42.0
+        net.congested_time[0] = 0.5
+        before = {name: getattr(net, name).copy() for name in names}
+        built, _ = decide_and_build(metropolis, net, Stakeholder(kind="governor"))
+        assert len(built) == 2
+        for name in names:
+            assert np.array_equal(getattr(net, name), before[name])
 
 
 def test_incremental_evaluation_matches_full_recompute():
@@ -265,7 +301,7 @@ def test_incremental_evaluation_matches_full_recompute():
         v_link = metropolis.config.v_link
         for stakeholder in STAKEHOLDERS:
             _, record = decide_and_build(metropolis, net, stakeholder)
-            full = {(a, b): evaluate_candidate(metropolis, net, a, b, stakeholder) for a, b in candidates}
+            full = {(a, b): evaluate_candidate_oracle(metropolis, net, a, b, stakeholder) for a, b in candidates}
             oracle = max(full, key=full.__getitem__)  # first maximum in enumeration order
             assert record.chosen == oracle
             assert record.objective_after == pytest.approx(full[oracle], rel=1e-12)
@@ -292,11 +328,11 @@ def test_gain_bound_holds_for_every_candidate():
         a, b = enumerate_candidates(net, metropolis)
         d_base = shortest_times(net, metropolis, free_flow=True)
         for stakeholder in STAKEHOLDERS:
-            before = objective(metropolis, d_base, stakeholder)
+            before = _territory_accessibility(metropolis, d_base, stakeholder.territory_cells(metropolis))
             gains = _LinkGains(metropolis, d_base, stakeholder.territory_cells(metropolis), a, b)
             bounds = gains.bounds()
             for k in range(len(a)):
-                exact = evaluate_candidate(metropolis, net, a[k], b[k], stakeholder) - before
+                exact = evaluate_candidate_oracle(metropolis, net, a[k], b[k], stakeholder) - before
                 assert exact <= bounds[k] + 1e-12 * abs(before)
                 assert gains.gain(k) == pytest.approx(exact, abs=1e-12 * abs(before))
 
@@ -318,24 +354,28 @@ def test_free_flow_times_obey_triangle_inequality():
 
 
 def test_single_candidate_is_built():
-    metropolis = make_metropolis(grid_rows=2, grid_cols=2,
-                                 minor_position=(1, 1), dominant_position=(0, 0))
-    net = build_network(metropolis, ((0, 1), (0, 2), (0, 3), (1, 2), (2, 3)))
-    built, record = decide_and_build(metropolis, net, Stakeholder(kind="governor"))
-    assert record.chosen == (1, 3)
-    assert built.has_link(1, 3)
-    assert len(built) == len(net) + 1
+    for congested in (False, True):
+        metropolis = make_metropolis(grid_rows=2, grid_cols=2, minor_position=(1, 1), dominant_position=(0, 0),
+                                     congestion_in_evaluation=congested)
+        net = build_network(metropolis, ((0, 1), (0, 2), (0, 3), (1, 2), (2, 3)))
+        built, record = decide_and_build(metropolis, net, Stakeholder(kind="governor"))
+        assert record.chosen == (1, 3)
+        assert [(a, b) for a, b, _ in record.evaluations] == [(1, 3)]
+        assert built.has_link(1, 3)
+        assert len(built) == len(net) + 1
 
 
 def test_no_candidates_records_no_build():
-    metropolis = make_metropolis(grid_rows=2, grid_cols=2,
-                                 minor_position=(1, 1), dominant_position=(0, 0))
-    net = build_network(metropolis, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
-    built, record = decide_and_build(metropolis, net, Stakeholder(kind="governor"))
-    assert record.chosen is None
-    assert record.n_candidates == 0
-    assert record.objective_after == record.objective_before
-    assert len(built) == len(net)
+    for congested in (False, True):
+        metropolis = make_metropolis(grid_rows=2, grid_cols=2, minor_position=(1, 1), dominant_position=(0, 0),
+                                     congestion_in_evaluation=congested)
+        net = build_network(metropolis, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
+        built, record = decide_and_build(metropolis, net, Stakeholder(kind="governor"))
+        assert record.chosen is None
+        assert record.n_candidates == 0
+        assert record.evaluations == []
+        assert record.objective_after == record.objective_before
+        assert len(built) == len(net)
 
 
 def test_equal_objectives_break_to_first_pair():
@@ -368,6 +408,28 @@ def test_chosen_link_dominates_all_candidates():
         for _, _, value in record.evaluations:
             assert record.objective_after >= value
         net = built
+
+
+def test_congested_scoring_matches_oracle():
+    # Capacity 20 makes the trial assignments congest, and the network is
+    # loaded first, so the current times differ from free-flow times.
+    for seed in (0, 1):
+        metropolis, net = random_case(5, seed)
+        cfg = replace(metropolis.config, congestion_in_evaluation=True, capacity=20.0)
+        metropolis = replace(metropolis, config=cfg)
+        net.capacity[:] = cfg.capacity
+        od = distribute(generate_demand(metropolis), shortest_times(net, metropolis),
+                        cfg.lam, cfg.furness_tolerance, cfg.furness_max_iter)
+        net, _ = assign_traffic(od.total(), net, metropolis, cfg.assignment_iterations)
+        candidates = candidate_pairs(net, metropolis)
+        for stakeholder in STAKEHOLDERS:
+            _, record = decide_and_build(metropolis, net, stakeholder)
+            oracle = {(a, b): evaluate_candidate_oracle(metropolis, net, a, b, stakeholder) for a, b in candidates}
+            assert [(a, b) for a, b, _ in record.evaluations] == candidates
+            for a, b, value in record.evaluations:
+                assert value == oracle[(a, b)]
+            assert record.chosen == max(oracle, key=oracle.__getitem__)  # first maximum in enumeration order
+            assert record.objective_after == oracle[record.chosen]
 
 
 def test_congested_evaluation_mode_runs():
