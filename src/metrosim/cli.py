@@ -43,6 +43,8 @@ class SweepSpec:
                 raise ConfigError(f"xi: value {x} outside [0, 1]")
         if self.replications < 1:
             raise ConfigError("replications: must be >= 1")
+        if self.workers < 1:
+            raise ConfigError("workers: must be >= 1")
 
 
 def _scaled_position(config: ScenarioConfig, row_frac: float, col_frac: float) -> tuple[int, int]:
@@ -92,26 +94,17 @@ def _apply_overrides(config: ScenarioConfig, args: argparse.Namespace) -> Scenar
     return config
 
 
-def _cumulative_links(state: engine.SimState) -> list[list[tuple[int, int]]]:
-    """Links present at each recorded step, starting from the pre-seeded network."""
-    links = [list(state.config.initial_links)]
-    current = list(state.config.initial_links)
-    for record in state.decisions:
-        if record.chosen is not None:
-            current = current + [record.chosen]
-        links.append(list(current))
-    return links
-
-
 def cmd_run(config: ScenarioConfig, seed: int, out_dir: Path) -> int:
     state = engine.run(config, seed)
     out_dir.mkdir(parents=True, exist_ok=True)
     output.write_history_csv(out_dir / "history.csv", state.history, state.metropolis.n_mayors)
     output.write_decisions_csv(out_dir / "decisions.csv", state.decisions)
     output.write_final_state_json(out_dir / "final_state.json", state)
-    for k, links in enumerate(_cumulative_links(state)):
+    # Links are stored in build order, so step k's network is the first link_count links.
+    a, b = state.network.a.tolist(), state.network.b.tolist()
+    for k, row in enumerate(state.history):
         output.render_map_svg(out_dir / f"map_step_{k}.svg", config, state.density_history[k],
-                              state.metropolis.territory, links)
+                              state.metropolis.territory, list(zip(a[: row.link_count], b[: row.link_count])))
     return 0
 
 

@@ -14,16 +14,7 @@ import numpy as np
 from .config import ScenarioConfig
 from .governance import DecisionRecord, decide_and_build, select_stakeholder
 from .landuse import accessibility, cell_scores, relocate
-from .transport import (
-    Network,
-    ODMatrix,
-    assign_traffic,
-    build_network,
-    distribute,
-    generate_demand,
-    shortest_times,
-    total_travel_time,
-)
+from .transport import Network, assign_traffic, build_network, distribute, shortest_times, total_travel_time
 from .world import Metropolis, assign_territories, init_metropolis, mayor_weights, natural_totals
 
 
@@ -53,7 +44,7 @@ class SimState:
     density_history: list[np.ndarray] = field(default_factory=list)
 
 
-def _indicators(metropolis: Metropolis, d: np.ndarray, od: ODMatrix, link_count: int, step: int) -> IndicatorRow:
+def _indicators(metropolis: Metropolis, d: np.ndarray, flows: np.ndarray, link_count: int, step: int) -> IndicatorRow:
     _, _, total_access = accessibility(metropolis, d, metropolis.config.nu)
     per_mayor = tuple(
         float(total_access[metropolis.territory == i].sum()) for i in range(metropolis.n_mayors)
@@ -61,7 +52,7 @@ def _indicators(metropolis: Metropolis, d: np.ndarray, od: ODMatrix, link_count:
     return IndicatorRow(
         step=step,
         total_accessibility=float(total_access.sum()),
-        total_travel_time=total_travel_time(od, d),
+        total_travel_time=total_travel_time(flows, d),
         link_count=link_count,
         mayor_objectives=per_mayor,
     )
@@ -73,7 +64,7 @@ def initial_state(config: ScenarioConfig, seed: int) -> SimState:
     metropolis = assign_territories(init_metropolis(config, workers, jobs), config.centers)
     network = build_network(metropolis, config.initial_links)
     d = shortest_times(network, metropolis, free_flow=True)
-    od = distribute(generate_demand(metropolis), d, config.lam, config.furness_tolerance, config.furness_max_iter)
+    od = distribute(metropolis, d)
     state = SimState(
         config=config,
         metropolis=metropolis,
@@ -81,7 +72,7 @@ def initial_state(config: ScenarioConfig, seed: int) -> SimState:
         travel_times=d,
         rng=random.Random(seed),
     )
-    state.history.append(_indicators(metropolis, d, od, len(network), 0))
+    state.history.append(_indicators(metropolis, d, od.flows, len(network), 0))
     state.density_history.append(metropolis.workers.sum(axis=1))
     return state
 
@@ -98,9 +89,8 @@ def step(state: SimState, *, swap_mayor_weights: bool = False) -> SimState:
     cfg = state.config
     metropolis = state.metropolis
 
-    demand = generate_demand(metropolis)
-    od = distribute(demand, state.travel_times, cfg.lam, cfg.furness_tolerance, cfg.furness_max_iter)
-    network, d = assign_traffic(od.total(), state.network, metropolis, cfg.assignment_iterations)
+    od = distribute(metropolis, state.travel_times)
+    network, d = assign_traffic(od.flows, state.network, metropolis, cfg.assignment_iterations)
 
     if cfg.landuse_enabled:
         scores = cell_scores(metropolis, d)
@@ -117,7 +107,7 @@ def step(state: SimState, *, swap_mayor_weights: bool = False) -> SimState:
     state.travel_times = d
     state.step_index += 1
     state.decisions.append(record)
-    state.history.append(_indicators(metropolis, d, od, len(network), state.step_index))
+    state.history.append(_indicators(metropolis, d, od.flows, len(network), state.step_index))
     state.density_history.append(metropolis.workers.sum(axis=1))
     return state
 

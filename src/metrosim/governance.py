@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .transport import Network, assign_traffic, distribute, generate_demand, intra_cell_time, shortest_times
+from .transport import Network, assign_traffic, distribute, intra_cell_time, shortest_times
 from .world import Metropolis
 
 log = logging.getLogger(__name__)
@@ -284,8 +284,7 @@ def decide_and_build(
     cells = stakeholder.territory_cells(metropolis)
 
     if cfg.congestion_in_evaluation:
-        od = distribute(generate_demand(metropolis), shortest_times(network, metropolis),
-                        cfg.lam, cfg.furness_tolerance, cfg.furness_max_iter).total()
+        od = distribute(metropolis, shortest_times(network, metropolis)).flows
         _, d_base = assign_traffic(od, network, metropolis, cfg.assignment_iterations)
         before = _territory_accessibility(metropolis, d_base, cells)
         shortlist, scores = list(range(len(a))), {}

@@ -15,13 +15,8 @@ from .world import Metropolis
 
 @dataclass
 class CellScore:
-    """Per-cell, per-category scores for the worker and job sides."""
+    """Per-cell, per-category utilities of the worker and job sides."""
 
-    worker_access: np.ndarray   # (N, S) jobs reachable, decayed by travel time
-    job_access: np.ndarray      # (N, S) workers reachable, decayed by travel time
-    total_access: np.ndarray    # (N,) worker-weighted accessibility aggregate
-    worker_form: np.ndarray     # (N, S)
-    job_form: np.ndarray        # (N, S)
     worker_utility: np.ndarray  # (N, S)
     job_utility: np.ndarray     # (N, S)
 
@@ -65,16 +60,11 @@ def utility(access, form, gamma: float):
 
 
 def cell_scores(metropolis: Metropolis, d: np.ndarray) -> CellScore:
-    """Full score sheet for the current land use on the supplied travel times."""
+    """Worker and job utilities of the current land use on the supplied travel times."""
     cfg = metropolis.config
-    worker_access, job_access, total_access = accessibility(metropolis, d, cfg.nu)
+    worker_access, job_access, _ = accessibility(metropolis, d, cfg.nu)
     worker_form, job_form = urban_form(metropolis, cfg.m, cfg.m_prime)
     return CellScore(
-        worker_access=worker_access,
-        job_access=job_access,
-        total_access=total_access,
-        worker_form=worker_form,
-        job_form=job_form,
         worker_utility=utility(worker_access, worker_form, cfg.gamma),
         job_utility=utility(job_access, job_form, cfg.gamma),
     )

@@ -1,8 +1,11 @@
 """Four-stage travel demand core.
 
-Demand generation from land use, doubly-constrained gravity distribution,
-and congested shortest-path assignment over the regional link network with an
-uncongested as-the-crow-flies (AFC) local-road fallback.
+Trip ends are the land use itself: each socio-professional category's
+workers are its origins and its jobs its destinations. Every category is
+balanced by a doubly-constrained gravity model and the category flows are
+summed into one all-category OD matrix, which is assigned with congestion
+over the regional link network with an uncongested as-the-crow-flies (AFC)
+local-road fallback.
 
 All travel times are hours, distances km, speeds km/h. The road graph is the
 complete AFC graph (every cell pair connected at the local-road speed) with
@@ -193,34 +196,7 @@ def shortest_times(network: Network, metropolis: Metropolis, *, free_flow: bool 
 
 
 # ---------------------------------------------------------------------------
-# Demand generation and gravity distribution
-
-
-@dataclass
-class Demand:
-    """Per-category commuting trip ends: origins at workers, destinations at jobs."""
-
-    origins: np.ndarray       # (N, S) workers
-    destinations: np.ndarray  # (N, S) jobs
-    active: np.ndarray        # (S,) categories with a workable origin/destination pair
-
-
-def generate_demand(metropolis: Metropolis) -> Demand:
-    """Stage 1: commuting trip ends per zone and socio-professional category."""
-    origins = metropolis.workers.copy()
-    destinations = metropolis.jobs.copy()
-    s = origins.shape[1]
-    active = np.ones(s, dtype=bool)
-    for cat in range(s):
-        has_origins = origins[:, cat].sum() > 0.0
-        has_destinations = destinations[:, cat].sum() > 0.0
-        if has_origins != has_destinations:
-            active[cat] = False
-            log.warning("category %d skipped: one-sided demand (origins=%s, destinations=%s)",
-                        cat, has_origins, has_destinations)
-        elif not has_origins:
-            active[cat] = False
-    return Demand(origins=origins, destinations=destinations, active=active)
+# Gravity distribution
 
 
 @dataclass
@@ -285,38 +261,41 @@ def furness_distribution(
 
 @dataclass
 class ODMatrix:
-    """Per-category commuting flows with their marginals and balancing state."""
+    """All-category commuting flows with each category's balancing state."""
 
-    flows: np.ndarray               # (S, N, N)
-    origins: np.ndarray             # (N, S)
-    destinations_scaled: np.ndarray  # (N, S)
-    residuals: np.ndarray           # (S,)
-    converged: np.ndarray           # (S,) bool
-    iterations: np.ndarray          # (S,) int
-
-    def total(self) -> np.ndarray:
-        """All-category flow matrix loaded onto the shared road network."""
-        return self.flows.sum(axis=0)
+    flows: np.ndarray       # (N, N) summed over categories
+    residuals: np.ndarray   # (S,)
+    converged: np.ndarray   # (S,) bool
+    iterations: np.ndarray  # (S,) int
 
 
-def distribute(demand: Demand, d: np.ndarray, lam: float, tol: float, max_iter: int) -> ODMatrix:
-    """Run the gravity balancing for every active category."""
-    n, s = demand.origins.shape
-    flows = np.zeros((s, n, n))
-    destinations_scaled = np.zeros((n, s))
+def distribute(metropolis: Metropolis, d: np.ndarray) -> ODMatrix:
+    """Stages 1-2: balance each category's workers against its jobs on times d, then sum.
+
+    Category s sends its workers[:, s] to its jobs[:, s] under the gravity
+    model of furness_distribution, with lam, the tolerance and the iteration
+    cap taken from the config; the category matrices are added in category
+    order. A category with workers but no jobs, or jobs but no workers, is
+    logged and contributes no trips.
+    """
+    cfg = metropolis.config
+    n, s = metropolis.workers.shape
+    flows = np.zeros((n, n))
     residuals = np.zeros(s)
     converged = np.ones(s, dtype=bool)
     iterations = np.zeros(s, dtype=int)
     for cat in range(s):
-        if not demand.active[cat]:
-            continue
-        result = furness_distribution(demand.origins[:, cat], demand.destinations[:, cat], d, lam, tol, max_iter)
-        flows[cat] = result.flows
-        destinations_scaled[:, cat] = result.destinations_scaled
+        origins, destinations = metropolis.workers[:, cat], metropolis.jobs[:, cat]
+        has_origins, has_destinations = origins.sum() > 0.0, destinations.sum() > 0.0
+        if has_origins != has_destinations:
+            log.warning("category %d skipped: one-sided demand (origins=%s, destinations=%s)",
+                        cat, has_origins, has_destinations)
+        result = furness_distribution(origins, destinations, d, cfg.lam, cfg.furness_tolerance, cfg.furness_max_iter)
+        flows += result.flows
         residuals[cat] = result.residual
         converged[cat] = result.converged
         iterations[cat] = result.iterations
-    return ODMatrix(flows, demand.origins.copy(), destinations_scaled, residuals, converged, iterations)
+    return ODMatrix(flows, residuals, converged, iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -386,10 +365,7 @@ def assign_traffic(od: np.ndarray, network: Network, metropolis: Metropolis, ite
     return net, shortest_times(net, metropolis)
 
 
-def total_travel_time(od: ODMatrix | np.ndarray, d: np.ndarray) -> float:
-    """Hours travelled: sum over categories and zone pairs of flow * time."""
-    flows = od.total() if isinstance(od, ODMatrix) else np.asarray(od)
-    if flows.ndim == 3:
-        flows = flows.sum(axis=0)
+def total_travel_time(flows: np.ndarray, d: np.ndarray) -> float:
+    """Hours travelled: sum over zone pairs of the (N, N) flow * time."""
     return float((flows * d).sum())
 

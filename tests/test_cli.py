@@ -190,6 +190,15 @@ class TestSweep:
         assert main(["sweep", "--config", str(cfg_path), "--configurations", "nonsense",
                      "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_nonpositive_workers_exit_2(self, tmp_path, capsys, workers):
+        cfg_path = write_config(tmp_path, steps=1)
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(cfg_path), "--xi", "0", "--replications", "1",
+                     "--configurations", "equal_far", "--workers", workers, "--out", str(out)]) == 2
+        assert "workers: must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_worker_pool_matches_sequential(self, tmp_path):
         cfg_path = write_config(tmp_path, steps=1)
         out_seq, out_par = tmp_path / "seq", tmp_path / "par"

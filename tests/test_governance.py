@@ -21,7 +21,6 @@ from metrosim.transport import (
     assign_traffic,
     build_network,
     distribute,
-    generate_demand,
     intra_cell_time,
     shortest_times,
 )
@@ -76,9 +75,8 @@ def evaluate_candidate_oracle(metropolis, network, a, b, stakeholder):
     trial = network.copy()
     trial.add_link(a, b, float(metropolis.distance_km[a, b]), cfg.v_link, cfg.capacity)
     if cfg.congestion_in_evaluation:
-        od = distribute(generate_demand(metropolis), shortest_times(network, metropolis),
-                        cfg.lam, cfg.furness_tolerance, cfg.furness_max_iter)
-        _, d = assign_traffic(od.total(), trial, metropolis, cfg.assignment_iterations)
+        od = distribute(metropolis, shortest_times(network, metropolis))
+        _, d = assign_traffic(od.flows, trial, metropolis, cfg.assignment_iterations)
     else:
         d = shortest_times(trial, metropolis, free_flow=True)
     return _territory_accessibility(metropolis, d, stakeholder.territory_cells(metropolis))
@@ -418,9 +416,8 @@ def test_congested_scoring_matches_oracle():
         cfg = replace(metropolis.config, congestion_in_evaluation=True, capacity=20.0)
         metropolis = replace(metropolis, config=cfg)
         net.capacity[:] = cfg.capacity
-        od = distribute(generate_demand(metropolis), shortest_times(net, metropolis),
-                        cfg.lam, cfg.furness_tolerance, cfg.furness_max_iter)
-        net, _ = assign_traffic(od.total(), net, metropolis, cfg.assignment_iterations)
+        od = distribute(metropolis, shortest_times(net, metropolis))
+        net, _ = assign_traffic(od.flows, net, metropolis, cfg.assignment_iterations)
         candidates = candidate_pairs(net, metropolis)
         for stakeholder in STAKEHOLDERS:
             _, record = decide_and_build(metropolis, net, stakeholder)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import heapq
+import logging
 import random
 
 import numpy as np
@@ -14,7 +15,6 @@ from metrosim.transport import (
     build_network,
     distribute,
     furness_distribution,
-    generate_demand,
     intra_cell_time,
     shortest_times,
     total_travel_time,
@@ -218,25 +218,44 @@ def test_network_rejects_duplicates_and_self_loops():
 
 
 # ---------------------------------------------------------------------------
-# Demand and gravity distribution
+# Gravity distribution
 
 
-def test_demand_marginals_match_world_totals():
+def category_furness(metropolis, d, cat):
+    """One category's gravity balancing with the config's parameters."""
+    cfg = metropolis.config
+    return furness_distribution(metropolis.workers[:, cat], metropolis.jobs[:, cat], d,
+                                cfg.lam, cfg.furness_tolerance, cfg.furness_max_iter)
+
+
+def test_distribute_sums_the_category_balancings_in_order():
     metropolis = make_metropolis()
-    demand = generate_demand(metropolis)
-    assert demand.origins.sum() == pytest.approx(metropolis.workers.sum(), rel=1e-12)
-    assert demand.destinations.sum() == pytest.approx(metropolis.jobs.sum(), rel=1e-12)
-    assert demand.active.all()
+    rng = np.random.default_rng(9)
+    metropolis.workers *= rng.uniform(0.5, 1.5, size=metropolis.workers.shape)
+    metropolis.jobs *= rng.uniform(0.5, 1.5, size=metropolis.jobs.shape)
+    d = shortest_times(Network(metropolis.n_cells), metropolis)
+    od = distribute(metropolis, d)
+    expected = np.zeros((metropolis.n_cells, metropolis.n_cells))
+    for cat in range(metropolis.workers.shape[1]):
+        result = category_furness(metropolis, d, cat)
+        expected += result.flows
+        assert od.residuals[cat] == result.residual
+        assert od.iterations[cat] == result.iterations
+        assert od.converged[cat] == result.converged
+    assert np.array_equal(od.flows, expected)
+    workers = metropolis.workers.sum(axis=1)
+    assert np.max(np.abs(od.flows.sum(axis=1) - workers) / workers) < 1e-7
 
 
-def test_one_sided_category_is_skipped(caplog):
+def test_one_sided_category_is_logged_and_contributes_nothing(caplog):
     metropolis = make_metropolis()
     metropolis.jobs[:, 0] = 0.0
-    demand = generate_demand(metropolis)
-    assert not demand.active[0]
     d = shortest_times(Network(metropolis.n_cells), metropolis)
-    od = distribute(demand, d, lam=0.5, tol=1e-8, max_iter=200)
-    assert od.flows[0].sum() == 0.0
+    with caplog.at_level(logging.WARNING, logger="metrosim.transport"):
+        od = distribute(metropolis, d)
+    assert "category 0 skipped: one-sided demand" in caplog.text
+    assert np.array_equal(od.flows, category_furness(metropolis, d, 1).flows)
+    assert (od.residuals[0], od.iterations[0], od.converged[0]) == (0.0, 0, True)
 
 
 def test_furness_lambda_zero_closed_form():
@@ -440,12 +459,11 @@ def test_total_travel_time_single_flow():
 
 def test_total_travel_time_matches_double_loop():
     rng = np.random.default_rng(21)
-    flows = rng.uniform(0.0, 5.0, size=(2, 6, 6))
+    flows = rng.uniform(0.0, 5.0, size=(6, 6))
     d = rng.uniform(0.01, 0.9, size=(6, 6))
     expected = 0.0
-    for s in range(2):
-        for i in range(6):
-            for j in range(6):
-                expected += flows[s, i, j] * d[i, j]
+    for i in range(6):
+        for j in range(6):
+            expected += flows[i, j] * d[i, j]
     assert total_travel_time(flows, d) == pytest.approx(expected, rel=1e-12)
 
