@@ -6,6 +6,7 @@ selection, so runs with xi = 0 are fully deterministic across seeds.
 """
 from __future__ import annotations
 
+import logging
 import random
 from dataclasses import dataclass, field
 
@@ -16,6 +17,8 @@ from .governance import DecisionRecord, decide_and_build, select_stakeholder
 from .landuse import accessibility, cell_scores, relocate
 from .transport import Network, assign_traffic, build_network, distribute, shortest_times, total_travel_time
 from .world import Metropolis, assign_territories, init_metropolis, mayor_weights, natural_totals
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -62,6 +65,12 @@ def initial_state(config: ScenarioConfig, seed: int) -> SimState:
     """World at step 0: initial densities, the pre-seeded network, free-flow times."""
     workers, jobs = natural_totals(config)
     metropolis = assign_territories(init_metropolis(config, workers, jobs), config.centers)
+    # relocate conserves each category's totals, so whether a category is
+    # one-sided, and so gets no trips from distribute, is fixed for the run.
+    has_origins, has_destinations = metropolis.workers.sum(axis=0) > 0.0, metropolis.jobs.sum(axis=0) > 0.0
+    for cat in np.nonzero(has_origins != has_destinations)[0]:
+        log.warning("category %d skipped: one-sided demand (origins=%s, destinations=%s)",
+                    cat, has_origins[cat], has_destinations[cat])
     network = build_network(metropolis, config.initial_links)
     d = shortest_times(network, metropolis, free_flow=True)
     od = distribute(metropolis, d)

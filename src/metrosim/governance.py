@@ -9,6 +9,7 @@ from __future__ import annotations
 import copy
 import logging
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,11 +22,12 @@ log = logging.getLogger(__name__)
 LOCAL = "local"
 METROPOLITAN = "metropolitan"
 
-# Slack of the free-flow search, relative to the objective before the build.
-# Bounds and block gains differ from the exhaustive per-candidate objective
-# only by rounding (measured below 1e-15 of the objective on 10x10 and 20x20
-# runs), so with this slack every candidate that could tie the exact maximum
-# is scored and then re-scored exactly.
+# Slack of the bound-pruned search, relative to the larger of the objectives
+# before the build on the evaluation mode's and on free-flow times. Bounds
+# and block gains differ from the exhaustive per-candidate objective only by
+# rounding (measured below 1e-15 of the objective on 10x10 and 20x20 runs),
+# so with this slack every candidate that could tie the exact maximum is
+# scored exactly.
 PRUNE_MARGIN = 1e-9
 _BOUND_CHUNK = 64  # candidates per bound pass; keeps the temporaries small
 
@@ -51,13 +53,14 @@ class Stakeholder:
 class DecisionRecord:
     """One governance step: who decided, what was evaluated, what was built.
 
-    `evaluations` holds (a, b, objective) for the scored candidates only, in
-    enumeration order. Both evaluation modes build their decision in one
-    scoring loop over a shortlist. Under congested evaluation the shortlist
-    is every candidate. Under free-flow evaluation the bound-pruned search
-    omits candidates whose gain bound rules them out, and its other scored
-    candidates keep their bound-phase objective; `n_candidates` still counts
-    every candidate.
+    `evaluations` holds (a, b, objective) for the evaluated candidates only,
+    in enumeration order; `n_candidates` still counts every candidate. Both
+    evaluation modes shortlist candidates by the same bound-pruned search.
+    Under free-flow evaluation the list holds every candidate whose exact
+    free-flow gain was computed: the near-best ones re-scored on the one-link
+    update, the others with their block-gain objective. Under congested
+    evaluation it holds only the candidates that were assigned, each with
+    its congested objective.
     """
 
     step: int
@@ -224,39 +227,36 @@ class _LinkGains:
         return np.minimum(row_ab, col_ab) + np.minimum(row_ba, col_ba)
 
 
-def _free_flow_shortlist(
-    metropolis: Metropolis,
-    d_base: np.ndarray,
-    a: np.ndarray,
-    b: np.ndarray,
-    cells: np.ndarray,
-    before: float,
-    step: int,
-) -> tuple[list[int], dict[int, float]]:
-    """Candidates that may hold the free-flow maximum, by bound-pruned best-first search.
+def _bound_search(
+    link_gains: _LinkGains,
+    before_ff: float,
+    margin: float,
+    exact: Callable[[int, float], float],
+) -> tuple[dict[int, float], dict[int, float]]:
+    """Best-first search for the candidates that may hold the maximum of exact(k).
 
-    Candidates are scored (_LinkGains.gain) in descending bound order until a
-    bound falls below the best gain minus PRUNE_MARGIN * |before|. Returns the
-    scored candidates within that margin of the best, in enumeration order,
-    and the objective (before + gain) of every scored candidate by index.
+    Requires exact(k) <= before_ff + link_gains.gain(k) for every candidate,
+    so that before_ff + bounds()[k] bounds it too. Candidates are visited in
+    descending bound order until before_ff + bounds()[k] falls below the best
+    exact score minus margin. Each visited candidate is tightened to
+    before_ff + gain(k), and exact(k, tightened) is called only if that value
+    can still reach the best minus margin. Returns the tightened values and
+    the exact scores, both by candidate index. Every candidate that ties the
+    maximum within the margin gets an exact score.
     """
-    link_gains = _LinkGains(metropolis, d_base, cells, a, b)
     bounds = link_gains.bounds()
-    margin = PRUNE_MARGIN * abs(before)
     best = -np.inf
-    gains: dict[int, float] = {}
+    tightened: dict[int, float] = {}
+    scores: dict[int, float] = {}
     for k in np.argsort(-bounds, kind="stable").tolist():
-        if bounds[k] < best - margin:
+        if before_ff + bounds[k] < best - margin:
             break
-        gains[k] = link_gains.gain(k)
-        best = max(best, gains[k])
-    shortlist = [k for k in sorted(gains) if gains[k] >= best - margin]
-
-    top = sorted(gains.values(), reverse=True)[:2]
-    log.debug("step %d: n_candidates %d, scored %d, shortlist %d, best - runner-up gain %s",
-              step, len(a), len(gains), len(shortlist),
-              f"{top[0] - top[1]:.6g}" if len(top) == 2 else "n/a")
-    return shortlist, {k: before + g for k, g in gains.items()}
+        tightened[k] = before_ff + link_gains.gain(k)
+        if tightened[k] < best - margin:
+            continue
+        scores[k] = exact(k, tightened[k])
+        best = max(best, scores[k])
+    return tightened, scores
 
 
 def decide_and_build(
@@ -269,48 +269,69 @@ def decide_and_build(
 ) -> tuple[Network, DecisionRecord]:
     """Score the candidates for the stakeholder and build the best one.
 
-    The evaluation mode sets the base times and trial_times(k), the times
-    after building candidate k. Free-flow evaluation relaxes the base
-    all-pairs times over the one new link and shortlists only the candidates
-    that the bound-pruned search of _free_flow_shortlist cannot rule out.
-    Congested evaluation re-distributes the current demand once and assigns
-    it onto the network plus each candidate; every candidate is shortlisted.
-    Each shortlisted candidate is scored on its trial times, and the first
-    maximum in enumeration order (the smallest (a, b) pair) is built. An
-    empty candidate set records a no-build.
+    Both evaluation modes run one bound-pruned best-first search
+    (_bound_search). A candidate's objective under either mode is at most
+    the free-flow objective of the network plus that link, before_ff +
+    _LinkGains.gain(k), because congested times are never below free-flow
+    times and accessibility is monotone in them. Free-flow evaluation takes
+    that value as the candidate's score, then re-scores the candidates
+    within the margin of the best on the full one-link relaxation of the
+    base all-pairs times. Congested evaluation re-distributes the current
+    demand once and assigns it onto the network plus a candidate only while
+    the candidate's free-flow value can still reach the best congested
+    score; under heavy congestion that prunes little. The first maximum in
+    enumeration order (the smallest (a, b) pair) is built. An empty
+    candidate set records a no-build.
     """
     cfg = metropolis.config
     a, b = enumerate_candidates(network, metropolis)
     cells = stakeholder.territory_cells(metropolis)
+    d_ff = shortest_times(network, metropolis, free_flow=True)
+    before_ff = _territory_accessibility(metropolis, d_ff, cells)
 
     if cfg.congestion_in_evaluation:
         od = distribute(metropolis, shortest_times(network, metropolis)).flows
         _, d_base = assign_traffic(od, network, metropolis, cfg.assignment_iterations)
         before = _territory_accessibility(metropolis, d_base, cells)
-        shortlist, scores = list(range(len(a))), {}
 
-        def trial_times(k: int) -> np.ndarray:
+        def exact(k: int, tightened: float) -> float:
             trial = _with_link(metropolis, network, a[k], b[k])
-            return assign_traffic(od, trial, metropolis, cfg.assignment_iterations)[1]
+            d = assign_traffic(od, trial, metropolis, cfg.assignment_iterations)[1]
+            return _territory_accessibility(metropolis, d, cells)
     else:
-        d_base = shortest_times(network, metropolis, free_flow=True)
-        before = _territory_accessibility(metropolis, d_base, cells)
-        shortlist, scores = _free_flow_shortlist(metropolis, d_base, a, b, cells, before, step)
+        before = before_ff
+
+        def exact(k: int, tightened: float) -> float:
+            return tightened
+
+    margin = PRUNE_MARGIN * max(abs(before), abs(before_ff))
+    tightened, scores = _bound_search(_LinkGains(metropolis, d_ff, cells, a, b), before_ff, margin, exact)
+    n_scored = len(scores)
+    if not cfg.congestion_in_evaluation:
+        # Re-score the candidates within the margin of the best on the full
+        # one-link relaxation; the other tightened candidates keep their
+        # block-gain value.
+        best = max(scores.values(), default=before)
+        shortlist = [k for k in scores if scores[k] >= best - margin]
+        n_scored = len(shortlist)
         floor = intra_cell_time(metropolis)
+        scores = dict(tightened)
+        for k in shortlist:
+            link_time = metropolis.distance_km[a[k], b[k]] / cfg.v_link
+            scores[k] = _territory_accessibility(metropolis, _candidate_times(d_ff, a[k], b[k], link_time, floor), cells)
+    ordered = sorted(scores)
+    best = max(ordered, key=scores.__getitem__, default=None)
 
-        def trial_times(k: int) -> np.ndarray:
-            return _candidate_times(d_base, a[k], b[k], metropolis.distance_km[a[k], b[k]] / cfg.v_link, floor)
-
-    for k in shortlist:
-        scores[k] = _territory_accessibility(metropolis, trial_times(k), cells)
-    best = max(shortlist, key=scores.__getitem__, default=None)
-
+    top = sorted(scores.values(), reverse=True)[:2]
+    log.debug("step %d: n_candidates %d, tightened %d, scored %d, best - runner-up %s",
+              step, len(a), len(tightened), n_scored,
+              f"{top[0] - top[1]:.6g}" if len(top) == 2 else "n/a")
     chosen = None if best is None else (int(a[best]), int(b[best]))
     record = DecisionRecord(
         step=step, level=stakeholder.level, mayor=stakeholder.mayor,
         n_candidates=len(a), chosen=chosen,
         objective_before=before, objective_after=before if best is None else scores[best],
-        draws=draws, evaluations=[(int(a[k]), int(b[k]), scores[k]) for k in sorted(scores)],
+        draws=draws, evaluations=[(int(a[k]), int(b[k]), scores[k]) for k in ordered],
     )
     if chosen is None:
         log.info("step %d: network saturated, no candidate links", step)

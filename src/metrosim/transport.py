@@ -275,8 +275,8 @@ def distribute(metropolis: Metropolis, d: np.ndarray) -> ODMatrix:
     Category s sends its workers[:, s] to its jobs[:, s] under the gravity
     model of furness_distribution, with lam, the tolerance and the iteration
     cap taken from the config; the category matrices are added in category
-    order. A category with workers but no jobs, or jobs but no workers, is
-    logged and contributes no trips.
+    order. A category with workers but no jobs, or jobs but no workers,
+    contributes no trips (engine.initial_state logs it once per run).
     """
     cfg = metropolis.config
     n, s = metropolis.workers.shape
@@ -285,12 +285,8 @@ def distribute(metropolis: Metropolis, d: np.ndarray) -> ODMatrix:
     converged = np.ones(s, dtype=bool)
     iterations = np.zeros(s, dtype=int)
     for cat in range(s):
-        origins, destinations = metropolis.workers[:, cat], metropolis.jobs[:, cat]
-        has_origins, has_destinations = origins.sum() > 0.0, destinations.sum() > 0.0
-        if has_origins != has_destinations:
-            log.warning("category %d skipped: one-sided demand (origins=%s, destinations=%s)",
-                        cat, has_origins, has_destinations)
-        result = furness_distribution(origins, destinations, d, cfg.lam, cfg.furness_tolerance, cfg.furness_max_iter)
+        result = furness_distribution(metropolis.workers[:, cat], metropolis.jobs[:, cat], d,
+                                      cfg.lam, cfg.furness_tolerance, cfg.furness_max_iter)
         flows += result.flows
         residuals[cat] = result.residual
         converged[cat] = result.converged

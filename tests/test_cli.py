@@ -72,15 +72,17 @@ class TestRun:
         # Logging is set up by the entry point, so this runs it as a program.
         cfg_path = write_config(tmp_path, steps=2)
         env = {**os.environ, "PYTHONPATH": str(Path(metrosim.__file__).resolve().parents[1])}
-        proc = subprocess.run(
-            [sys.executable, "-m", "metrosim.cli", "run", "--config", str(cfg_path), "-v", "debug",
-             "--out", str(tmp_path / "debug")],
-            capture_output=True, text=True, env=env, check=True,
-        )
-        assert proc.stderr.count("n_candidates") == 2
-        main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "quiet")])
-        for name in ("history.csv", "decisions.csv", "final_state.json"):
-            assert (tmp_path / "debug" / name).read_bytes() == (tmp_path / "quiet" / name).read_bytes()
+        for mode in ([], ["--congested-eval"]):
+            debug, quiet = tmp_path / f"debug{len(mode)}", tmp_path / f"quiet{len(mode)}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "metrosim.cli", "run", "--config", str(cfg_path), "-v", "debug",
+                 "--out", str(debug), *mode],
+                capture_output=True, text=True, env=env, check=True,
+            )
+            assert proc.stderr.count("n_candidates") == 2
+            main(["run", "--config", str(cfg_path), "--out", str(quiet), *mode])
+            for name in ("history.csv", "decisions.csv", "final_state.json"):
+                assert (debug / name).read_bytes() == (quiet / name).read_bytes()
 
     def test_invalid_config_exits_2_and_names_field(self, tmp_path, capsys):
         cfg = config_to_dict(two_city_config())

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import logging
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -125,6 +128,22 @@ def test_initial_links_preseed_network():
     state = run(cfg, seed=0)
     assert state.history[0].link_count == 2
     assert state.history[-1].link_count == 3
+
+
+def test_one_sided_category_is_logged_once_per_run(caplog):
+    # Centre 0 holds every category-0 worker and no jobs, so category 0 is
+    # one-sided, and relocation keeps it so; congested evaluation distributes
+    # the demand once more in every decision.
+    cfg = two_city_config(grid_rows=5, grid_cols=5, minor_position=(4, 4), dominant_position=(0, 0),
+                          steps=4, congestion_in_evaluation=True, landuse_enabled=True)
+    minor, dominant = cfg.centers
+    cfg = replace(cfg, centers=(replace(minor, job_share=0.0, mix=(1.0, 0.0)), replace(dominant, mix=(0.0, 1.0))))
+    with caplog.at_level(logging.WARNING, logger="metrosim"):
+        state = run(cfg, seed=0)
+    assert len(state.decisions) == 4
+    assert state.metropolis.jobs[:, 0].sum() == 0.0
+    assert caplog.text.count("category 0 skipped: one-sided demand") == 1
+    assert "category 1" not in caplog.text
 
 
 def test_swapped_weights_redirect_local_decisions():

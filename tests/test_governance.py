@@ -8,6 +8,7 @@ import pytest
 
 from metrosim.config import two_city_config
 from metrosim.governance import (
+    PRUNE_MARGIN,
     Stakeholder,
     _candidate_times,
     _LinkGains,
@@ -64,8 +65,8 @@ def enumerate_candidates_oracle(network, metropolis):
     return sorted(pairs - links)
 
 
-def evaluate_candidate_oracle(metropolis, network, a, b, stakeholder):
-    """Objective after building a-b, recomputed from scratch on a copy of the network.
+def trial_times_oracle(metropolis, network, a, b):
+    """Travel times after building a-b, recomputed from scratch on a copy of the network.
 
     Free-flow shortest times by default; with congestion_in_evaluation set,
     the current demand is re-distributed on the current times and assigned
@@ -76,9 +77,13 @@ def evaluate_candidate_oracle(metropolis, network, a, b, stakeholder):
     trial.add_link(a, b, float(metropolis.distance_km[a, b]), cfg.v_link, cfg.capacity)
     if cfg.congestion_in_evaluation:
         od = distribute(metropolis, shortest_times(network, metropolis))
-        _, d = assign_traffic(od.flows, trial, metropolis, cfg.assignment_iterations)
-    else:
-        d = shortest_times(trial, metropolis, free_flow=True)
+        return assign_traffic(od.flows, trial, metropolis, cfg.assignment_iterations)[1]
+    return shortest_times(trial, metropolis, free_flow=True)
+
+
+def evaluate_candidate_oracle(metropolis, network, a, b, stakeholder):
+    """Objective after building a-b, on the times of trial_times_oracle."""
+    d = trial_times_oracle(metropolis, network, a, b)
     return _territory_accessibility(metropolis, d, stakeholder.territory_cells(metropolis))
 
 
@@ -98,6 +103,21 @@ def random_case(n: int, seed: int):
     for _ in range(rng.randint(1, n)):
         a, b = rng.choice(candidate_pairs(net, metropolis))
         net.add_link(a, b, float(metropolis.distance_km[a, b]), cfg.v_link, cfg.capacity)
+    return metropolis, net
+
+
+def loaded_congested_case(n: int, seed: int, capacity: float = 1500.0):
+    """random_case under congested evaluation, every link at the given capacity.
+
+    The network is loaded by one assignment of the current demand, as a run
+    step does, so its current times differ from free-flow times.
+    """
+    metropolis, net = random_case(n, seed)
+    cfg = replace(metropolis.config, congestion_in_evaluation=True, capacity=capacity)
+    metropolis = replace(metropolis, config=cfg)
+    net.capacity[:] = cfg.capacity
+    od = distribute(metropolis, shortest_times(net, metropolis))
+    net, _ = assign_traffic(od.flows, net, metropolis, cfg.assignment_iterations)
     return metropolis, net
 
 
@@ -347,6 +367,28 @@ def test_free_flow_times_obey_triangle_inequality():
             assert (d <= d[:, k, None] + d[None, k, :] + tol).all()
 
 
+def test_congested_objective_is_bounded_by_free_flow_gain():
+    # Congested times are never below free-flow times, so a candidate's
+    # congested objective is at most the free-flow objective of the network
+    # plus that link: before_ff + gain(k) <= before_ff + bounds()[k]. The
+    # congested search prunes on exactly these two values.
+    for n, seed, capacity in ((5, 0, 1500.0), (5, 1, 20.0), (10, 2, 1500.0), (10, 3, 20.0)):
+        metropolis, net = loaded_congested_case(n, seed, capacity)
+        a, b = enumerate_candidates(net, metropolis)
+        d_ff = shortest_times(net, metropolis, free_flow=True)
+        trial = [trial_times_oracle(metropolis, net, a[k], b[k]) for k in range(len(a))]
+        for stakeholder in STAKEHOLDERS:
+            cells = stakeholder.territory_cells(metropolis)
+            before_ff = _territory_accessibility(metropolis, d_ff, cells)
+            margin = PRUNE_MARGIN * abs(before_ff)
+            gains = _LinkGains(metropolis, d_ff, cells, a, b)
+            bounds = gains.bounds()
+            for k, d in enumerate(trial):
+                congested = _territory_accessibility(metropolis, d, cells)
+                assert congested <= before_ff + gains.gain(k) + margin
+                assert congested <= before_ff + bounds[k] + margin
+
+
 # ---------------------------------------------------------------------------
 # Decide and build
 
@@ -409,24 +451,29 @@ def test_chosen_link_dominates_all_candidates():
 
 
 def test_congested_scoring_matches_oracle():
-    # Capacity 20 makes the trial assignments congest, and the network is
-    # loaded first, so the current times differ from free-flow times.
-    for seed in (0, 1):
-        metropolis, net = random_case(5, seed)
-        cfg = replace(metropolis.config, congestion_in_evaluation=True, capacity=20.0)
-        metropolis = replace(metropolis, config=cfg)
-        net.capacity[:] = cfg.capacity
-        od = distribute(metropolis, shortest_times(net, metropolis))
-        net, _ = assign_traffic(od.flows, net, metropolis, cfg.assignment_iterations)
+    # The congested search assigns only the candidates whose free-flow bound
+    # can still reach the best congested score. Its decision must be the
+    # exhaustive first maximum, and every value it lists the oracle's. At
+    # capacity 20 the loaded network's current times differ from free-flow
+    # times and the congested and free-flow choices differ. At capacity 150
+    # a new link relieves enough congestion that a search offsetting the
+    # bounds by the congested objective instead of the free-flow one prunes
+    # the maximum. At the default capacity the bound prunes all but a few.
+    for n, seed, capacity in ((5, 0, 20.0), (5, 1, 20.0), (5, 6, 150.0), (5, 2, 1500.0), (10, 2, 1500.0)):
+        metropolis, net = loaded_congested_case(n, seed, capacity)
         candidates = candidate_pairs(net, metropolis)
+        trial = {(a, b): trial_times_oracle(metropolis, net, a, b) for a, b in candidates}
         for stakeholder in STAKEHOLDERS:
             _, record = decide_and_build(metropolis, net, stakeholder)
-            oracle = {(a, b): evaluate_candidate_oracle(metropolis, net, a, b, stakeholder) for a, b in candidates}
-            assert [(a, b) for a, b, _ in record.evaluations] == candidates
+            cells = stakeholder.territory_cells(metropolis)
+            oracle = {ab: _territory_accessibility(metropolis, d, cells) for ab, d in trial.items()}
+            assert record.n_candidates == len(candidates)
             for a, b, value in record.evaluations:
                 assert value == oracle[(a, b)]
             assert record.chosen == max(oracle, key=oracle.__getitem__)  # first maximum in enumeration order
             assert record.objective_after == oracle[record.chosen]
+            if capacity == 1500.0:
+                assert len(record.evaluations) < record.n_candidates
 
 
 def test_congested_evaluation_mode_runs():
