@@ -109,6 +109,8 @@ def _center_from_dict(doc: dict, index: int) -> CenterSpec:
     pos = doc["position"]
     if not isinstance(pos, (list, tuple)) or len(pos) != 2:
         raise ConfigError(f"{name}.position: expected [row, col]")
+    if not isinstance(doc["mix"], (list, tuple)):
+        raise ConfigError(f"{name}.mix: expected a list of numbers, got {doc['mix']!r}")
     return CenterSpec(
         position=(_require_int(pos[0], f"{name}.position[0]"), _require_int(pos[1], f"{name}.position[1]")),
         amplitude=_require_real(doc["amplitude"], f"{name}.amplitude"),
@@ -297,6 +299,8 @@ def load_config(path: str | Path) -> ScenarioConfig:
             doc = json.load(f)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"scenario document: invalid JSON ({exc})") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"scenario document: not UTF-8 text ({exc})") from None
     return config_from_dict(doc)
 
 

@@ -53,14 +53,11 @@ class Stakeholder:
 class DecisionRecord:
     """One governance step: who decided, what was evaluated, what was built.
 
-    `evaluations` holds (a, b, objective) for the evaluated candidates only,
-    in enumeration order; `n_candidates` still counts every candidate. Both
-    evaluation modes shortlist candidates by the same bound-pruned search.
-    Under free-flow evaluation the list holds every candidate whose exact
-    free-flow gain was computed: the near-best ones re-scored on the one-link
-    update, the others with their block-gain objective. Under congested
-    evaluation it holds only the candidates that were assigned, each with
-    its congested objective.
+    `evaluations` holds (a, b, objective) for the exactly scored candidates
+    only, in enumeration order; `n_candidates` still counts every candidate.
+    Both evaluation modes pick those candidates by the same bound-pruned
+    search, and each lists its own exact objective: on the one-link
+    relaxation of the free-flow times, or after a congested assignment.
     """
 
     step: int
@@ -231,32 +228,29 @@ def _bound_search(
     link_gains: _LinkGains,
     before_ff: float,
     margin: float,
-    exact: Callable[[int, float], float],
-) -> tuple[dict[int, float], dict[int, float]]:
+    exact: Callable[[int], float],
+) -> dict[int, float]:
     """Best-first search for the candidates that may hold the maximum of exact(k).
 
     Requires exact(k) <= before_ff + link_gains.gain(k) for every candidate,
-    so that before_ff + bounds()[k] bounds it too. Candidates are visited in
-    descending bound order until before_ff + bounds()[k] falls below the best
-    exact score minus margin. Each visited candidate is tightened to
-    before_ff + gain(k), and exact(k, tightened) is called only if that value
-    can still reach the best minus margin. Returns the tightened values and
-    the exact scores, both by candidate index. Every candidate that ties the
-    maximum within the margin gets an exact score.
+    up to rounding, so that before_ff + bounds()[k] bounds it too.
+    Candidates are visited in descending bound order until before_ff +
+    bounds()[k] falls below the best exact score minus margin. A visited
+    candidate is scored with exact(k) only if before_ff + gain(k) can still
+    reach the best minus margin. Returns the exact scores by candidate index;
+    every candidate that ties the maximum within the margin is among them.
     """
     bounds = link_gains.bounds()
     best = -np.inf
-    tightened: dict[int, float] = {}
     scores: dict[int, float] = {}
     for k in np.argsort(-bounds, kind="stable").tolist():
         if before_ff + bounds[k] < best - margin:
             break
-        tightened[k] = before_ff + link_gains.gain(k)
-        if tightened[k] < best - margin:
+        if before_ff + link_gains.gain(k) < best - margin:
             continue
-        scores[k] = exact(k, tightened[k])
+        scores[k] = exact(k)
         best = max(best, scores[k])
-    return tightened, scores
+    return scores
 
 
 def decide_and_build(
@@ -273,15 +267,14 @@ def decide_and_build(
     (_bound_search). A candidate's objective under either mode is at most
     the free-flow objective of the network plus that link, before_ff +
     _LinkGains.gain(k), because congested times are never below free-flow
-    times and accessibility is monotone in them. Free-flow evaluation takes
-    that value as the candidate's score, then re-scores the candidates
-    within the margin of the best on the full one-link relaxation of the
-    base all-pairs times. Congested evaluation re-distributes the current
-    demand once and assigns it onto the network plus a candidate only while
-    the candidate's free-flow value can still reach the best congested
-    score; under heavy congestion that prunes little. The first maximum in
-    enumeration order (the smallest (a, b) pair) is built. An empty
-    candidate set records a no-build.
+    times and accessibility is monotone in them. Every candidate whose
+    free-flow value can still reach the best score is scored exactly: under
+    free-flow evaluation on the one-link relaxation of the base all-pairs
+    times, under congested evaluation by assigning the current demand,
+    re-distributed once, onto the network plus that link. Under heavy
+    congestion the bound prunes little. The first maximum in enumeration
+    order (the smallest (a, b) pair) is built. An empty candidate set
+    records a no-build.
     """
     cfg = metropolis.config
     a, b = enumerate_candidates(network, metropolis)
@@ -294,38 +287,26 @@ def decide_and_build(
         _, d_base = assign_traffic(od, network, metropolis, cfg.assignment_iterations)
         before = _territory_accessibility(metropolis, d_base, cells)
 
-        def exact(k: int, tightened: float) -> float:
+        def exact(k: int) -> float:
             trial = _with_link(metropolis, network, a[k], b[k])
             d = assign_traffic(od, trial, metropolis, cfg.assignment_iterations)[1]
             return _territory_accessibility(metropolis, d, cells)
     else:
         before = before_ff
+        floor = intra_cell_time(metropolis)
 
-        def exact(k: int, tightened: float) -> float:
-            return tightened
+        def exact(k: int) -> float:
+            link_time = metropolis.distance_km[a[k], b[k]] / cfg.v_link
+            return _territory_accessibility(metropolis, _candidate_times(d_ff, a[k], b[k], link_time, floor), cells)
 
     margin = PRUNE_MARGIN * max(abs(before), abs(before_ff))
-    tightened, scores = _bound_search(_LinkGains(metropolis, d_ff, cells, a, b), before_ff, margin, exact)
-    n_scored = len(scores)
-    if not cfg.congestion_in_evaluation:
-        # Re-score the candidates within the margin of the best on the full
-        # one-link relaxation; the other tightened candidates keep their
-        # block-gain value.
-        best = max(scores.values(), default=before)
-        shortlist = [k for k in scores if scores[k] >= best - margin]
-        n_scored = len(shortlist)
-        floor = intra_cell_time(metropolis)
-        scores = dict(tightened)
-        for k in shortlist:
-            link_time = metropolis.distance_km[a[k], b[k]] / cfg.v_link
-            scores[k] = _territory_accessibility(metropolis, _candidate_times(d_ff, a[k], b[k], link_time, floor), cells)
+    scores = _bound_search(_LinkGains(metropolis, d_ff, cells, a, b), before_ff, margin, exact)
     ordered = sorted(scores)
     best = max(ordered, key=scores.__getitem__, default=None)
 
     top = sorted(scores.values(), reverse=True)[:2]
-    log.debug("step %d: n_candidates %d, tightened %d, scored %d, best - runner-up %s",
-              step, len(a), len(tightened), n_scored,
-              f"{top[0] - top[1]:.6g}" if len(top) == 2 else "n/a")
+    log.debug("step %d: n_candidates %d, scored %d, best - runner-up %s",
+              step, len(a), len(scores), f"{top[0] - top[1]:.6g}" if len(top) == 2 else "n/a")
     chosen = None if best is None else (int(a[best]), int(b[best]))
     record = DecisionRecord(
         step=step, level=stakeholder.level, mayor=stakeholder.mayor,

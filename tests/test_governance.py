@@ -325,16 +325,17 @@ def test_incremental_evaluation_matches_full_recompute():
             assert record.objective_after == pytest.approx(full[oracle], rel=1e-12)
 
             cells = stakeholder.territory_cells(metropolis)
-            relaxed = [
-                _territory_accessibility(
+            relaxed = {
+                (a, b): _territory_accessibility(
                     metropolis, _candidate_times(d_base, a, b, metropolis.distance_km[a, b] / v_link, floor), cells)
                 for a, b in candidates
-            ]
-            assert record.objective_after == max(relaxed)
+            }
+            assert record.objective_after == max(relaxed.values())
 
             assert record.n_candidates == len(candidates)
             assert 0 < len(record.evaluations) <= len(candidates)
             for a, b, value in record.evaluations:
+                assert value == relaxed[(a, b)]
                 assert value == pytest.approx(full[(a, b)], rel=1e-12)
             if n == 10:
                 assert len(record.evaluations) < len(candidates) // 4  # the bound prunes
@@ -421,18 +422,23 @@ def test_no_candidates_records_no_build():
 def test_equal_objectives_break_to_first_pair():
     # A perfectly mirror-symmetric 1 x cols metropolis: candidates come in
     # value-equal mirrored pairs, so the winner must be the enumeration-first
-    # of its pair. On 1 x 5 the two middle links tie for the maximum.
+    # of its pair. On 1 x 5 the two middle links tie for the maximum, and
+    # the search must score both of them exactly.
+    stakeholder = Stakeholder(kind="governor")
     for cols in (4, 5):
         cfg = two_city_config(grid_rows=1, grid_cols=cols, minor_position=(0, cols - 1),
                               dominant_position=(0, 0), minor_amplitude=100.0, dominant_amplitude=100.0,
                               minor_job_share=0.5, dominant_job_share=0.5)
         metropolis = assign_territories(init_metropolis(cfg, 100.0, 100.0), cfg.centers)
-        built, record = decide_and_build(metropolis, Network(cols), Stakeholder(kind="governor"))
-        values = {(a, b): v for a, b, v in record.evaluations}
+        net = Network(cols)
+        _, record = decide_and_build(metropolis, net, stakeholder)
+        values = {ab: evaluate_candidate_oracle(metropolis, net, *ab, stakeholder)
+                  for ab in candidate_pairs(net, metropolis)}
         assert values[(0, 1)] == pytest.approx(values[(cols - 2, cols - 1)], rel=1e-12)
         best = max(values.values())
         firsts = [ab for ab, v in values.items() if v >= best - abs(best) * 1e-15]
         assert record.chosen == firsts[0]
+        assert set(firsts) <= {(a, b) for a, b, _ in record.evaluations}
     assert firsts == [(1, 2), (2, 3)]
 
 

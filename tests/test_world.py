@@ -190,10 +190,11 @@ class TestConfigJson:
             config_from_dict(doc)
 
     def test_bad_mix_names_center(self, two_city):
-        doc = config_to_dict(two_city)
-        doc["centers"][0]["mix"] = [0.7, 0.7]
-        with pytest.raises(ConfigError, match=r"centers\[0\].mix"):
-            config_from_dict(doc)
+        for mix in ([0.7, 0.7], 1.0, None, True):
+            doc = config_to_dict(two_city)
+            doc["centers"][0]["mix"] = mix
+            with pytest.raises(ConfigError, match=r"centers\[0\].mix"):
+                config_from_dict(doc)
 
     def test_replace_revalidates(self):
         with pytest.raises(ConfigError, match="steps"):
@@ -201,9 +202,10 @@ class TestConfigJson:
 
     def test_invalid_json_reported(self, tmp_path):
         path = tmp_path / "broken.json"
-        path.write_text("{not json", encoding="utf-8")
-        with pytest.raises(ConfigError):
-            load_config(path)
+        for raw in (b"{not json", b"\xff\xfe{}"):
+            path.write_bytes(raw)
+            with pytest.raises(ConfigError, match="scenario document"):
+                load_config(path)
 
     def test_greek_parameters_use_spec_keys(self, two_city):
         doc = config_to_dict(two_city)
