@@ -4,7 +4,7 @@ by local mayors and a regional governor."""
 
 from .config import CenterSpec, ConfigError, ScenarioConfig, load_config, save_config, two_city_config
 from .engine import ReplicationStats, SimState, replicate, run
-from .world import Metropolis, assign_territories, init_metropolis, mayor_weights
+from .world import Metropolis, init_metropolis, mayor_weights
 
 __version__ = "0.1.0"
 
@@ -15,7 +15,6 @@ __all__ = [
     "ReplicationStats",
     "ScenarioConfig",
     "SimState",
-    "assign_territories",
     "init_metropolis",
     "load_config",
     "mayor_weights",

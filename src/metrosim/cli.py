@@ -38,9 +38,13 @@ class SweepSpec:
             raise ConfigError("configurations: must be nonempty")
         if not self.xi_values:
             raise ConfigError("xi: must be nonempty")
+        seen = set()
         for x in self.xi_values:
             if not (0.0 <= x <= 1.0):
                 raise ConfigError(f"xi: value {x} outside [0, 1]")
+            if x in seen:
+                raise ConfigError(f"xi: duplicate value {x}")
+            seen.add(x)
         if self.replications < 1:
             raise ConfigError("replications: must be >= 1")
         if self.workers < 1:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Any
 
@@ -69,10 +69,10 @@ class ScenarioConfig:
         return self.grid_rows * self.grid_cols
 
 
-# JSON key -> attribute name, in field order. "lambda" is a Python keyword,
+# Attribute name -> JSON key, in field order. "lambda" is a Python keyword,
 # hence the rename.
-_KEY_TO_ATTR = {("lambda" if f.name == "lam" else f.name): f.name for f in fields(ScenarioConfig)}
-_OPTIONAL_KEYS = {"network_extension_radius", "congestion_in_evaluation", "initial_links"}
+_ATTR_TO_KEY = {f.name: ("lambda" if f.name == "lam" else f.name) for f in fields(ScenarioConfig)}
+_OPTIONAL_KEYS = {_ATTR_TO_KEY[f.name] for f in fields(ScenarioConfig) if f.default is not MISSING}
 _CENTER_KEYS = {"position", "amplitude", "gradient", "job_share", "mix"}
 
 
@@ -85,9 +85,13 @@ def _require_int(value: Any, name: str) -> int:
 def _require_real(value: Any, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name}: expected a number, got {value!r}")
-    if not math.isfinite(float(value)):
+    try:
+        real = float(value)
+    except OverflowError:
+        raise ConfigError(f"{name}: must be finite, got an integer too large for a float") from None
+    if not math.isfinite(real):
         raise ConfigError(f"{name}: must be finite, got {value!r}")
-    return float(value)
+    return real
 
 
 def _require_bool(value: Any, name: str) -> bool:
@@ -123,7 +127,7 @@ def _center_from_dict(doc: dict, index: int) -> CenterSpec:
 def _matrix(value: Any, name: str, size: int) -> np.ndarray:
     try:
         arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name}: not a numeric matrix ({exc})") from None
     if arr.shape != (size, size):
         raise ConfigError(f"{name}: expected a {size}x{size} matrix, got shape {arr.shape}")
@@ -132,14 +136,21 @@ def _matrix(value: Any, name: str, size: int) -> np.ndarray:
     return arr
 
 
+_FIELD_CHECKS = {"int": _require_int, "float": _require_real, "bool": _require_bool}
+
+
 def config_from_dict(doc: dict) -> ScenarioConfig:
-    """Build and validate a ScenarioConfig from a parsed JSON document."""
+    """Build and validate a ScenarioConfig from a parsed JSON document.
+
+    Fields are checked in field order by their annotated type; an absent
+    optional key takes the dataclass default.
+    """
     if not isinstance(doc, dict):
         raise ConfigError("scenario document: expected a JSON object")
-    unknown = set(doc) - set(_KEY_TO_ATTR)
+    unknown = set(doc) - set(_ATTR_TO_KEY.values())
     if unknown:
         raise ConfigError(f"unknown configuration keys {sorted(unknown)}")
-    missing = (set(_KEY_TO_ATTR) - _OPTIONAL_KEYS) - set(doc)
+    missing = (set(_ATTR_TO_KEY.values()) - _OPTIONAL_KEYS) - set(doc)
     if missing:
         raise ConfigError(f"missing configuration keys {sorted(missing)}")
 
@@ -149,45 +160,29 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
     centers_doc = doc["centers"]
     if not isinstance(centers_doc, list) or not centers_doc:
         raise ConfigError("centers: expected a nonempty list")
-    centers = tuple(_center_from_dict(c, i) for i, c in enumerate(centers_doc))
-
-    raw_links = doc.get("initial_links", [])
-    if not isinstance(raw_links, (list, tuple)):
-        raise ConfigError("initial_links: expected a list of [a, b] pairs")
-    links = []
-    for i, pair in enumerate(raw_links):
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise ConfigError(f"initial_links[{i}]: expected [a, b]")
-        links.append((_require_int(pair[0], f"initial_links[{i}][0]"), _require_int(pair[1], f"initial_links[{i}][1]")))
-
-    return ScenarioConfig(
-        grid_rows=_require_int(doc["grid_rows"], "grid_rows"),
-        grid_cols=_require_int(doc["grid_cols"], "grid_cols"),
-        cell_size_km=_require_real(doc["cell_size_km"], "cell_size_km"),
-        categories=s,
-        centers=centers,
-        lam=_require_real(doc["lambda"], "lambda"),
-        nu=_require_real(doc["nu"], "nu"),
-        gamma=_require_real(doc["gamma"], "gamma"),
-        mu=_require_real(doc["mu"], "mu"),
-        xi=_require_real(doc["xi"], "xi"),
-        m=_matrix(doc["m"], "m", s),
-        m_prime=_matrix(doc["m_prime"], "m_prime", s),
-        relocation_fraction=_require_real(doc["relocation_fraction"], "relocation_fraction"),
-        landuse_enabled=_require_bool(doc["landuse_enabled"], "landuse_enabled"),
-        steps=_require_int(doc["steps"], "steps"),
-        v_local=_require_real(doc["v_local"], "v_local"),
-        v_link=_require_real(doc["v_link"], "v_link"),
-        capacity=_require_real(doc["capacity"], "capacity"),
-        bpr_alpha=_require_real(doc["bpr_alpha"], "bpr_alpha"),
-        bpr_beta=_require_real(doc["bpr_beta"], "bpr_beta"),
-        furness_tolerance=_require_real(doc["furness_tolerance"], "furness_tolerance"),
-        furness_max_iter=_require_int(doc["furness_max_iter"], "furness_max_iter"),
-        assignment_iterations=_require_int(doc["assignment_iterations"], "assignment_iterations"),
-        network_extension_radius=_require_int(doc.get("network_extension_radius", 3), "network_extension_radius"),
-        congestion_in_evaluation=_require_bool(doc.get("congestion_in_evaluation", False), "congestion_in_evaluation"),
-        initial_links=tuple(links),
-    )
+    values: dict[str, Any] = {
+        "categories": s,
+        "centers": tuple(_center_from_dict(c, i) for i, c in enumerate(centers_doc)),
+    }
+    if "initial_links" in doc:
+        raw_links = doc["initial_links"]
+        if not isinstance(raw_links, (list, tuple)):
+            raise ConfigError("initial_links: expected a list of [a, b] pairs")
+        links = []
+        for i, pair in enumerate(raw_links):
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise ConfigError(f"initial_links[{i}]: expected [a, b]")
+            links.append((_require_int(pair[0], f"initial_links[{i}][0]"), _require_int(pair[1], f"initial_links[{i}][1]")))
+        values["initial_links"] = tuple(links)
+    for f in fields(ScenarioConfig):
+        key = _ATTR_TO_KEY[f.name]
+        if f.name in values or key not in doc:
+            continue
+        if f.name in ("m", "m_prime"):
+            values[f.name] = _matrix(doc[key], key, s)
+        else:
+            values[f.name] = _FIELD_CHECKS[f.type](doc[key], key)
+    return ScenarioConfig(**values)
 
 
 def validate(config: ScenarioConfig) -> None:
@@ -272,7 +267,7 @@ def validate(config: ScenarioConfig) -> None:
 def config_to_dict(config: ScenarioConfig) -> dict:
     """Inverse of config_from_dict; the result round-trips through JSON."""
     doc: dict[str, Any] = {}
-    for key, attr in _KEY_TO_ATTR.items():
+    for attr, key in _ATTR_TO_KEY.items():
         value = getattr(config, attr)
         if key == "centers":
             value = [
@@ -297,10 +292,10 @@ def load_config(path: str | Path) -> ScenarioConfig:
     with open(path, "r", encoding="utf-8") as f:
         try:
             doc = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"scenario document: invalid JSON ({exc})") from None
         except UnicodeDecodeError as exc:
             raise ConfigError(f"scenario document: not UTF-8 text ({exc})") from None
+        except ValueError as exc:  # malformed JSON, or an integer past Python's digit limit
+            raise ConfigError(f"scenario document: invalid JSON ({exc})") from None
     return config_from_dict(doc)
 
 

@@ -16,7 +16,7 @@ from .config import ScenarioConfig
 from .governance import DecisionRecord, decide_and_build, select_stakeholder
 from .landuse import accessibility, cell_scores, relocate
 from .transport import Network, assign_traffic, build_network, distribute, shortest_times, total_travel_time
-from .world import Metropolis, assign_territories, init_metropolis, mayor_weights, natural_totals
+from .world import Metropolis, init_metropolis, mayor_weights, natural_totals
 
 log = logging.getLogger(__name__)
 
@@ -64,7 +64,7 @@ def _indicators(metropolis: Metropolis, d: np.ndarray, flows: np.ndarray, link_c
 def initial_state(config: ScenarioConfig, seed: int) -> SimState:
     """World at step 0: initial densities, the pre-seeded network, free-flow times."""
     workers, jobs = natural_totals(config)
-    metropolis = assign_territories(init_metropolis(config, workers, jobs), config.centers)
+    metropolis = init_metropolis(config, workers, jobs)
     # relocate conserves each category's totals, so whether a category is
     # one-sided, and so gets no trips from distribute, is fixed for the run.
     has_origins, has_destinations = metropolis.workers.sum(axis=0) > 0.0, metropolis.jobs.sum(axis=0) > 0.0

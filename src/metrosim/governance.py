@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .transport import Network, assign_traffic, distribute, intra_cell_time, shortest_times
+from .transport import Network, assign_traffic, distribute, intra_cell_time, link_time, shortest_times
 from .world import Metropolis
 
 log = logging.getLogger(__name__)
@@ -125,7 +125,7 @@ def _territory_accessibility(metropolis: Metropolis, d: np.ndarray, cells: np.nd
     return float((metropolis.workers[cells] * reachable_jobs).sum())
 
 
-def _candidate_times(d: np.ndarray, a: int, b: int, link_time: float, floor: float) -> np.ndarray:
+def _candidate_times(d: np.ndarray, a: int, b: int, t_link: float, floor: float) -> np.ndarray:
     """Travel times after adding one link, from the base all-pairs times.
 
     Exact single-edge update: any new route crosses the link once, so the new
@@ -134,19 +134,18 @@ def _candidate_times(d: np.ndarray, a: int, b: int, link_time: float, floor: flo
     """
     base = d.copy()
     np.fill_diagonal(base, 0.0)
-    via = base[:, a][:, None] + (link_time + base[b, :])[None, :]
+    via = base[:, a][:, None] + (t_link + base[b, :])[None, :]
     out = np.minimum(base, np.minimum(via, via.T))
     np.fill_diagonal(out, floor)
     return out
 
 
 def _with_link(metropolis: Metropolis, network: Network, a: int, b: int) -> Network:
-    """A copy of the network plus link a-b: centre distance, configured speed and capacity."""
-    cfg = metropolis.config
+    """A copy of the network plus link a-b at its link_time."""
     # A shallow copy suffices: add_link rebinds every per-link array through
     # np.append, so the new network shares no array with the input.
     net = copy.copy(network)
-    net.add_link(a, b, float(metropolis.distance_km[a, b]), cfg.v_link, cfg.capacity)
+    net.add_link(a, b, link_time(metropolis, a, b))
     return net
 
 
@@ -174,7 +173,7 @@ class _LinkGains:
         self.workers = metropolis.workers[cells]                     # (|T|, S)
         self.jobs = metropolis.jobs                                  # (N, S)
         self.a, self.b = a, b
-        self.c = np.exp(-cfg.nu * (metropolis.distance_km[a, b] / cfg.v_link))
+        self.c = np.exp(-cfg.nu * link_time(metropolis, a, b))
 
     def _block(self, x: int, y: int, c: float) -> float:
         """Exact gain of the pairs whose new best route runs x -> y over the link."""
@@ -296,8 +295,8 @@ def decide_and_build(
         floor = intra_cell_time(metropolis)
 
         def exact(k: int) -> float:
-            link_time = metropolis.distance_km[a[k], b[k]] / cfg.v_link
-            return _territory_accessibility(metropolis, _candidate_times(d_ff, a[k], b[k], link_time, floor), cells)
+            d = _candidate_times(d_ff, a[k], b[k], link_time(metropolis, a[k], b[k]), floor)
+            return _territory_accessibility(metropolis, d, cells)
 
     margin = PRUNE_MARGIN * max(abs(before), abs(before_ff))
     scores = _bound_search(_LinkGains(metropolis, d_ff, cells, a, b), before_ff, margin, exact)

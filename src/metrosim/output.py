@@ -49,8 +49,13 @@ def write_decisions_csv(path: str | Path, decisions: list[DecisionRecord]) -> No
 
 
 def write_final_state_json(path: str | Path, state: SimState) -> None:
-    """Full dump for offline verification: land use, network, times, densities."""
+    """Full dump for offline verification: land use, network, times, densities.
+
+    Each link record spells out its length (the cell-centre distance), speed
+    and capacity, which the metropolis and the config hold once for all links.
+    """
     net = state.network
+    v_link, capacity = float(state.config.v_link), float(state.config.capacity)
     doc = {
         "config": config_to_dict(state.config),
         "step": state.step_index,
@@ -60,9 +65,9 @@ def write_final_state_json(path: str | Path, state: SimState) -> None:
         "links": [
             {"from": a, "to": b, "length_km": length, "v_link": v_link, "capacity": capacity,
              "flow": flow, "congested_time": time}
-            for a, b, length, v_link, capacity, flow, time in zip(
-                net.a.tolist(), net.b.tolist(), net.length_km.tolist(), net.v_link.tolist(),
-                net.capacity.tolist(), net.flow.tolist(), net.congested_time.tolist())
+            for a, b, length, flow, time in zip(
+                net.a.tolist(), net.b.tolist(), state.metropolis.distance_km[net.a, net.b].tolist(),
+                net.flow.tolist(), net.congested_time.tolist())
         ],
         "travel_times": state.travel_times.tolist(),
         "worker_density_history": [dens.tolist() for dens in state.density_history],

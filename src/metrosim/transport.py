@@ -36,48 +36,43 @@ class Network:
     """Regional road graph over cell centroids as parallel per-link arrays in build order.
 
     Link i runs between cells a[i] and b[i]; each link is stored once and
-    traversed both ways.
+    traversed both ways. Length, speed and capacity are scenario constants
+    (the cell-centre distance, config.v_link and config.capacity), so a link
+    keeps only its endpoints and its flow state: the free-flow time it was
+    built with, the current flow and the congested time.
     """
 
     def __init__(self, n_cells: int):
         self.n_cells = n_cells
         self.a = np.empty(0, dtype=int)
         self.b = np.empty(0, dtype=int)
-        self.length_km = np.empty(0)
-        self.v_link = np.empty(0)
-        self.capacity = np.empty(0)
+        self.free_flow_time = np.empty(0)
         self.flow = np.empty(0)
         self.congested_time = np.empty(0)
-
-    @property
-    def free_flow_time(self) -> np.ndarray:
-        return self.length_km / self.v_link
 
     def has_link(self, a: int, b: int) -> bool:
         return bool(((self.a == a) & (self.b == b) | (self.a == b) & (self.b == a)).any())
 
-    def add_link(self, a: int, b: int, length_km: float, v_link: float, capacity: float) -> int:
+    def add_link(self, a: int, b: int, free_flow_time: float) -> int:
         """Append a link at free-flow time with no flow; returns its index."""
         if a == b:
             raise ValueError(f"link endpoints must differ, got ({a}, {b})")
         if not (0 <= a < self.n_cells and 0 <= b < self.n_cells):
             raise ValueError(f"link endpoint outside the grid: ({a}, {b})")
-        if length_km <= 0.0 or capacity <= 0.0:
-            raise ValueError("link length and capacity must be positive")
+        if free_flow_time <= 0.0:
+            raise ValueError("link free-flow time must be positive")
         if self.has_link(a, b):
             raise ValueError(f"duplicate link {(min(a, b), max(a, b))}")
         self.a = np.append(self.a, a)
         self.b = np.append(self.b, b)
-        self.length_km = np.append(self.length_km, length_km)
-        self.v_link = np.append(self.v_link, v_link)
-        self.capacity = np.append(self.capacity, capacity)
+        self.free_flow_time = np.append(self.free_flow_time, free_flow_time)
         self.flow = np.append(self.flow, 0.0)
-        self.congested_time = np.append(self.congested_time, length_km / v_link)
+        self.congested_time = np.append(self.congested_time, free_flow_time)
         return len(self) - 1
 
     def copy(self) -> "Network":
         net = Network(self.n_cells)
-        for name in ("a", "b", "length_km", "v_link", "capacity", "flow", "congested_time"):
+        for name in ("a", "b", "free_flow_time", "flow", "congested_time"):
             setattr(net, name, getattr(self, name).copy())
         return net
 
@@ -89,12 +84,19 @@ class Network:
         return len(self.a)
 
 
+def link_time(metropolis: Metropolis, a, b):
+    """Free-flow time of link a-b, hours: the cell-centre distance at config.v_link.
+
+    a and b may be cell indices or index arrays.
+    """
+    return metropolis.distance_km[a, b] / metropolis.config.v_link
+
+
 def build_network(metropolis: Metropolis, pairs: tuple[tuple[int, int], ...]) -> Network:
-    """Network from (a, b) cell pairs; geometry and capacity come from the config."""
-    config = metropolis.config
+    """Network from (a, b) cell pairs, each link at its link_time."""
     net = Network(metropolis.n_cells)
     for a, b in pairs:
-        net.add_link(a, b, float(metropolis.distance_km[a, b]), config.v_link, config.capacity)
+        net.add_link(a, b, link_time(metropolis, a, b))
     return net
 
 
@@ -357,7 +359,7 @@ def assign_traffic(od: np.ndarray, network: Network, metropolis: Metropolis, ite
         loads = _load_all_or_nothing(od, closure, len(net))
         w = 1.0 / k
         net.flow = (1.0 - w) * net.flow + w * loads
-        net.congested_time = bpr_time(net.free_flow_time, net.flow, net.capacity, cfg.bpr_alpha, cfg.bpr_beta)
+        net.congested_time = bpr_time(net.free_flow_time, net.flow, cfg.capacity, cfg.bpr_alpha, cfg.bpr_beta)
     return net, shortest_times(net, metropolis)
 
 

@@ -5,11 +5,11 @@ initialisation conserves the per-category totals.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .config import CenterSpec, ConfigError, ScenarioConfig
+from .config import ConfigError, ScenarioConfig
 
 
 @dataclass(eq=False)
@@ -19,6 +19,7 @@ class Metropolis:
     Arrays are row-major over cells: cell id = row * grid_cols + col.
     `distance_km` is the fixed grid geometry: computed once by
     init_metropolis, shared (not copied) by `copy()`, never written.
+    There is one mayor per configured centre.
     """
 
     config: ScenarioConfig
@@ -26,11 +27,14 @@ class Metropolis:
     jobs: np.ndarray         # (N, S)
     territory: np.ndarray    # (N,) mayor index
     distance_km: np.ndarray  # (N, N) straight-line km between cell centres
-    n_mayors: int
 
     @property
     def n_cells(self) -> int:
         return self.workers.shape[0]
+
+    @property
+    def n_mayors(self) -> int:
+        return len(self.config.centers)
 
     def copy(self) -> "Metropolis":
         return Metropolis(
@@ -39,7 +43,6 @@ class Metropolis:
             jobs=self.jobs.copy(),
             territory=self.territory.copy(),
             distance_km=self.distance_km,
-            n_mayors=self.n_mayors,
         )
 
 
@@ -94,7 +97,9 @@ def init_metropolis(config: ScenarioConfig, total_workers: float, total_jobs: fl
     Workers follow the summed centre fields; jobs follow the same per-centre
     fields weighted by each centre's job share. Both are scaled so the grid
     totals match the requested values exactly, split by the centres' category
-    mixes. Territories start unassigned (all zero).
+    mixes. Each cell belongs to the territory of its nearest centre, ties
+    going to the lowest centre index; the partition is fixed for the whole
+    run.
     """
     fields = _center_fields(config)  # (M, N)
     mixes = np.array([c.mix for c in config.centers])  # (M, S)
@@ -113,27 +118,11 @@ def init_metropolis(config: ScenarioConfig, total_workers: float, total_jobs: fl
         raise ConfigError("centers: zero total job density, cannot place jobs")
     jobs = job_cat * (total_jobs / job_sum) if job_sum > 0.0 else np.zeros_like(job_cat)
 
-    return Metropolis(
-        config=config,
-        workers=workers,
-        jobs=jobs,
-        territory=np.zeros(config.n_cells, dtype=int),
-        distance_km=grid_distances(config),
-        n_mayors=len(config.centers),
-    )
-
-
-def assign_territories(metropolis: Metropolis, centers: tuple[CenterSpec, ...]) -> Metropolis:
-    """Partition the grid into nearest-centre territories, one per mayor.
-
-    Ties go to the lowest centre index. The partition is fixed for the whole
-    run; nothing downstream reassigns cells.
-    """
-    cols = metropolis.config.grid_cols
-    centre_cells = [c.position[0] * cols + c.position[1] for c in centers]
+    distance_km = grid_distances(config)
+    centre_cells = [c.position[0] * config.grid_cols + c.position[1] for c in config.centers]
     # argmin takes the first minimum: lowest index wins ties
-    territory = metropolis.distance_km[:, centre_cells].argmin(axis=1)
-    return replace(metropolis, territory=territory, n_mayors=len(centers))
+    territory = distance_km[:, centre_cells].argmin(axis=1)
+    return Metropolis(config=config, workers=workers, jobs=jobs, territory=territory, distance_km=distance_km)
 
 
 def mayor_weights(metropolis: Metropolis) -> np.ndarray:

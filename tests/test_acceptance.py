@@ -21,7 +21,7 @@ from metrosim.engine import replicate, run
 from metrosim.governance import select_stakeholder
 from metrosim.landuse import choice_probabilities
 from metrosim.transport import Network, furness_distribution, intra_cell_time, shortest_times
-from metrosim.world import assign_territories, grid_centroids, init_metropolis, natural_totals
+from metrosim.world import grid_centroids, init_metropolis, natural_totals
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -83,7 +83,7 @@ def test_criterion_2_shortest_path_oracle():
         cols = rng.randint(2, 5)
         cfg = two_city_config(grid_rows=rows, grid_cols=cols,
                               minor_position=(rows - 1, cols - 1), dominant_position=(0, 0))
-        metropolis = assign_territories(init_metropolis(cfg, 100.0, 100.0), cfg.centers)
+        metropolis = init_metropolis(cfg, 100.0, 100.0)
         n = metropolis.n_cells
         pts = grid_centroids(cfg)
         net = Network(n)
@@ -92,7 +92,7 @@ def test_criterion_2_shortest_path_oracle():
             if net.has_link(a, b):
                 continue
             length = float(np.hypot(*(pts[a] - pts[b])))
-            li = net.add_link(a, b, length, v_link=rng.uniform(10.0, 130.0), capacity=100.0)
+            li = net.add_link(a, b, length / rng.uniform(10.0, 130.0))
             net.congested_time[li] = net.free_flow_time[li] * rng.uniform(1.0, 3.0)
 
         d = shortest_times(net, metropolis)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import metrosim
-from metrosim.cli import main, spearman_trend, sweep_configurations
+from metrosim.cli import cmd_run, main, spearman_trend, sweep_configurations
 from metrosim.config import config_to_dict, two_city_config
 from metrosim.landuse import accessibility
 from metrosim.world import Metropolis
@@ -90,7 +90,18 @@ class TestRun:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(cfg), encoding="utf-8")
         good = write_config(tmp_path, steps=1)
-        for path, extra, field in ((bad, [], "xi"), (good, ["--steps", "-1"], "steps")):
+        huge = 10**400
+        cases = [(bad, [], "xi"), (good, ["--steps", "-1"], "steps")]
+        for field, edit in (("nu:", lambda doc: doc.update(nu=huge)),
+                            ("capacity:", lambda doc: doc.update(capacity=huge)),
+                            ("centers[1].amplitude:", lambda doc: doc["centers"][1].update(amplitude=huge)),
+                            ("m:", lambda doc: doc["m"][0].__setitem__(1, huge))):
+            doc = config_to_dict(two_city_config())
+            edit(doc)
+            path = tmp_path / f"huge_{field[:-1]}.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            cases.append((path, [], field))
+        for path, extra, field in cases:
             assert main(["run", "--config", str(path), "--out", str(tmp_path / "o"), *extra]) == 2
             assert field in capsys.readouterr().err
 
@@ -127,12 +138,26 @@ class TestRun:
             jobs=np.array(dump["jobs"]),
             territory=np.array(dump["territory"]),
             distance_km=grid_distances(cfg),
-            n_mayors=len(cfg.centers),
         )
         d = np.array(dump["travel_times"])
         _, _, total_access = accessibility(metropolis, d, cfg.nu)
         logged = float(history[-1]["total_accessibility"])
         assert abs(float(total_access.sum()) - logged) <= 1e-9 * max(1.0, abs(logged))
+
+        # Link length, speed and capacity are the grid geometry and the config values.
+        assert len(dump["links"]) == 2
+        for link in dump["links"]:
+            assert link["length_km"] == metropolis.distance_km[link["from"], link["to"]]
+            assert (link["v_link"], link["capacity"]) == (cfg.v_link, cfg.capacity)
+            assert isinstance(link["v_link"], float) and isinstance(link["capacity"], float)
+
+        # A config built in Python may hold an integer speed and capacity; the
+        # link records still carry them as JSON floats.
+        cfg = two_city_config(steps=0, v_link=75, capacity=1500, initial_links=((0, 11), (11, 22)))
+        cmd_run(cfg, 0, tmp_path / "int_config")
+        text = (tmp_path / "int_config" / "final_state.json").read_text(encoding="utf-8")
+        assert [(link["from"], link["to"]) for link in json.loads(text)["links"]] == [(0, 11), (11, 22)]
+        assert text.count('"v_link": 75.0, "capacity": 1500.0,') == 2
 
 
 class TestReplicate:
@@ -183,9 +208,10 @@ class TestSweep:
 
     def test_bad_xi_list_exits_2(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, steps=1)
-        assert main(["sweep", "--config", str(cfg_path), "--xi", "0,2.0",
-                     "--out", str(tmp_path / "o")]) == 2
-        assert "xi" in capsys.readouterr().err
+        for xi in ("0,2.0", "0,0,1"):
+            assert main(["sweep", "--config", str(cfg_path), "--xi", xi,
+                         "--out", str(tmp_path / "o")]) == 2
+            assert "xi" in capsys.readouterr().err
 
     def test_unknown_configuration_exits_2(self, tmp_path):
         cfg_path = write_config(tmp_path, steps=1)

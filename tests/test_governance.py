@@ -25,7 +25,7 @@ from metrosim.transport import (
     intra_cell_time,
     shortest_times,
 )
-from metrosim.world import assign_territories, grid_centroids, init_metropolis
+from metrosim.world import grid_centroids, init_metropolis
 
 
 def make_metropolis(**cfg_kwargs):
@@ -34,7 +34,7 @@ def make_metropolis(**cfg_kwargs):
     cfg_kwargs.setdefault("minor_position", (4, 4))
     cfg_kwargs.setdefault("dominant_position", (0, 0))
     cfg = two_city_config(**cfg_kwargs)
-    return assign_territories(init_metropolis(cfg, 1000.0, 1000.0), cfg.centers)
+    return init_metropolis(cfg, 1000.0, 1000.0)
 
 
 def candidate_pairs(network, metropolis):
@@ -74,7 +74,7 @@ def trial_times_oracle(metropolis, network, a, b):
     """
     cfg = metropolis.config
     trial = network.copy()
-    trial.add_link(a, b, float(metropolis.distance_km[a, b]), cfg.v_link, cfg.capacity)
+    trial.add_link(a, b, metropolis.distance_km[a, b] / cfg.v_link)
     if cfg.congestion_in_evaluation:
         od = distribute(metropolis, shortest_times(network, metropolis))
         return assign_traffic(od.flows, trial, metropolis, cfg.assignment_iterations)[1]
@@ -98,16 +98,15 @@ def random_case(n: int, seed: int):
     np_rng = np.random.default_rng(seed)
     metropolis.workers *= np_rng.uniform(0.5, 1.5, metropolis.workers.shape)
     metropolis.jobs *= np_rng.uniform(0.5, 1.5, metropolis.jobs.shape)
-    cfg = metropolis.config
     net = Network(metropolis.n_cells)
     for _ in range(rng.randint(1, n)):
         a, b = rng.choice(candidate_pairs(net, metropolis))
-        net.add_link(a, b, float(metropolis.distance_km[a, b]), cfg.v_link, cfg.capacity)
+        net.add_link(a, b, metropolis.distance_km[a, b] / metropolis.config.v_link)
     return metropolis, net
 
 
 def loaded_congested_case(n: int, seed: int, capacity: float = 1500.0):
-    """random_case under congested evaluation, every link at the given capacity.
+    """random_case under congested evaluation at the given link capacity.
 
     The network is loaded by one assignment of the current demand, as a run
     step does, so its current times differ from free-flow times.
@@ -115,7 +114,6 @@ def loaded_congested_case(n: int, seed: int, capacity: float = 1500.0):
     metropolis, net = random_case(n, seed)
     cfg = replace(metropolis.config, congestion_in_evaluation=True, capacity=capacity)
     metropolis = replace(metropolis, config=cfg)
-    net.capacity[:] = cfg.capacity
     od = distribute(metropolis, shortest_times(net, metropolis))
     net, _ = assign_traffic(od.flows, net, metropolis, cfg.assignment_iterations)
     return metropolis, net
@@ -291,7 +289,7 @@ def test_new_fast_link_strictly_improves_objective():
 def test_evaluation_leaves_network_untouched():
     # Neither the trial networks nor the built network may change the
     # input network's arrays, in either evaluation mode.
-    names = ("a", "b", "length_km", "v_link", "capacity", "flow", "congested_time")
+    names = ("a", "b", "free_flow_time", "flow", "congested_time")
     for congested in (False, True):
         metropolis = make_metropolis(grid_rows=3, grid_cols=3, minor_position=(2, 2),
                                      congestion_in_evaluation=congested)
@@ -429,7 +427,7 @@ def test_equal_objectives_break_to_first_pair():
         cfg = two_city_config(grid_rows=1, grid_cols=cols, minor_position=(0, cols - 1),
                               dominant_position=(0, 0), minor_amplitude=100.0, dominant_amplitude=100.0,
                               minor_job_share=0.5, dominant_job_share=0.5)
-        metropolis = assign_territories(init_metropolis(cfg, 100.0, 100.0), cfg.centers)
+        metropolis = init_metropolis(cfg, 100.0, 100.0)
         net = Network(cols)
         _, record = decide_and_build(metropolis, net, stakeholder)
         values = {ab: evaluate_candidate_oracle(metropolis, net, *ab, stakeholder)
@@ -485,7 +483,7 @@ def test_congested_scoring_matches_oracle():
 def test_congested_evaluation_mode_runs():
     cfg = two_city_config(grid_rows=3, grid_cols=3, minor_position=(2, 2), dominant_position=(0, 0),
                           congestion_in_evaluation=True)
-    metropolis = assign_territories(init_metropolis(cfg, 300.0, 300.0), cfg.centers)
+    metropolis = init_metropolis(cfg, 300.0, 300.0)
     built, record = decide_and_build(metropolis, Network(9), Stakeholder(kind="governor"))
     assert record.chosen is not None
     assert len(built) == 1

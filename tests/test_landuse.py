@@ -15,7 +15,7 @@ from metrosim.landuse import (
     utility,
 )
 from metrosim.transport import Network, shortest_times
-from metrosim.world import assign_territories, init_metropolis
+from metrosim.world import init_metropolis
 
 
 def make_metropolis(**cfg_kwargs):
@@ -24,7 +24,7 @@ def make_metropolis(**cfg_kwargs):
     cfg_kwargs.setdefault("minor_position", (4, 4))
     cfg_kwargs.setdefault("dominant_position", (0, 0))
     cfg = two_city_config(**cfg_kwargs)
-    return assign_territories(init_metropolis(cfg, 1000.0, 1000.0), cfg.centers)
+    return init_metropolis(cfg, 1000.0, 1000.0)
 
 
 def afc_times(metropolis):
@@ -195,7 +195,7 @@ def test_two_equal_cells_split_pool_evenly():
     cfg = two_city_config(grid_rows=1, grid_cols=2, minor_position=(0, 1), dominant_position=(0, 0),
                           minor_amplitude=100.0, dominant_amplitude=100.0,
                           minor_job_share=0.5, dominant_job_share=0.5)
-    metropolis = assign_territories(init_metropolis(cfg, 100.0, 100.0), cfg.centers)
+    metropolis = init_metropolis(cfg, 100.0, 100.0)
     metropolis.workers[:] = np.array([[40.0, 0.0], [10.0, 0.0]])  # asymmetric start
     d = afc_times(metropolis)
     scores = cell_scores(metropolis, d)

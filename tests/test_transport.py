@@ -18,14 +18,14 @@ from metrosim.transport import (
     shortest_times,
     total_travel_time,
 )
-from metrosim.world import assign_territories, grid_centroids, init_metropolis
+from metrosim.world import grid_centroids, init_metropolis
 
 
 def make_metropolis(rows=5, cols=5, **cfg_kwargs):
     cfg_kwargs.setdefault("minor_position", (rows - 1, cols - 1))
     cfg_kwargs.setdefault("dominant_position", (0, 0))
     cfg = two_city_config(grid_rows=rows, grid_cols=cols, **cfg_kwargs)
-    return assign_territories(init_metropolis(cfg, 1000.0, 1000.0), cfg.centers)
+    return init_metropolis(cfg, 1000.0, 1000.0)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +141,7 @@ def test_fast_link_on_segment_dominates():
     net = Network(metropolis.n_cells)
     # Cells 0 and 4 share a row; the link runs straight along the segment.
     length = 4.0 * metropolis.config.cell_size_km
-    net.add_link(0, 4, length, v_link=75.0, capacity=100.0)
+    net.add_link(0, 4, length / 75.0)
     d = shortest_times(net, metropolis)
     assert d[0, 4] == pytest.approx(length / 75.0, rel=1e-12)
 
@@ -149,7 +149,7 @@ def test_fast_link_on_segment_dominates():
 def test_slow_link_is_ignored():
     metropolis = make_metropolis()
     net = Network(metropolis.n_cells)
-    net.add_link(0, 1, 1.0, v_link=5.0, capacity=100.0)  # slower than local roads
+    net.add_link(0, 1, 1.0 / 5.0)  # slower than local roads
     d = shortest_times(net, metropolis)
     assert d[0, 1] == pytest.approx(1.0 / metropolis.config.v_local, rel=1e-12)
 
@@ -176,7 +176,7 @@ def test_shortest_times_match_floyd_warshall_on_random_networks():
             if net.has_link(a, b):
                 continue
             length = float(np.hypot(*(pts[a] - pts[b])))
-            li = net.add_link(a, b, length, v_link=rng.uniform(10.0, 120.0), capacity=50.0)
+            li = net.add_link(a, b, length / rng.uniform(10.0, 120.0))
             net.congested_time[li] = net.free_flow_time[li] * rng.uniform(1.0, 2.5)
             pairs.append((a, b))
             times.append(net.congested_time[li])
@@ -202,18 +202,20 @@ def test_adding_link_never_increases_free_flow_times():
     net = build_network(metropolis, ((0, 6), (6, 12)))
     before = shortest_times(net, metropolis, free_flow=True)
     bigger = net.copy()
-    bigger.add_link(12, 18, 1.5, v_link=75.0, capacity=100.0)
+    bigger.add_link(12, 18, 1.5 / 75.0)
     after = shortest_times(bigger, metropolis, free_flow=True)
     assert (after <= before + 1e-15).all()
 
 
 def test_network_rejects_duplicates_and_self_loops():
     net = Network(9)
-    net.add_link(0, 1, 1.0, 60.0, 10.0)
+    net.add_link(0, 1, 1.0 / 60.0)
     with pytest.raises(ValueError):
-        net.add_link(1, 0, 1.0, 60.0, 10.0)
+        net.add_link(1, 0, 1.0 / 60.0)
     with pytest.raises(ValueError):
-        net.add_link(2, 2, 1.0, 60.0, 10.0)
+        net.add_link(2, 2, 1.0 / 60.0)
+    with pytest.raises(ValueError):
+        net.add_link(3, 4, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -394,12 +396,13 @@ def test_parallel_routes_balance_after_even_iterations():
 def test_single_link_congests_or_migrates_to_local_roads():
     # One fast link with demand at twice its capacity: after overload its BPR
     # time exceeds the AFC time, so the next iteration routes around it.
-    metropolis = make_metropolis(rows=1, cols=4, minor_position=(0, 3), dominant_position=(0, 0))
+    capacity = 50.0
+    metropolis = make_metropolis(rows=1, cols=4, minor_position=(0, 3), dominant_position=(0, 0),
+                                 capacity=capacity)
     cfg = metropolis.config
     net = Network(metropolis.n_cells)
     length = 3.0 * cfg.cell_size_km
-    capacity = 50.0
-    net.add_link(0, 3, length, v_link=75.0, capacity=capacity)
+    net.add_link(0, 3, length / 75.0)
     n = metropolis.n_cells
     od = np.zeros((n, n))
     od[0, 3] = 2.0 * capacity
@@ -427,7 +430,7 @@ def test_loads_match_path_walk_oracle():
             if net.has_link(a, b):
                 continue
             length = float(np.hypot(*(pts[a] - pts[b])))
-            net.add_link(a, b, length, v_link=rng.uniform(50.0, 110.0), capacity=100.0)
+            net.add_link(a, b, length / rng.uniform(50.0, 110.0))
         od = np.zeros((n, n))
         for _ in range(12):
             i, j = rng.sample(range(n), 2)

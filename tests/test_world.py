@@ -16,7 +16,6 @@ from metrosim.config import (
     two_city_config,
 )
 from metrosim.world import (
-    assign_territories,
     grid_centroids,
     init_metropolis,
     mayor_weights,
@@ -90,7 +89,6 @@ def test_natural_totals_match_raw_density(two_city):
 
 def test_single_center_means_single_territory(small_config):
     metropolis = init_metropolis(small_config, 100.0, 100.0)
-    metropolis = assign_territories(metropolis, small_config.centers)
     assert (metropolis.territory == 0).all()
 
 
@@ -98,7 +96,7 @@ def test_opposite_corner_centers_split_grid_evenly():
     # Corners of the same edge: the bisector runs between columns, so no cell ties.
     cfg = two_city_config(grid_rows=6, grid_cols=6,
                           minor_position=(0, 0), dominant_position=(0, 5))
-    metropolis = assign_territories(init_metropolis(cfg, 100.0, 100.0), cfg.centers)
+    metropolis = init_metropolis(cfg, 100.0, 100.0)
     counts = np.bincount(metropolis.territory, minlength=2)
     assert counts[0] == counts[1] == 18
 
@@ -106,13 +104,13 @@ def test_opposite_corner_centers_split_grid_evenly():
 def test_territory_tie_breaks_to_lowest_center_index():
     cfg = two_city_config(grid_rows=3, grid_cols=3,
                           minor_position=(1, 0), dominant_position=(1, 2))
-    metropolis = assign_territories(init_metropolis(cfg, 10.0, 10.0), cfg.centers)
+    metropolis = init_metropolis(cfg, 10.0, 10.0)
     # The middle column is equidistant from both centres.
     assert metropolis.territory[1 * 3 + 1] == 0
 
 
 def test_mayor_weights_sum_jobs_per_territory(two_city):
-    metropolis = assign_territories(init_metropolis(two_city, 1000.0, 1000.0), two_city.centers)
+    metropolis = init_metropolis(two_city, 1000.0, 1000.0)
     weights = mayor_weights(metropolis)
     assert weights.sum() == pytest.approx(1000.0, rel=1e-9)
     for i in range(2):
@@ -121,7 +119,7 @@ def test_mayor_weights_sum_jobs_per_territory(two_city):
 
 
 def test_mayor_weights_track_job_moves(two_city):
-    metropolis = assign_territories(init_metropolis(two_city, 1000.0, 1000.0), two_city.centers)
+    metropolis = init_metropolis(two_city, 1000.0, 1000.0)
     before = mayor_weights(metropolis)
     donor = int(np.nonzero(metropolis.territory == 0)[0][0])
     receiver = int(np.nonzero(metropolis.territory == 1)[0][0])
@@ -138,13 +136,13 @@ def test_symmetric_cities_have_equal_weights():
     cfg = two_city_config(minor_position=(4, 2), dominant_position=(4, 7),
                           minor_amplitude=150.0, dominant_amplitude=150.0,
                           minor_job_share=0.5, dominant_job_share=0.5)
-    metropolis = assign_territories(init_metropolis(cfg, 2000.0, 2000.0), cfg.centers)
+    metropolis = init_metropolis(cfg, 2000.0, 2000.0)
     weights = mayor_weights(metropolis)
     assert abs(weights[0] - weights[1]) < 1e-9
 
 
 def test_territories_partition_the_grid(two_city):
-    metropolis = assign_territories(init_metropolis(two_city, 500.0, 500.0), two_city.centers)
+    metropolis = init_metropolis(two_city, 500.0, 500.0)
     counts = np.bincount(metropolis.territory, minlength=metropolis.n_mayors)
     assert counts.sum() == two_city.n_cells
     assert (metropolis.territory >= 0).all()
@@ -202,7 +200,8 @@ class TestConfigJson:
 
     def test_invalid_json_reported(self, tmp_path):
         path = tmp_path / "broken.json"
-        for raw in (b"{not json", b"\xff\xfe{}"):
+        # The last input is valid JSON whose integer is too long for Python to parse.
+        for raw in (b"{not json", b"\xff\xfe{}", b'{"nu": ' + b"9" * 5000 + b"}"):
             path.write_bytes(raw)
             with pytest.raises(ConfigError, match="scenario document"):
                 load_config(path)
