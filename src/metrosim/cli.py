@@ -159,7 +159,8 @@ def cmd_sweep(spec: SweepSpec) -> int:
             for i in range(spec.replications):
                 tasks.append((name, xi, spec.base_seed + i, config))
     if spec.workers > 1:
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
+        # The pool starts all of its workers at the first submit.
+        with ProcessPoolExecutor(max_workers=min(spec.workers, len(tasks))) as pool:
             rows = list(pool.map(_sweep_cell, tasks, chunksize=1))
     else:
         rows = [_sweep_cell(t) for t in tasks]

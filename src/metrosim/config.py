@@ -187,10 +187,11 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
 
 def validate(config: ScenarioConfig) -> None:
     """Check every invariant; raise ConfigError naming the first violated field."""
-    if config.grid_rows < 1:
-        raise ConfigError("grid_rows: must be >= 1")
-    if config.grid_cols < 1:
-        raise ConfigError("grid_cols: must be >= 1")
+    # Candidate enumeration holds row and column indices as int16.
+    max_side = int(np.iinfo(np.int16).max)
+    for name in ("grid_rows", "grid_cols"):
+        if not (1 <= getattr(config, name) <= max_side):
+            raise ConfigError(f"{name}: must lie in [1, {max_side}]")
     if config.cell_size_km <= 0:
         raise ConfigError("cell_size_km: must be > 0")
     if config.categories < 1:

@@ -107,7 +107,7 @@ def step(state: SimState, *, swap_mayor_weights: bool = False) -> SimState:
 
     weights = mayor_weights(metropolis)
     if swap_mayor_weights:
-        weights = weights[::-1].copy()
+        weights = weights[::-1]
     stakeholder, draws = select_stakeholder(cfg.xi, weights, state.rng)
     network, record = decide_and_build(metropolis, network, stakeholder, step=state.step_index + 1, draws=draws)
 

@@ -6,7 +6,6 @@ territory accessibility, and the argmax link is built.
 """
 from __future__ import annotations
 
-import copy
 import logging
 import random
 from collections.abc import Callable
@@ -105,8 +104,8 @@ def enumerate_candidates(network: Network, metropolis: Metropolis) -> tuple[np.n
     """
     cfg = metropolis.config
     n = metropolis.n_cells
-    # int16 keeps the (N, N) temporaries small. It holds any row or column
-    # index of a grid whose (N, N) distance matrix fits in memory.
+    # int16 keeps the (N, N) temporaries small. config.validate caps
+    # grid_rows and grid_cols at the int16 maximum, so every index fits.
     cells = np.arange(n)
     row = (cells // cfg.grid_cols).astype(np.int16)
     col = (cells % cfg.grid_cols).astype(np.int16)
@@ -138,15 +137,6 @@ def _candidate_times(d: np.ndarray, a: int, b: int, t_link: float, floor: float)
     out = np.minimum(base, np.minimum(via, via.T))
     np.fill_diagonal(out, floor)
     return out
-
-
-def _with_link(metropolis: Metropolis, network: Network, a: int, b: int) -> Network:
-    """A copy of the network plus link a-b at its link_time."""
-    # A shallow copy suffices: add_link rebinds every per-link array through
-    # np.append, so the new network shares no array with the input.
-    net = copy.copy(network)
-    net.add_link(a, b, link_time(metropolis, a, b))
-    return net
 
 
 class _LinkGains:
@@ -274,6 +264,10 @@ def decide_and_build(
     congestion the bound prunes little. The first maximum in enumeration
     order (the smallest (a, b) pair) is built. An empty candidate set
     records a no-build.
+
+    Returns a new network with the chosen link appended, or the input
+    network itself when nothing is built, and the decision record. The
+    input network is never altered.
     """
     cfg = metropolis.config
     a, b = enumerate_candidates(network, metropolis)
@@ -287,7 +281,7 @@ def decide_and_build(
         before = _territory_accessibility(metropolis, d_base, cells)
 
         def exact(k: int) -> float:
-            trial = _with_link(metropolis, network, a[k], b[k])
+            trial = network.with_link(a[k], b[k], link_time(metropolis, a[k], b[k]))
             d = assign_traffic(od, trial, metropolis, cfg.assignment_iterations)[1]
             return _territory_accessibility(metropolis, d, cells)
     else:
@@ -315,5 +309,5 @@ def decide_and_build(
     )
     if chosen is None:
         log.info("step %d: network saturated, no candidate links", step)
-        return network.copy(), record
-    return _with_link(metropolis, network, *chosen), record
+        return network, record
+    return network.with_link(*chosen, link_time(metropolis, *chosen)), record

@@ -6,7 +6,7 @@ reallocation of a fixed fraction of workers and jobs each step.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -93,12 +93,14 @@ def relocate(
 
     The pool removed from every cell proportionally is reallocated as expected
     mass pool * P(c); counts stay continuous, so no multinomial sampling is
-    needed and per-category totals are conserved to rounding.
+    needed and per-category totals are conserved to rounding. Returns a new
+    metropolis with new worker and job arrays; the input is left unaltered,
+    and its distance_km and territory are shared.
     """
     if not (0.0 <= relocation_fraction <= 1.0):
         raise ValueError("relocation_fraction must lie in [0, 1]")
-    out = metropolis.copy()
-    for counts, utilities in ((out.workers, scores.worker_utility), (out.jobs, scores.job_utility)):
+    workers, jobs = metropolis.workers.copy(), metropolis.jobs.copy()
+    for counts, utilities in ((workers, scores.worker_utility), (jobs, scores.job_utility)):
         for cat in range(counts.shape[1]):
             total = counts[:, cat].sum()
             if total <= 0.0:
@@ -106,4 +108,4 @@ def relocate(
             shares = choice_probabilities(utilities[:, cat], mu)
             pool = relocation_fraction * total
             counts[:, cat] = counts[:, cat] * (1.0 - relocation_fraction) + pool * shares
-    return out
+    return replace(metropolis, workers=workers, jobs=jobs)

@@ -12,14 +12,17 @@ import numpy as np
 from .config import ConfigError, ScenarioConfig
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Metropolis:
     """Grid of cells with per-category worker/job counts and a mayor partition.
 
     Arrays are row-major over cells: cell id = row * grid_cols + col.
-    `distance_km` is the fixed grid geometry: computed once by
-    init_metropolis, shared (not copied) by `copy()`, never written.
-    There is one mayor per configured centre.
+    `distance_km` is the fixed grid geometry, computed once by
+    init_metropolis. There is one mayor per configured centre.
+
+    A metropolis is a value: relocate returns a new one with new count
+    arrays and shares `distance_km` and `territory` with its input, which
+    it leaves unaltered.
     """
 
     config: ScenarioConfig
@@ -35,15 +38,6 @@ class Metropolis:
     @property
     def n_mayors(self) -> int:
         return len(self.config.centers)
-
-    def copy(self) -> "Metropolis":
-        return Metropolis(
-            config=self.config,
-            workers=self.workers.copy(),
-            jobs=self.jobs.copy(),
-            territory=self.territory.copy(),
-            distance_km=self.distance_km,
-        )
 
 
 def grid_centroids(config: ScenarioConfig) -> np.ndarray:

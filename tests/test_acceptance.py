@@ -92,7 +92,8 @@ def test_criterion_2_shortest_path_oracle():
             if net.has_link(a, b):
                 continue
             length = float(np.hypot(*(pts[a] - pts[b])))
-            li = net.add_link(a, b, length / rng.uniform(10.0, 130.0))
+            net = net.with_link(a, b, length / rng.uniform(10.0, 130.0))
+            li = len(net) - 1
             net.congested_time[li] = net.free_flow_time[li] * rng.uniform(1.0, 3.0)
 
         d = shortest_times(net, metropolis)

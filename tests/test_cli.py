@@ -95,7 +95,9 @@ class TestRun:
         for field, edit in (("nu:", lambda doc: doc.update(nu=huge)),
                             ("capacity:", lambda doc: doc.update(capacity=huge)),
                             ("centers[1].amplitude:", lambda doc: doc["centers"][1].update(amplitude=huge)),
-                            ("m:", lambda doc: doc["m"][0].__setitem__(1, huge))):
+                            ("m:", lambda doc: doc["m"][0].__setitem__(1, huge)),
+                            ("grid_rows:", lambda doc: doc.update(grid_rows=huge)),
+                            ("grid_cols:", lambda doc: doc.update(grid_cols=32768))):
             doc = config_to_dict(two_city_config())
             edit(doc)
             path = tmp_path / f"huge_{field[:-1]}.json"
@@ -235,6 +237,37 @@ class TestSweep:
         assert main(args + ["--out", str(out_seq)]) == 0
         assert main(args + ["--out", str(out_par), "--workers", "2"]) == 0
         assert (out_seq / "sweep.csv").read_bytes() == (out_par / "sweep.csv").read_bytes()
+
+    def test_worker_pool_no_larger_than_the_sweep(self, tmp_path, monkeypatch):
+        # A process pool starts all its workers at the first submit, so a
+        # 2-cell sweep must not ask for 8. The fake pool maps serially and
+        # starts no process.
+        import metrosim.cli as cli_mod
+
+        requested = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", SerialPool)
+        cfg_path = write_config(tmp_path, steps=1)
+        out_seq, out_pool = tmp_path / "seq", tmp_path / "pool"
+        args = ["sweep", "--config", str(cfg_path), "--xi", "0,1", "--replications", "1",
+                "--configurations", "equal_far"]
+        assert main(args + ["--out", str(out_seq)]) == 0
+        assert main(args + ["--out", str(out_pool), "--workers", "8"]) == 0
+        assert requested == [2]
+        assert (out_seq / "sweep.csv").read_bytes() == (out_pool / "sweep.csv").read_bytes()
 
     def test_failed_cells_recorded_and_exit_nonzero(self, tmp_path, monkeypatch, capsys):
         import metrosim.cli as cli_mod

@@ -73,8 +73,7 @@ def trial_times_oracle(metropolis, network, a, b):
     on the extended network.
     """
     cfg = metropolis.config
-    trial = network.copy()
-    trial.add_link(a, b, metropolis.distance_km[a, b] / cfg.v_link)
+    trial = network.with_link(a, b, metropolis.distance_km[a, b] / cfg.v_link)
     if cfg.congestion_in_evaluation:
         od = distribute(metropolis, shortest_times(network, metropolis))
         return assign_traffic(od.flows, trial, metropolis, cfg.assignment_iterations)[1]
@@ -96,12 +95,13 @@ def random_case(n: int, seed: int):
     metropolis = make_metropolis(grid_rows=n, grid_cols=n, minor_position=(n - 1, n - 1))
     rng = random.Random(seed)
     np_rng = np.random.default_rng(seed)
-    metropolis.workers *= np_rng.uniform(0.5, 1.5, metropolis.workers.shape)
-    metropolis.jobs *= np_rng.uniform(0.5, 1.5, metropolis.jobs.shape)
+    workers = metropolis.workers * np_rng.uniform(0.5, 1.5, metropolis.workers.shape)
+    metropolis = replace(metropolis, workers=workers,
+                         jobs=metropolis.jobs * np_rng.uniform(0.5, 1.5, metropolis.jobs.shape))
     net = Network(metropolis.n_cells)
     for _ in range(rng.randint(1, n)):
         a, b = rng.choice(candidate_pairs(net, metropolis))
-        net.add_link(a, b, metropolis.distance_km[a, b] / metropolis.config.v_link)
+        net = net.with_link(a, b, metropolis.distance_km[a, b] / metropolis.config.v_link)
     return metropolis, net
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -85,8 +86,8 @@ def test_neutral_proximity_gives_unit_form():
 
 def test_single_category_repulsion():
     metropolis = make_metropolis()
-    metropolis.workers = np.zeros((metropolis.n_cells, 1))
-    metropolis.jobs = np.zeros((metropolis.n_cells, 1))
+    metropolis = replace(metropolis, workers=np.zeros((metropolis.n_cells, 1)),
+                         jobs=np.zeros((metropolis.n_cells, 1)))
     metropolis.workers[5, 0] = 9.0
     worker_form, _ = urban_form(metropolis, np.array([[-1.0]]), np.array([[0.0]]))
     assert worker_form[5, 0] == pytest.approx(0.1, rel=1e-12)  # (1 + 9) ** -1
@@ -211,6 +212,17 @@ def test_zero_fraction_is_identity():
     moved = relocate(metropolis, scores, mu=1.0, relocation_fraction=0.0)
     assert np.array_equal(moved.workers, metropolis.workers)
     assert np.array_equal(moved.jobs, metropolis.jobs)
+
+
+def test_relocate_returns_a_new_metropolis():
+    metropolis = make_metropolis()
+    workers, jobs = metropolis.workers.copy(), metropolis.jobs.copy()
+    scores = cell_scores(metropolis, afc_times(metropolis))
+    moved = relocate(metropolis, scores, mu=1.0, relocation_fraction=0.5)
+    assert not np.array_equal(moved.workers, workers)
+    assert np.array_equal(metropolis.workers, workers)
+    assert np.array_equal(metropolis.jobs, jobs)
+    assert moved.distance_km is metropolis.distance_km
 
 
 def test_relocation_moves_mass_toward_higher_utility():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -141,7 +142,7 @@ def test_fast_link_on_segment_dominates():
     net = Network(metropolis.n_cells)
     # Cells 0 and 4 share a row; the link runs straight along the segment.
     length = 4.0 * metropolis.config.cell_size_km
-    net.add_link(0, 4, length / 75.0)
+    net = net.with_link(0, 4, length / 75.0)
     d = shortest_times(net, metropolis)
     assert d[0, 4] == pytest.approx(length / 75.0, rel=1e-12)
 
@@ -149,7 +150,7 @@ def test_fast_link_on_segment_dominates():
 def test_slow_link_is_ignored():
     metropolis = make_metropolis()
     net = Network(metropolis.n_cells)
-    net.add_link(0, 1, 1.0 / 5.0)  # slower than local roads
+    net = net.with_link(0, 1, 1.0 / 5.0)  # slower than local roads
     d = shortest_times(net, metropolis)
     assert d[0, 1] == pytest.approx(1.0 / metropolis.config.v_local, rel=1e-12)
 
@@ -176,7 +177,8 @@ def test_shortest_times_match_floyd_warshall_on_random_networks():
             if net.has_link(a, b):
                 continue
             length = float(np.hypot(*(pts[a] - pts[b])))
-            li = net.add_link(a, b, length / rng.uniform(10.0, 120.0))
+            net = net.with_link(a, b, length / rng.uniform(10.0, 120.0))
+            li = len(net) - 1
             net.congested_time[li] = net.free_flow_time[li] * rng.uniform(1.0, 2.5)
             pairs.append((a, b))
             times.append(net.congested_time[li])
@@ -201,21 +203,27 @@ def test_adding_link_never_increases_free_flow_times():
     metropolis = make_metropolis()
     net = build_network(metropolis, ((0, 6), (6, 12)))
     before = shortest_times(net, metropolis, free_flow=True)
-    bigger = net.copy()
-    bigger.add_link(12, 18, 1.5 / 75.0)
+    bigger = net.with_link(12, 18, 1.5 / 75.0)
     after = shortest_times(bigger, metropolis, free_flow=True)
     assert (after <= before + 1e-15).all()
 
 
-def test_network_rejects_duplicates_and_self_loops():
+def test_network_is_a_value():
     net = Network(9)
-    net.add_link(0, 1, 1.0 / 60.0)
+    bigger = net.with_link(0, 1, 1.0 / 60.0)
+    assert len(net) == 0 and len(bigger) == 1
+    with pytest.raises(FrozenInstanceError):
+        bigger.flow = np.ones(1)
+
+
+def test_network_rejects_duplicates_and_self_loops():
+    net = Network(9).with_link(0, 1, 1.0 / 60.0)
     with pytest.raises(ValueError):
-        net.add_link(1, 0, 1.0 / 60.0)
+        net.with_link(1, 0, 1.0 / 60.0)
     with pytest.raises(ValueError):
-        net.add_link(2, 2, 1.0 / 60.0)
+        net.with_link(2, 2, 1.0 / 60.0)
     with pytest.raises(ValueError):
-        net.add_link(3, 4, 0.0)
+        net.with_link(3, 4, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +240,9 @@ def category_furness(metropolis, d, cat):
 def test_distribute_sums_the_category_balancings_in_order():
     metropolis = make_metropolis()
     rng = np.random.default_rng(9)
-    metropolis.workers *= rng.uniform(0.5, 1.5, size=metropolis.workers.shape)
-    metropolis.jobs *= rng.uniform(0.5, 1.5, size=metropolis.jobs.shape)
+    workers = metropolis.workers * rng.uniform(0.5, 1.5, size=metropolis.workers.shape)
+    metropolis = replace(metropolis, workers=workers,
+                         jobs=metropolis.jobs * rng.uniform(0.5, 1.5, size=metropolis.jobs.shape))
     d = shortest_times(Network(metropolis.n_cells), metropolis)
     od = distribute(metropolis, d)
     expected = np.zeros((metropolis.n_cells, metropolis.n_cells))
@@ -373,8 +382,12 @@ def test_assignment_leaves_input_network_untouched():
     net = build_network(metropolis, ((0, 12),))
     od = np.zeros((metropolis.n_cells, metropolis.n_cells))
     od[0, 12] = 50.0
-    assign_traffic(od, net, metropolis, iterations=2)
-    assert net.flow[0] == 0.0
+    names = ("a", "b", "free_flow_time", "flow", "congested_time")
+    before = {name: getattr(net, name).copy() for name in names}
+    loaded, _ = assign_traffic(od, net, metropolis, iterations=2)
+    assert loaded.flow[0] > 0.0
+    for name in names:
+        assert np.array_equal(getattr(net, name), before[name]), name
 
 
 def test_parallel_routes_balance_after_even_iterations():
@@ -402,7 +415,7 @@ def test_single_link_congests_or_migrates_to_local_roads():
     cfg = metropolis.config
     net = Network(metropolis.n_cells)
     length = 3.0 * cfg.cell_size_km
-    net.add_link(0, 3, length / 75.0)
+    net = net.with_link(0, 3, length / 75.0)
     n = metropolis.n_cells
     od = np.zeros((n, n))
     od[0, 3] = 2.0 * capacity
@@ -430,7 +443,7 @@ def test_loads_match_path_walk_oracle():
             if net.has_link(a, b):
                 continue
             length = float(np.hypot(*(pts[a] - pts[b])))
-            net.add_link(a, b, length / rng.uniform(50.0, 110.0))
+            net = net.with_link(a, b, length / rng.uniform(50.0, 110.0))
         od = np.zeros((n, n))
         for _ in range(12):
             i, j = rng.sample(range(n), 2)

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -116,6 +116,12 @@ def test_mayor_weights_sum_jobs_per_territory(two_city):
     for i in range(2):
         expected = metropolis.jobs[metropolis.territory == i].sum()
         assert weights[i] == pytest.approx(expected, rel=1e-12)
+
+
+def test_metropolis_is_frozen(two_city):
+    metropolis = init_metropolis(two_city, 1000.0, 1000.0)
+    with pytest.raises(FrozenInstanceError):
+        metropolis.workers = metropolis.workers * 2.0
 
 
 def test_mayor_weights_track_job_moves(two_city):
