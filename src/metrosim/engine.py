@@ -1,14 +1,16 @@
 """Simulation orchestration: the seeded step loop and replication statistics.
 
-A step runs transport, land use, then governance, in that order, and appends
-one indicator row. The only random draws of a run happen in stakeholder
-selection, so runs with xi = 0 are fully deterministic across seeds.
+A state is a frozen value with no random stream: `step(state, rng)` runs
+transport, land use, then governance, in that order, and returns a new state
+with one more indicator row. Only `run` holds the seeded rng, whose only draws
+happen in stakeholder selection, so runs with xi = 0 are fully deterministic
+across seeds.
 """
 from __future__ import annotations
 
 import logging
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +23,7 @@ from .world import Metropolis, init_metropolis, mayor_weights, natural_totals
 log = logging.getLogger(__name__)
 
 
-@dataclass
+@dataclass(frozen=True)
 class IndicatorRow:
     """One history record: metropolis-level indicators after a step."""
 
@@ -32,19 +34,16 @@ class IndicatorRow:
     mayor_objectives: tuple[float, ...]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SimState:
-    """Everything a run carries between steps, plus its full history."""
+    """The world after some steps and its full history; `step` returns a new one."""
 
-    config: ScenarioConfig
     metropolis: Metropolis
     network: Network
     travel_times: np.ndarray
-    rng: random.Random
-    step_index: int = 0
-    history: list[IndicatorRow] = field(default_factory=list)
-    decisions: list[DecisionRecord] = field(default_factory=list)
-    density_history: list[np.ndarray] = field(default_factory=list)
+    history: tuple[IndicatorRow, ...]
+    decisions: tuple[DecisionRecord, ...]
+    density_history: tuple[np.ndarray, ...]
 
 
 def _indicators(metropolis: Metropolis, d: np.ndarray, flows: np.ndarray, link_count: int, step: int) -> IndicatorRow:
@@ -61,7 +60,7 @@ def _indicators(metropolis: Metropolis, d: np.ndarray, flows: np.ndarray, link_c
     )
 
 
-def initial_state(config: ScenarioConfig, seed: int) -> SimState:
+def initial_state(config: ScenarioConfig) -> SimState:
     """World at step 0: initial densities, the pre-seeded network, free-flow times."""
     workers, jobs = natural_totals(config)
     metropolis = init_metropolis(config, workers, jobs)
@@ -74,29 +73,27 @@ def initial_state(config: ScenarioConfig, seed: int) -> SimState:
     network = build_network(metropolis, config.initial_links)
     d = shortest_times(network, metropolis, free_flow=True)
     od = distribute(metropolis, d)
-    state = SimState(
-        config=config,
+    return SimState(
         metropolis=metropolis,
         network=network,
         travel_times=d,
-        rng=random.Random(seed),
+        history=(_indicators(metropolis, d, od.flows, len(network), 0),),
+        decisions=(),
+        density_history=(metropolis.workers.sum(axis=1),),
     )
-    state.history.append(_indicators(metropolis, d, od.flows, len(network), 0))
-    state.density_history.append(metropolis.workers.sum(axis=1))
-    return state
 
 
-def step(state: SimState, *, swap_mayor_weights: bool = False) -> SimState:
+def step(state: SimState, rng: random.Random, *, swap_mayor_weights: bool = False) -> SimState:
     """Advance one time step: transport, land use, governance, indicators.
 
     Travel demand is distributed on the previous step's times, assignment
     produces this step's congested times, relocation (when enabled) applies
-    them, and the drawn stakeholder then builds its argmax link. Indicators
+    them, and the stakeholder drawn from rng builds its argmax link. Indicators
     are measured on the post-assignment times; the freshly built link carries
-    traffic from the next step on.
+    traffic from the next step on. The input state is never altered.
     """
-    cfg = state.config
     metropolis = state.metropolis
+    cfg = metropolis.config
 
     od = distribute(metropolis, state.travel_times)
     network, d = assign_traffic(od.flows, state.network, metropolis, cfg.assignment_iterations)
@@ -108,17 +105,18 @@ def step(state: SimState, *, swap_mayor_weights: bool = False) -> SimState:
     weights = mayor_weights(metropolis)
     if swap_mayor_weights:
         weights = weights[::-1]
-    stakeholder, draws = select_stakeholder(cfg.xi, weights, state.rng)
-    network, record = decide_and_build(metropolis, network, stakeholder, step=state.step_index + 1, draws=draws)
+    stakeholder, _ = select_stakeholder(cfg.xi, weights, rng)
+    k = len(state.decisions) + 1
+    network, record = decide_and_build(metropolis, network, stakeholder, travel_times=d, step=k)
 
-    state.metropolis = metropolis
-    state.network = network
-    state.travel_times = d
-    state.step_index += 1
-    state.decisions.append(record)
-    state.history.append(_indicators(metropolis, d, od.flows, len(network), state.step_index))
-    state.density_history.append(metropolis.workers.sum(axis=1))
-    return state
+    return SimState(
+        metropolis=metropolis,
+        network=network,
+        travel_times=d,
+        history=state.history + (_indicators(metropolis, d, od.flows, len(network), k),),
+        decisions=state.decisions + (record,),
+        density_history=state.density_history + (metropolis.workers.sum(axis=1),),
+    )
 
 
 def run(config: ScenarioConfig, seed: int, *, swap_mayor_weights: bool = False) -> SimState:
@@ -129,9 +127,10 @@ def run(config: ScenarioConfig, seed: int, *, swap_mayor_weights: bool = False) 
     otherwise minor mayor without touching the land use; it exists for
     governance-regime experiments.
     """
-    state = initial_state(config, seed)
+    rng = random.Random(seed)
+    state = initial_state(config)
     for _ in range(config.steps):
-        step(state, swap_mayor_weights=swap_mayor_weights)
+        state = step(state, rng, swap_mayor_weights=swap_mayor_weights)
     return state
 
 

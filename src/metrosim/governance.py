@@ -48,7 +48,7 @@ class Stakeholder:
         return METROPOLITAN if self.kind == "governor" else LOCAL
 
 
-@dataclass
+@dataclass(frozen=True)
 class DecisionRecord:
     """One governance step: who decided, what was evaluated, what was built.
 
@@ -66,7 +66,6 @@ class DecisionRecord:
     chosen: tuple[int, int] | None
     objective_before: float
     objective_after: float
-    draws: tuple[float, ...]
     evaluations: list[tuple[int, int, float]]
 
 
@@ -247,8 +246,8 @@ def decide_and_build(
     network: Network,
     stakeholder: Stakeholder,
     *,
+    travel_times: np.ndarray,
     step: int = 0,
-    draws: tuple[float, ...] = (),
 ) -> tuple[Network, DecisionRecord]:
     """Score the candidates for the stakeholder and build the best one.
 
@@ -259,11 +258,11 @@ def decide_and_build(
     times and accessibility is monotone in them. Every candidate whose
     free-flow value can still reach the best score is scored exactly: under
     free-flow evaluation on the one-link relaxation of the base all-pairs
-    times, under congested evaluation by assigning the current demand,
-    re-distributed once, onto the network plus that link. Under heavy
-    congestion the bound prunes little. The first maximum in enumeration
-    order (the smallest (a, b) pair) is built. An empty candidate set
-    records a no-build.
+    times, under congested evaluation by assigning the demand distributed
+    once on travel_times (the step's times on `network` as assigned) onto
+    the network plus that link. Under heavy congestion the bound prunes
+    little. The first maximum in enumeration order (the smallest (a, b)
+    pair) is built. An empty candidate set records a no-build.
 
     Returns a new network with the chosen link appended, or the input
     network itself when nothing is built, and the decision record. The
@@ -276,7 +275,7 @@ def decide_and_build(
     before_ff = _territory_accessibility(metropolis, d_ff, cells)
 
     if cfg.congestion_in_evaluation:
-        od = distribute(metropolis, shortest_times(network, metropolis)).flows
+        od = distribute(metropolis, travel_times).flows
         _, d_base = assign_traffic(od, network, metropolis, cfg.assignment_iterations)
         before = _territory_accessibility(metropolis, d_base, cells)
 
@@ -305,7 +304,7 @@ def decide_and_build(
         step=step, level=stakeholder.level, mayor=stakeholder.mayor,
         n_candidates=len(a), chosen=chosen,
         objective_before=before, objective_after=before if best is None else scores[best],
-        draws=draws, evaluations=[(int(a[k]), int(b[k]), scores[k]) for k in ordered],
+        evaluations=[(int(a[k]), int(b[k]), scores[k]) for k in ordered],
     )
     if chosen is None:
         log.info("step %d: network saturated, no candidate links", step)

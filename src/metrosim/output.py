@@ -23,7 +23,7 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def write_history_csv(path: str | Path, history: list[IndicatorRow], n_mayors: int) -> None:
+def write_history_csv(path: str | Path, history: tuple[IndicatorRow, ...], n_mayors: int) -> None:
     header = ["step", "total_accessibility", "total_travel_time", "link_count"]
     header += [f"mayor_{i}_objective" for i in range(n_mayors)]
     with open(path, "w", newline="", encoding="utf-8") as f:
@@ -35,7 +35,7 @@ def write_history_csv(path: str | Path, history: list[IndicatorRow], n_mayors: i
             writer.writerow(record)
 
 
-def write_decisions_csv(path: str | Path, decisions: list[DecisionRecord]) -> None:
+def write_decisions_csv(path: str | Path, decisions: tuple[DecisionRecord, ...]) -> None:
     header = ["step", "level", "mayor_id", "chosen_a", "chosen_b", "obj_before", "obj_after", "n_candidates"]
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f, lineterminator="\n")
@@ -54,11 +54,11 @@ def write_final_state_json(path: str | Path, state: SimState) -> None:
     Each link record spells out its length (the cell-centre distance), speed
     and capacity, which the metropolis and the config hold once for all links.
     """
-    net = state.network
-    v_link, capacity = float(state.config.v_link), float(state.config.capacity)
+    net, cfg = state.network, state.metropolis.config
+    v_link, capacity = float(cfg.v_link), float(cfg.capacity)
     doc = {
-        "config": config_to_dict(state.config),
-        "step": state.step_index,
+        "config": config_to_dict(cfg),
+        "step": len(state.decisions),
         "workers": state.metropolis.workers.tolist(),
         "jobs": state.metropolis.jobs.tolist(),
         "territory": state.metropolis.territory.tolist(),

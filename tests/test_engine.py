@@ -1,7 +1,8 @@
 from __future__ import annotations
 
 import logging
-from dataclasses import replace
+import random
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -36,11 +37,12 @@ def test_link_count_increments_each_step():
 
 def test_frozen_landuse_keeps_metropolis_bit_identical():
     cfg = two_city_config(steps=3, landuse_enabled=False)
-    state = initial_state(cfg, seed=1)
+    state = initial_state(cfg)
     workers_before = state.metropolis.workers.copy()
     jobs_before = state.metropolis.jobs.copy()
+    rng = random.Random(1)
     for _ in range(3):
-        step(state)
+        state = step(state, rng)
     assert np.array_equal(state.metropolis.workers, workers_before)
     assert np.array_equal(state.metropolis.jobs, jobs_before)
 
@@ -48,13 +50,13 @@ def test_frozen_landuse_keeps_metropolis_bit_identical():
 def test_landuse_enabled_moves_mass():
     cfg = two_city_config(steps=2, landuse_enabled=True)
     state = run(cfg, seed=1)
-    fresh = initial_state(cfg, seed=1)
+    fresh = initial_state(cfg)
     assert not np.array_equal(state.metropolis.workers, fresh.metropolis.workers)
 
 
 def test_conservation_over_full_run():
     cfg = two_city_config(steps=6, landuse_enabled=True)
-    state = initial_state(cfg, seed=2)
+    state = initial_state(cfg)
     workers0 = state.metropolis.workers.sum(axis=0)
     jobs0 = state.metropolis.jobs.sum(axis=0)
     final = run(cfg, seed=2)
@@ -95,8 +97,41 @@ def test_governance_draws_are_recorded():
     state = run(cfg, seed=6)
     for record in state.decisions:
         assert record.level == "local"
-        assert len(record.draws) == 2
-        assert all(0.0 <= d < 1.0 for d in record.draws)
+
+
+def test_state_is_a_value():
+    cfg = two_city_config(steps=1, landuse_enabled=True)
+    state = initial_state(cfg)
+    history, decisions, metropolis = state.history, state.decisions, state.metropolis
+    workers = metropolis.workers.copy()
+    after = step(state, random.Random(0))
+    assert state.history is history and state.decisions is decisions and state.metropolis is metropolis
+    assert len(state.history) == 1 and state.decisions == ()
+    assert np.array_equal(state.metropolis.workers, workers)
+    assert len(after.history) == 2 and len(after.decisions) == 1
+    assert not np.array_equal(after.metropolis.workers, workers)
+    with pytest.raises(FrozenInstanceError):
+        after.history = ()
+
+
+class _StubRng:
+    """Hands out fixed uniform draws in order."""
+
+    def __init__(self, *draws: float) -> None:
+        self._draws = iter(draws)
+
+    def random(self) -> float:
+        return next(self._draws)
+
+
+def test_step_depends_on_the_decider_not_the_draw():
+    # Both level draws are >= xi, so both steps are the governor's.
+    state = initial_state(two_city_config(steps=1, xi=0.5, landuse_enabled=True))
+    a = step(state, _StubRng(0.6))
+    b = step(state, _StubRng(0.9))
+    assert a.decisions[0].level == "metropolitan"
+    assert a.history == b.history
+    assert a.decisions == b.decisions
 
 
 def test_indicator_accessibility_recomputable_from_state():
