@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from . import engine, output
 from .config import ConfigError, ScenarioConfig, load_config
@@ -146,8 +145,22 @@ def spearman_trend(xis: list[float], means: list[float]) -> float:
     scale = max(abs(m) for m in means)
     if scale > 0 and (max(means) - min(means)) / scale < 1e-6:
         return 0.0
-    rho = scipy_stats.spearmanr(xis, means)[0]
-    return float(rho)
+    ranked = np.column_stack((_average_ranks(xis), _average_ranks(means)))
+    # The (n, 2) layout is the one scipy.stats.spearmanr correlates, so the
+    # result agrees with it to the last bit; corrcoef(rx, ry) does not.
+    return float(np.corrcoef(ranked, rowvar=False)[1, 0])
+
+
+def _average_ranks(values: list[float]) -> np.ndarray:
+    """1-based ranks; tied values share the mean of the ranks they span."""
+    v = np.asarray(values, dtype=float)
+    order = np.argsort(v, kind="mergesort")
+    sorted_v = v[order]
+    starts = np.flatnonzero(np.r_[True, sorted_v[1:] != sorted_v[:-1]])
+    ends = np.r_[starts[1:], len(v)]
+    ranks = np.empty(len(v))
+    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
+    return ranks
 
 
 def cmd_sweep(spec: SweepSpec) -> int:

@@ -36,7 +36,10 @@ class IndicatorRow:
 
 @dataclass(frozen=True, eq=False)
 class SimState:
-    """The world after some steps and its full history; `step` returns a new one."""
+    """The world after some steps and its full history; `step` returns a new one.
+
+    `travel_times` is made read-only when the state is built.
+    """
 
     metropolis: Metropolis
     network: Network
@@ -44,6 +47,9 @@ class SimState:
     history: tuple[IndicatorRow, ...]
     decisions: tuple[DecisionRecord, ...]
     density_history: tuple[np.ndarray, ...]
+
+    def __post_init__(self) -> None:
+        self.travel_times.flags.writeable = False
 
 
 def _indicators(metropolis: Metropolis, d: np.ndarray, flows: np.ndarray, link_count: int, step: int) -> IndicatorRow:

@@ -66,7 +66,7 @@ class DecisionRecord:
     chosen: tuple[int, int] | None
     objective_before: float
     objective_after: float
-    evaluations: list[tuple[int, int, float]]
+    evaluations: tuple[tuple[int, int, float], ...]
 
 
 def select_stakeholder(xi: float, weights: np.ndarray, rng: random.Random) -> tuple[Stakeholder, tuple[float, ...]]:
@@ -304,7 +304,7 @@ def decide_and_build(
         step=step, level=stakeholder.level, mayor=stakeholder.mayor,
         n_candidates=len(a), chosen=chosen,
         objective_before=before, objective_after=before if best is None else scores[best],
-        evaluations=[(int(a[k]), int(b[k]), scores[k]) for k in ordered],
+        evaluations=tuple((int(a[k]), int(b[k]), scores[k]) for k in ordered),
     )
     if chosen is None:
         log.info("step %d: network saturated, no candidate links", step)

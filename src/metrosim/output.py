@@ -48,31 +48,45 @@ def write_decisions_csv(path: str | Path, decisions: tuple[DecisionRecord, ...])
                              _fmt(rec.objective_before), _fmt(rec.objective_after), rec.n_candidates])
 
 
+def _json_matrix(m: np.ndarray) -> str:
+    """json.dumps(m.tolist()) of a 2-D float array, formatting each distinct value once.
+
+    Values are told apart by bit pattern, so -0.0 and 0.0 each keep their text.
+    """
+    bits, inverse = np.unique(m.ravel().view(np.int64), return_inverse=True)
+    texts = np.array([json.dumps(x) for x in bits.view(np.float64).tolist()], dtype=object)
+    rows = texts[inverse].reshape(m.shape)
+    return "[" + ", ".join("[" + ", ".join(row) + "]" for row in rows.tolist()) + "]"
+
+
 def write_final_state_json(path: str | Path, state: SimState) -> None:
     """Full dump for offline verification: land use, network, times, densities.
 
     Each link record spells out its length (the cell-centre distance), speed
     and capacity, which the metropolis and the config hold once for all links.
+    The text is what json.dumps writes for the whole document; the (N, N)
+    travel times, mostly repeated grid values, are formatted by _json_matrix.
     """
     net, cfg = state.network, state.metropolis.config
     v_link, capacity = float(cfg.v_link), float(cfg.capacity)
-    doc = {
-        "config": config_to_dict(cfg),
-        "step": len(state.decisions),
-        "workers": state.metropolis.workers.tolist(),
-        "jobs": state.metropolis.jobs.tolist(),
-        "territory": state.metropolis.territory.tolist(),
-        "links": [
+    fields = {
+        "config": json.dumps(config_to_dict(cfg)),
+        "step": json.dumps(len(state.decisions)),
+        "workers": json.dumps(state.metropolis.workers.tolist()),
+        "jobs": json.dumps(state.metropolis.jobs.tolist()),
+        "territory": json.dumps(state.metropolis.territory.tolist()),
+        "links": json.dumps([
             {"from": a, "to": b, "length_km": length, "v_link": v_link, "capacity": capacity,
              "flow": flow, "congested_time": time}
             for a, b, length, flow, time in zip(
                 net.a.tolist(), net.b.tolist(), state.metropolis.distance_km[net.a, net.b].tolist(),
                 net.flow.tolist(), net.congested_time.tolist())
-        ],
-        "travel_times": state.travel_times.tolist(),
-        "worker_density_history": [dens.tolist() for dens in state.density_history],
+        ]),
+        "travel_times": _json_matrix(state.travel_times),
+        "worker_density_history": json.dumps([dens.tolist() for dens in state.density_history]),
     }
-    Path(path).write_text(json.dumps(doc) + "\n", encoding="utf-8")
+    text = "{" + ", ".join(f"{json.dumps(key)}: {value}" for key, value in fields.items()) + "}"
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def write_replicate_summary_csv(path: str | Path, stats: ReplicationStats) -> None:

@@ -13,7 +13,9 @@ import pytest
 import metrosim
 from metrosim.cli import cmd_run, main, spearman_trend, sweep_configurations
 from metrosim.config import config_to_dict, two_city_config
+from metrosim.engine import run
 from metrosim.landuse import accessibility
+from metrosim.output import _json_matrix, write_final_state_json
 from metrosim.world import Metropolis
 
 
@@ -312,6 +314,66 @@ def test_spearman_trend_signs():
     assert spearman_trend([0.0, 0.25, 0.5, 0.75, 1.0], [5.0, 4.0, 3.0, 2.0, 1.0]) == pytest.approx(-1.0)
     assert spearman_trend([0.0, 0.5, 1.0], [1.0, 1.0, 1.0]) == 0.0
     assert spearman_trend([0.0, 0.5, 1.0], [1.0, 3.0, 2.0]) == pytest.approx(0.5)
+
+
+def test_spearman_trend_matches_scipy():
+    from scipy import stats
+
+    rng = np.random.default_rng(0)
+    compared = 0
+    for _ in range(12_000):
+        n = int(rng.integers(2, 13))
+        # Small integers tie often; continuous values almost never do.
+        x, y = ([float(v) for v in (rng.integers(0, 4, n) if rng.random() < 0.5 else rng.normal(size=n))]
+                for _ in range(2))
+        if len(set(x)) < 2 or len(set(y)) < 2:
+            continue  # flat profiles return 0.0, where spearmanr has no value
+        assert spearman_trend(x, y) == float(stats.spearmanr(x, y)[0]), (x, y)
+        compared += 1
+    assert compared >= 10_000
+
+
+def test_cli_imports_without_scipy():
+    env = {**os.environ, "PYTHONPATH": str(Path(metrosim.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", "import sys, metrosim.cli; print('scipy' in sys.modules)"],
+                          capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "False"
+
+
+def test_json_matrix_matches_json_dumps():
+    m = np.array([
+        [0.0, -0.0, 5e-324, np.inf],
+        [-np.inf, np.nan, 1.5, 1.5],
+        [0.1, 0.1, -0.0, 0.0],
+    ])
+    assert _json_matrix(m) == json.dumps(m.tolist())
+
+
+def test_final_state_json_matches_json_dumps_of_the_document(tmp_path):
+    cfg = two_city_config(grid_rows=20, grid_cols=20, minor_position=(16, 16), dominant_position=(2, 2),
+                          landuse_enabled=True, xi=0.0, steps=2)
+    state = run(cfg, 0)
+    path = tmp_path / "final_state.json"
+    write_final_state_json(path, state)
+
+    net, metropolis = state.network, state.metropolis
+    doc = {
+        "config": config_to_dict(cfg),
+        "step": len(state.decisions),
+        "workers": metropolis.workers.tolist(),
+        "jobs": metropolis.jobs.tolist(),
+        "territory": metropolis.territory.tolist(),
+        "links": [
+            {"from": a, "to": b, "length_km": length, "v_link": float(cfg.v_link), "capacity": float(cfg.capacity),
+             "flow": flow, "congested_time": time}
+            for a, b, length, flow, time in zip(
+                net.a.tolist(), net.b.tolist(), metropolis.distance_km[net.a, net.b].tolist(),
+                net.flow.tolist(), net.congested_time.tolist())
+        ],
+        "travel_times": state.travel_times.tolist(),
+        "worker_density_history": [dens.tolist() for dens in state.density_history],
+    }
+    assert path.read_text(encoding="utf-8") == json.dumps(doc) + "\n"
 
 
 def test_svgs_are_valid_xml(tmp_path):

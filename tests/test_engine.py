@@ -114,6 +114,14 @@ def test_state_is_a_value():
         after.history = ()
 
 
+def test_state_records_cannot_be_changed_in_place():
+    state = run(two_city_config(steps=1), 0)
+    with pytest.raises(AttributeError):
+        state.decisions[0].evaluations.append((0, 1, 0.0))
+    with pytest.raises(ValueError):
+        state.travel_times[0, 0] = 0.0
+
+
 class _StubRng:
     """Hands out fixed uniform draws in order."""
 

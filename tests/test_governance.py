@@ -415,7 +415,7 @@ def test_no_candidates_records_no_build():
                                          travel_times=shortest_times(net, metropolis))
         assert record.chosen is None
         assert record.n_candidates == 0
-        assert record.evaluations == []
+        assert record.evaluations == ()
         assert record.objective_after == record.objective_before
         assert len(built) == len(net)
 
