@@ -88,11 +88,11 @@ def sweep_configurations(base: ScenarioConfig) -> dict[str, ScenarioConfig]:
 
 
 def _apply_overrides(config: ScenarioConfig, args: argparse.Namespace) -> ScenarioConfig:
-    if getattr(args, "steps", None) is not None:
+    if args.steps is not None:
         config = replace(config, steps=args.steps)
-    if getattr(args, "disable_landuse", False):
+    if args.disable_landuse:
         config = replace(config, landuse_enabled=False)
-    if getattr(args, "congested_eval", False):
+    if args.congested_eval:
         config = replace(config, congestion_in_evaluation=True)
     return config
 

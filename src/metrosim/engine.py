@@ -145,7 +145,6 @@ class ReplicationStats:
     """Cross-replication statistics of the final-step indicator pair."""
 
     n: int
-    seeds: tuple[int, ...]
     finals: np.ndarray        # (n, 2): total accessibility, total travel time
     mean: np.ndarray          # (2,)
     covariance: np.ndarray    # (2, 2)
@@ -153,7 +152,7 @@ class ReplicationStats:
     angle_rad: float          # orientation of the major axis
 
 
-def summarize_finals(finals: np.ndarray, seeds: tuple[int, ...]) -> ReplicationStats:
+def summarize_finals(finals: np.ndarray) -> ReplicationStats:
     """Mean, covariance and 1-sigma variation ellipse of (accessibility, time) pairs."""
     finals = np.asarray(finals, dtype=float)
     n = finals.shape[0]
@@ -168,7 +167,6 @@ def summarize_finals(finals: np.ndarray, seeds: tuple[int, ...]) -> ReplicationS
     major = eigvecs[:, order[0]]
     return ReplicationStats(
         n=n,
-        seeds=seeds,
         finals=finals,
         mean=mean,
         covariance=covariance,
@@ -181,10 +179,9 @@ def replicate(config: ScenarioConfig, n: int, base_seed: int, *, swap_mayor_weig
     """Run seeds base_seed .. base_seed + n - 1 and aggregate their final indicators."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    seeds = tuple(range(base_seed, base_seed + n))
     finals = np.empty((n, 2))
-    for i, seed in enumerate(seeds):
-        state = run(config, seed, swap_mayor_weights=swap_mayor_weights)
+    for i in range(n):
+        state = run(config, base_seed + i, swap_mayor_weights=swap_mayor_weights)
         last = state.history[-1]
         finals[i] = (last.total_accessibility, last.total_travel_time)
-    return summarize_finals(finals, seeds)
+    return summarize_finals(finals)

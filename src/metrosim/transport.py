@@ -15,6 +15,12 @@ stops can only be link endpoints. Shortest times are therefore computed
 exactly by closing the small endpoint subgraph and joining AFC access legs.
 The AFC times are the metropolis's fixed cell-centre distances over the
 local-road speed.
+
+Both callers share only the endpoint graph (_terminal_graph). shortest_times
+closes it with plain min-plus reductions and keeps times only; the
+all-or-nothing loader inside assign_traffic closes it again with successor
+tracking and keeps each route's entry and exit terminals, which it needs to
+walk paths, and no times matrix.
 """
 from __future__ import annotations
 
@@ -110,35 +116,16 @@ def intra_cell_time(metropolis: Metropolis) -> float:
     return (cfg.cell_size_km / 2.0) / cfg.v_local
 
 
-@dataclass
-class _Closure:
-    """All-pairs shortest times plus the routing info needed to load flows."""
+def _terminal_graph(afc: np.ndarray, network: Network, link_times: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The link-endpoint graph: sorted terminals, edge times and the link riding each edge.
 
-    d: np.ndarray                      # (N, N) min(AFC, network), zero diagonal
-    network_better: np.ndarray         # (N, N) bool: network route strictly beats direct AFC
-    terminals: np.ndarray              # (t,) link endpoints, sorted
-    entry: np.ndarray                  # (N, N) entry terminal index for the network route
-    exit: np.ndarray                   # (N, N) exit terminal index
-    succ: np.ndarray                   # (t, t) next terminal on the endpoint-graph path
-    edge_link: np.ndarray              # (t, t) link index when a direct terminal hop rides the link, else -1
-
-
-def _close_network(afc: np.ndarray, network: Network, link_times: np.ndarray) -> _Closure | None:
-    """Exact shortest times over the AFC-complete graph plus regional links.
-
-    Returns None when there are no links (the AFC matrix is already the
-    answer). Works by all-pairs closure of the link-endpoint subgraph: AFC
-    legs satisfy the triangle inequality, so optimal routes only ever turn at
-    link endpoints.
+    Edge times start as a copy of the AFC times between terminals (fancy
+    indexing copies) and take a link's time where the link is faster. Links
+    are unique per endpoint pair, so each edge is written at most once;
+    edge_link holds that link's index, or -1 where the edge is the AFC leg.
     """
-    if not len(network):
-        return None
     terminals = np.array(network.endpoints())
     t = len(terminals)
-
-    # Edge weights of the endpoint graph, written into a copy of the AFC
-    # times (fancy indexing copies). Links are unique per endpoint pair, so
-    # each terminal-graph edge is written at most once.
     dist = afc[np.ix_(terminals, terminals)]
     edge_link = np.full((t, t), -1, dtype=int)
     ia = np.searchsorted(terminals, network.a)
@@ -147,39 +134,7 @@ def _close_network(afc: np.ndarray, network: Network, link_times: np.ndarray) ->
     ia, ib = ia[li], ib[li]
     dist[ia, ib] = dist[ib, ia] = link_times[li]
     edge_link[ia, ib] = edge_link[ib, ia] = li
-
-    # Floyd-Warshall with successor tracking on the small endpoint graph.
-    succ = np.tile(np.arange(t), (t, 1))
-    for k in range(t):
-        cand = dist[:, k : k + 1] + dist[k : k + 1, :]
-        better = cand < dist
-        if better.any():
-            dist = np.where(better, cand, dist)
-            succ = np.where(better, np.broadcast_to(succ[:, k : k + 1], succ.shape), succ)
-
-    # Join AFC access and egress legs: d_net[i, j] = min over terminals (a, b)
-    # of afc[i, a] + dist[a, b] + afc[b, j].
-    access = afc[:, terminals]                                   # (N, t)
-    via = access[:, :, None] + dist[None, :, :]                  # (N, t_a, t_b)
-    entry_for_exit = via.argmin(axis=1)                          # (N, t_b)
-    best_via = np.take_along_axis(via, entry_for_exit[:, None, :], axis=1)[:, 0, :]  # (N, t_b)
-    full = best_via[:, None, :] + access[None, :, :]             # (N, N, t_b)
-    exit_term = full.argmin(axis=2)                              # (N, N)
-    d_net = np.take_along_axis(full, exit_term[:, :, None], axis=2)[:, :, 0]
-    entry_term = np.take_along_axis(entry_for_exit, exit_term, axis=1)
-
-    network_better = d_net < afc
-    d = np.where(network_better, d_net, afc)
-    np.fill_diagonal(d, 0.0)
-    return _Closure(
-        d=d,
-        network_better=network_better,
-        terminals=terminals,
-        entry=entry_term,
-        exit=exit_term,
-        succ=succ,
-        edge_link=edge_link,
-    )
+    return terminals, dist, edge_link
 
 
 def shortest_times(network: Network, metropolis: Metropolis, *, free_flow: bool = False) -> np.ndarray:
@@ -187,13 +142,21 @@ def shortest_times(network: Network, metropolis: Metropolis, *, free_flow: bool 
 
     Link edges are taken at their congested times unless free_flow is set;
     access and egress to the link network ride local roads at v_local. The
-    diagonal carries the intra-cell time floor.
+    diagonal carries the intra-cell time floor. Times only: a min-plus
+    closure of the terminal graph joined with the AFC access and egress legs,
+    with no routing kept (the loader, _load_all_or_nothing, does its own).
     """
     afc = metropolis.distance_km / metropolis.config.v_local
-    times = network.free_flow_time if free_flow else network.congested_time
-    closure = _close_network(afc, network, times)
-    # Both are local, but returning a fresh copy measured ~4 MB lower peak RSS on a 20x20 run.
-    d = afc.copy() if closure is None else closure.d.copy()
+    d = afc
+    if len(network):
+        times = network.free_flow_time if free_flow else network.congested_time
+        terminals, dist, _ = _terminal_graph(afc, network, times)
+        for k in range(len(terminals)):
+            dist = np.minimum(dist, dist[:, k : k + 1] + dist[k : k + 1, :])
+        # d_net[i, j] = min over terminals (a, b) of afc[i, a] + dist[a, b] + afc[b, j].
+        access = afc[:, terminals]                                   # (N, t)
+        best_via = (access[:, :, None] + dist[None]).min(axis=1)     # (N, t_b)
+        d = np.minimum(d, (best_via[:, None, :] + access[None]).min(axis=2))
     np.fill_diagonal(d, intra_cell_time(metropolis))
     return d
 
@@ -313,28 +276,51 @@ def bpr_time(t0, flow, capacity, alpha: float, beta: float):
     return float(out) if out.ndim == 0 else out
 
 
-def _load_all_or_nothing(od: np.ndarray, closure: _Closure | None, n_links: int) -> np.ndarray:
+def _load_all_or_nothing(od: np.ndarray, afc: np.ndarray, network: Network) -> np.ndarray:
     """Route every OD flow on its current least-time path; return per-link loads.
 
-    Flows whose best route is the direct AFC leg stay off the network. Network
-    routes are grouped by their (entry, exit) terminal pair so each endpoint
-    path is walked once.
+    Closes the terminal graph at the congested link times, tracking each
+    endpoint path's successor, and joins the AFC access and egress legs,
+    keeping each route's entry and exit terminal. Flows whose best route is
+    the direct AFC leg stay off the network. Network routes are grouped by
+    their (entry, exit) terminal pair so each endpoint path is walked once.
     """
-    loads = np.zeros(n_links)
-    if closure is None:
+    loads = np.zeros(len(network))
+    if not len(network):
         return loads
-    mask = closure.network_better & (od > 0.0)
+    terminals, dist, edge_link = _terminal_graph(afc, network, network.congested_time)
+    t = len(terminals)
+
+    # Floyd-Warshall with successor tracking on the small endpoint graph.
+    succ = np.tile(np.arange(t), (t, 1))
+    for k in range(t):
+        cand = dist[:, k : k + 1] + dist[k : k + 1, :]
+        better = cand < dist
+        if better.any():
+            dist = np.where(better, cand, dist)
+            succ = np.where(better, np.broadcast_to(succ[:, k : k + 1], succ.shape), succ)
+
+    # The same join as shortest_times, keeping the entry and exit terminals.
+    access = afc[:, terminals]                                   # (N, t)
+    via = access[:, :, None] + dist[None, :, :]                  # (N, t_a, t_b)
+    entry_for_exit = via.argmin(axis=1)                          # (N, t_b)
+    best_via = np.take_along_axis(via, entry_for_exit[:, None, :], axis=1)[:, 0, :]  # (N, t_b)
+    full = best_via[:, None, :] + access[None, :, :]             # (N, N, t_b)
+    exit_term = full.argmin(axis=2)                              # (N, N)
+    d_net = np.take_along_axis(full, exit_term[:, :, None], axis=2)[:, :, 0]
+    entry_term = np.take_along_axis(entry_for_exit, exit_term, axis=1)
+
+    mask = (d_net < afc) & (od > 0.0)
     if not mask.any():
         return loads
-    t = len(closure.terminals)
     grouped = np.zeros((t, t))
-    np.add.at(grouped, (closure.entry[mask], closure.exit[mask]), od[mask])
+    np.add.at(grouped, (entry_term[mask], exit_term[mask]), od[mask])
     for ei, xi in zip(*np.nonzero(grouped)):
         flow = grouped[ei, xi]
         u = ei
         while u != xi:
-            v = closure.succ[u, xi]
-            li = closure.edge_link[u, v]
+            v = succ[u, xi]
+            li = edge_link[u, v]
             if li >= 0:
                 loads[li] += flow
             u = v
@@ -357,8 +343,7 @@ def assign_traffic(od: np.ndarray, network: Network, metropolis: Metropolis, ite
     net = network
     afc = metropolis.distance_km / cfg.v_local
     for k in range(1, iterations + 1):
-        closure = _close_network(afc, net, net.congested_time)
-        loads = _load_all_or_nothing(od, closure, len(net))
+        loads = _load_all_or_nothing(od, afc, net)
         w = 1.0 / k
         flow = (1.0 - w) * net.flow + w * loads
         net = replace(net, flow=flow,

@@ -59,6 +59,40 @@ def floyd_warshall_oracle(metropolis, links, times):
     return d
 
 
+def closure_times_oracle(metropolis, network, free_flow):
+    """Times of the unsplit closure that also routed: Floyd-Warshall with successors,
+    the argmin/take_along_axis join and np.where against the AFC times.
+    """
+    afc = metropolis.distance_km / metropolis.config.v_local
+    d = afc.copy()
+    if len(network):
+        link_times = network.free_flow_time if free_flow else network.congested_time
+        terminals = np.array(sorted(set(network.a.tolist()) | set(network.b.tolist())))
+        t = len(terminals)
+        dist = afc[np.ix_(terminals, terminals)]
+        ia = np.searchsorted(terminals, network.a)
+        ib = np.searchsorted(terminals, network.b)
+        li = np.nonzero(link_times < dist[ia, ib])[0]
+        dist[ia[li], ib[li]] = dist[ib[li], ia[li]] = link_times[li]
+        succ = np.tile(np.arange(t), (t, 1))
+        for k in range(t):
+            cand = dist[:, k : k + 1] + dist[k : k + 1, :]
+            better = cand < dist
+            if better.any():
+                dist = np.where(better, cand, dist)
+                succ = np.where(better, np.broadcast_to(succ[:, k : k + 1], succ.shape), succ)
+        access = afc[:, terminals]
+        via = access[:, :, None] + dist[None, :, :]
+        entry_for_exit = via.argmin(axis=1)
+        best_via = np.take_along_axis(via, entry_for_exit[:, None, :], axis=1)[:, 0, :]
+        full = best_via[:, None, :] + access[None, :, :]
+        exit_term = full.argmin(axis=2)
+        d_net = np.take_along_axis(full, exit_term[:, :, None], axis=2)[:, :, 0]
+        d = np.where(d_net < afc, d_net, afc)
+    np.fill_diagonal(d, intra_cell_time(metropolis))
+    return d
+
+
 def ipf_oracle(origins, destinations, d, lam, sweeps=5000, tol=1e-13):
     """Reference iterative proportional fitting by direct row/column scaling."""
     flows = np.outer(origins, destinations) * np.exp(-lam * d)
@@ -185,6 +219,25 @@ def test_shortest_times_match_floyd_warshall_on_random_networks():
         d = shortest_times(net, metropolis)
         oracle = floyd_warshall_oracle(metropolis, pairs, times)
         assert np.max(np.abs(d - oracle)) < 1e-9, f"trial {trial}"
+
+
+def test_shortest_times_equal_the_routing_closure_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    for rows, cols in ((3, 4), (5, 5), (8, 8)):
+        metropolis = make_metropolis(rows=rows, cols=cols)
+        n = metropolis.n_cells
+        for n_links in (0, 1, 3, 8, 15, 25, 40):
+            net = Network(n)
+            while len(net) < n_links:
+                a, b = (int(c) for c in rng.choice(n, size=2, replace=False))
+                if not net.has_link(a, b):
+                    speed = rng.uniform(10.0, 130.0)  # some links are slower than local roads
+                    net = net.with_link(a, b, metropolis.distance_km[a, b] / speed)
+            net = replace(net, congested_time=net.free_flow_time * rng.uniform(1.0, 3.0, len(net)))
+            for ff in (False, True):
+                oracle = closure_times_oracle(metropolis, net, ff)
+                assert np.array_equal(shortest_times(net, metropolis, free_flow=ff), oracle), \
+                    f"{rows}x{cols}, {n_links} links, free_flow={ff}"
 
 
 def test_triangle_consistency():
