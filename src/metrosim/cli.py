@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 invalid configuration (the message names the field),
 3 I/O failure. Sweep cells that crash are recorded as empty rows and make the
-command exit nonzero without aborting the rest of the grid.
+command exit nonzero without aborting the rest of the grid. A sweep runs each
+preset as one task whose xi x seed lanes share the engine's step memo.
 """
 from __future__ import annotations
 
@@ -119,18 +120,23 @@ def cmd_replicate(config: ScenarioConfig, n: int, base_seed: int, out_dir: Path)
     return 0
 
 
-def _sweep_cell(task: tuple[str, float, int, ScenarioConfig]) -> dict:
-    name, xi, seed, config = task
-    row = {"configuration": name, "xi": xi, "seed": seed,
-           "total_accessibility": None, "total_travel_time": None, "error": None}
-    try:
-        state = engine.run(replace(config, xi=xi), seed)
-        last = state.history[-1]
-        row["total_accessibility"] = last.total_accessibility
-        row["total_travel_time"] = last.total_travel_time
-    except Exception as exc:  # recorded per row, the sweep continues
-        row["error"] = f"{type(exc).__name__}: {exc}"
-    return row
+def _sweep_preset(name: str, xis: tuple[float, ...], seeds: list[int], config: ScenarioConfig) -> list[dict]:
+    """Rows of every xi x seed lane of one preset; the lanes share one engine memo."""
+    memo: dict = {}
+    rows = []
+    for xi in xis:
+        for seed in seeds:
+            row = {"configuration": name, "xi": xi, "seed": seed,
+                   "total_accessibility": None, "total_travel_time": None, "error": None}
+            try:
+                state = engine.run(replace(config, xi=xi), seed, memo=memo)
+                last = state.history[-1]
+                row["total_accessibility"] = last.total_accessibility
+                row["total_travel_time"] = last.total_travel_time
+            except Exception as exc:  # recorded per row, the sweep continues
+                row["error"] = f"{type(exc).__name__}: {exc}"
+            rows.append(row)
+    return rows
 
 
 def spearman_trend(xis: list[float], means: list[float]) -> float:
@@ -165,18 +171,16 @@ def _average_ranks(values: list[float]) -> np.ndarray:
 
 def cmd_sweep(spec: SweepSpec) -> int:
     spec.validate()
-    tasks = []
-    for name in sorted(spec.configurations):
-        config = spec.configurations[name]
-        for xi in spec.xi_values:
-            for i in range(spec.replications):
-                tasks.append((name, xi, spec.base_seed + i, config))
-    if spec.workers > 1:
+    seeds = [spec.base_seed + i for i in range(spec.replications)]
+    tasks = [(name, spec.xi_values, seeds, spec.configurations[name]) for name in sorted(spec.configurations)]
+    workers = min(spec.workers, len(tasks))
+    if workers > 1:
         # The pool starts all of its workers at the first submit.
-        with ProcessPoolExecutor(max_workers=min(spec.workers, len(tasks))) as pool:
-            rows = list(pool.map(_sweep_cell, tasks, chunksize=1))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            per_preset = list(pool.map(_sweep_preset, *zip(*tasks)))
     else:
-        rows = [_sweep_cell(t) for t in tasks]
+        per_preset = [_sweep_preset(*task) for task in tasks]
+    rows = [row for preset_rows in per_preset for row in preset_rows]
     rows.sort(key=lambda r: (r["configuration"], r["xi"], r["seed"]))
 
     spec.out_dir.mkdir(parents=True, exist_ok=True)
@@ -249,7 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--base-seed", type=int, default=0)
     p_sweep.add_argument("--configurations", default=None,
                          help="comma-separated subset of equal_near,equal_far,unequal_near,unequal_far")
-    p_sweep.add_argument("--workers", type=int, default=1, help="parallel sweep workers")
+    p_sweep.add_argument("--workers", type=int, default=1,
+                         help="parallel sweep workers; starts at most one process per preset")
     return parser
 
 

@@ -1,26 +1,46 @@
 """Simulation orchestration: the seeded step loop and replication statistics.
 
-A state is a frozen value with no random stream: `step(state, rng)` runs
-transport, land use, then governance, in that order, and returns a new state
-with one more indicator row. Only `run` holds the seeded rng, whose only draws
-happen in stakeholder selection, so runs with xi = 0 are fully deterministic
-across seeds.
+A state is a frozen value with no random stream. `step(state, rng)` runs two
+pure halves and returns a new state with one more indicator row: `advance`
+(transport, then land use) and `govern` (the drawn stakeholder builds its
+argmax link). Only `run` holds the seeded rng, whose only draws happen in
+stakeholder selection, so runs with xi = 0 are fully deterministic across
+seeds.
+
+xi and the seed enter only that draw, so the state after k steps depends on
+the scenario and the k stakeholders drawn so far, not on xi or the seed. `run`
+and `step` therefore take an optional memo (a dict) that the runs of one
+scenario share: `replicate` shares one over its seeds and a sweep one over a
+preset's xi x seed lanes. A step looks up its advanced half by the input
+state and its governed state by (input state, stakeholder), and computes each
+only on a miss. States compare by identity, so a hit returns the very value an
+earlier run computed and every output equals a memo-free run's bit for bit.
+The memo holds at most one (N, N) float64 travel-time matrix per distinct
+decider prefix until it is dropped. Warnings logged while a step is computed
+(a one-sided category, a Furness balance at max_iter) fire once per computed
+prefix, not once per run.
 """
 from __future__ import annotations
 
 import logging
 import random
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .config import ScenarioConfig
-from .governance import DecisionRecord, decide_and_build, select_stakeholder
+from .governance import DecisionRecord, Stakeholder, decide_and_build, select_stakeholder
 from .landuse import accessibility, cell_scores, relocate
 from .transport import Network, assign_traffic, build_network, distribute, shortest_times, total_travel_time
 from .world import Metropolis, init_metropolis, mayor_weights, natural_totals
 
 log = logging.getLogger(__name__)
+
+# Memo key of the step-0 state. A memo serves one scenario, so runs sharing
+# it differ at most in xi, the seed and swap_mayor_weights.
+_INITIAL = "initial_state"
 
 
 @dataclass(frozen=True)
@@ -52,6 +72,20 @@ class SimState:
         self.travel_times.flags.writeable = False
 
 
+class Advanced(NamedTuple):
+    """A step's decider-independent half: the world after transport and land use.
+
+    `network` carries this step's assigned flows and congested times and
+    `travel_times` its all-pairs times. `row` holds the step's indicators;
+    `govern` sets its link count after the build.
+    """
+
+    metropolis: Metropolis
+    network: Network
+    travel_times: np.ndarray
+    row: IndicatorRow
+
+
 def _indicators(metropolis: Metropolis, d: np.ndarray, flows: np.ndarray, link_count: int, step: int) -> IndicatorRow:
     _, _, total_access = accessibility(metropolis, d, metropolis.config.nu)
     per_mayor = tuple(
@@ -64,6 +98,20 @@ def _indicators(metropolis: Metropolis, d: np.ndarray, flows: np.ndarray, link_c
         link_count=link_count,
         mayor_objectives=per_mayor,
     )
+
+
+def _memoised(memo: dict | None, key: object, compute: Callable):
+    """memo[key], computed and stored on a miss; with no memo, compute() alone.
+
+    An entry is stored only once compute has returned, so a step that raises
+    leaves nothing behind for a later run to reuse.
+    """
+    if memo is None:
+        return compute()
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = compute()
+    return value
 
 
 def initial_state(config: ScenarioConfig) -> SimState:
@@ -89,55 +137,84 @@ def initial_state(config: ScenarioConfig) -> SimState:
     )
 
 
-def step(state: SimState, rng: random.Random, *, swap_mayor_weights: bool = False) -> SimState:
-    """Advance one time step: transport, land use, governance, indicators.
+def advance(state: SimState) -> Advanced:
+    """The first half of a step: demand, assignment, land use and the step's indicators.
 
     Travel demand is distributed on the previous step's times, assignment
-    produces this step's congested times, relocation (when enabled) applies
-    them, and the stakeholder drawn from rng builds its argmax link. Indicators
-    are measured on the post-assignment times; the freshly built link carries
-    traffic from the next step on. The input state is never altered.
+    produces this step's congested times, and relocation (when enabled)
+    applies them. Indicators are measured on the post-assignment times. The
+    OD matrix is not kept.
     """
     metropolis = state.metropolis
     cfg = metropolis.config
-
     od = distribute(metropolis, state.travel_times)
     network, d = assign_traffic(od.flows, state.network, metropolis, cfg.assignment_iterations)
-
     if cfg.landuse_enabled:
         scores = cell_scores(metropolis, d)
         metropolis = relocate(metropolis, scores, cfg.mu, cfg.relocation_fraction)
+    row = _indicators(metropolis, d, od.flows, len(network), len(state.decisions) + 1)
+    return Advanced(metropolis, network, d, row)
 
-    weights = mayor_weights(metropolis)
-    if swap_mayor_weights:
-        weights = weights[::-1]
-    stakeholder, _ = select_stakeholder(cfg.xi, weights, rng)
-    k = len(state.decisions) + 1
-    network, record = decide_and_build(metropolis, network, stakeholder, travel_times=d, step=k)
 
+def govern(state: SimState, advanced: Advanced, stakeholder: Stakeholder) -> SimState:
+    """The second half of a step: the stakeholder builds its argmax link on the advanced world.
+
+    The freshly built link carries traffic from the next step on.
+    """
+    metropolis, network, d, row = advanced
+    network, record = decide_and_build(metropolis, network, stakeholder, travel_times=d, step=row.step)
     return SimState(
         metropolis=metropolis,
         network=network,
         travel_times=d,
-        history=state.history + (_indicators(metropolis, d, od.flows, len(network), k),),
+        history=state.history + (replace(row, link_count=len(network)),),
         decisions=state.decisions + (record,),
         density_history=state.density_history + (metropolis.workers.sum(axis=1),),
     )
 
 
-def run(config: ScenarioConfig, seed: int, *, swap_mayor_weights: bool = False) -> SimState:
+def step(state: SimState, rng: random.Random, *, xi: float | None = None, swap_mayor_weights: bool = False,
+         memo: dict | None = None) -> SimState:
+    """Advance one time step: transport, land use, governance, indicators.
+
+    `advance` runs transport and land use, the stakeholder drawn from rng
+    with governance share xi (by default the state's own config.xi) decides,
+    and `govern` builds its link. The input state is never altered.
+
+    With a memo, the advanced half is looked up by the input state and the
+    new state by (state, stakeholder); each is computed and stored only on a
+    miss, and with memo=None nothing is stored. A state taken from a memo
+    carries the config of the run that computed it, so a run sharing one
+    passes its own xi.
+    """
+    advanced = _memoised(memo, state, lambda: advance(state))
+    weights = mayor_weights(advanced.metropolis)
+    if swap_mayor_weights:
+        weights = weights[::-1]
+    if xi is None:
+        xi = state.metropolis.config.xi
+    stakeholder, _ = select_stakeholder(xi, weights, rng)
+    return _memoised(memo, (state, stakeholder), lambda: govern(state, advanced, stakeholder))
+
+
+def run(config: ScenarioConfig, seed: int, *, swap_mayor_weights: bool = False, memo: dict | None = None) -> SimState:
     """Execute a full run; identical (config, seed) pairs give identical output.
 
     swap_mayor_weights reverses the mayor weight vector before each
     stakeholder draw, which redirects local decision power toward the
     otherwise minor mayor without touching the land use; it exists for
     governance-regime experiments.
+
+    memo, when given, is shared with the other runs of the same scenario
+    (configs that differ at most in xi): the initial state and every step
+    already computed by one of them are reused, not recomputed (see the
+    module docstring). The returned state's metropolis carries `config`.
     """
     rng = random.Random(seed)
-    state = initial_state(config)
+    state = _memoised(memo, _INITIAL, lambda: initial_state(config))
     for _ in range(config.steps):
-        state = step(state, rng, swap_mayor_weights=swap_mayor_weights)
-    return state
+        state = step(state, rng, xi=config.xi, swap_mayor_weights=swap_mayor_weights, memo=memo)
+    return replace(state, metropolis=replace(state.metropolis, config=config))
 
 
 @dataclass
@@ -176,12 +253,17 @@ def summarize_finals(finals: np.ndarray) -> ReplicationStats:
 
 
 def replicate(config: ScenarioConfig, n: int, base_seed: int, *, swap_mayor_weights: bool = False) -> ReplicationStats:
-    """Run seeds base_seed .. base_seed + n - 1 and aggregate their final indicators."""
+    """Run seeds base_seed .. base_seed + n - 1 and aggregate their final indicators.
+
+    The n runs share one memo, so a decider prefix two seeds have in common
+    is computed once.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
+    memo: dict = {}
     finals = np.empty((n, 2))
     for i in range(n):
-        state = run(config, base_seed + i, swap_mayor_weights=swap_mayor_weights)
+        state = run(config, base_seed + i, swap_mayor_weights=swap_mayor_weights, memo=memo)
         last = state.history[-1]
         finals[i] = (last.total_accessibility, last.total_travel_time)
     return summarize_finals(finals)

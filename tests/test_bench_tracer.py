@@ -27,3 +27,24 @@ def test_tracer_counts_a_congested_run(monkeypatch):
     # One free-flow all-pairs pass at step 0 and one per decision.
     assert summary["layers"]["transport.shortest_times"]["calls"] == 3
     assert summary["distinct_decider_prefixes"] == 2
+
+
+def test_tracer_counts_a_replicate_sharing_its_steps(monkeypatch):
+    # At xi = 0 every seed draws the governor: each run still goes through
+    # engine.run, step and select_stakeholder, but the steps are computed once.
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    from tracer import Tracer
+
+    tracer = Tracer()
+    tracer.install()
+    try:
+        engine.replicate(two_city_config(steps=2, xi=0.0), 3, 0)
+    finally:
+        tracer.uninstall()
+    summary = tracer.summary()
+    calls = {name: summary["layers"][name]["calls"] for name in (
+        "engine.run", "engine.step", "governance.select_stakeholder", "governance.decide_and_build",
+        "engine.initial_state")}
+    assert calls == {"engine.run": 3, "engine.step": 6, "governance.select_stakeholder": 6,
+                     "governance.decide_and_build": 2, "engine.initial_state": 1}
+    assert summary["distinct_decider_prefixes"] == 2

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -235,15 +236,15 @@ class TestSweep:
         cfg_path = write_config(tmp_path, steps=1)
         out_seq, out_par = tmp_path / "seq", tmp_path / "par"
         args = ["sweep", "--config", str(cfg_path), "--xi", "0,1", "--replications", "2",
-                "--configurations", "equal_near"]
+                "--configurations", "equal_near,unequal_far"]
         assert main(args + ["--out", str(out_seq)]) == 0
         assert main(args + ["--out", str(out_par), "--workers", "2"]) == 0
         assert (out_seq / "sweep.csv").read_bytes() == (out_par / "sweep.csv").read_bytes()
 
     def test_worker_pool_no_larger_than_the_sweep(self, tmp_path, monkeypatch):
-        # A process pool starts all its workers at the first submit, so a
-        # 2-cell sweep must not ask for 8. The fake pool maps serially and
-        # starts no process.
+        # A process pool starts all its workers at the first submit, and a
+        # sweep runs one task per preset, so a 2-preset sweep must not ask
+        # for 8. The fake pool maps serially and starts no process.
         import metrosim.cli as cli_mod
 
         requested = []
@@ -258,18 +259,50 @@ class TestSweep:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks, chunksize=1):
-                return map(fn, tasks)
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", SerialPool)
         cfg_path = write_config(tmp_path, steps=1)
         out_seq, out_pool = tmp_path / "seq", tmp_path / "pool"
-        args = ["sweep", "--config", str(cfg_path), "--xi", "0,1", "--replications", "1",
-                "--configurations", "equal_far"]
+        args = ["sweep", "--config", str(cfg_path), "--xi", "0,1", "--replications", "2",
+                "--configurations", "equal_far,unequal_far"]
         assert main(args + ["--out", str(out_seq)]) == 0
         assert main(args + ["--out", str(out_pool), "--workers", "8"]) == 0
         assert requested == [2]
         assert (out_seq / "sweep.csv").read_bytes() == (out_pool / "sweep.csv").read_bytes()
+
+    def test_failing_lane_leaves_the_memo_clean(self, tmp_path, monkeypatch, capsys):
+        # The second build of the sweep, step 2 of the first lane, raises. The
+        # next lane shares step 1 with it and must compute step 2 afresh.
+        import metrosim.engine as engine_mod
+
+        real_build = engine_mod.decide_and_build
+        builds = []
+
+        def flaky_build(*args, **kwargs):
+            builds.append(1)
+            if len(builds) == 2:
+                raise RuntimeError("flaky build")
+            return real_build(*args, **kwargs)
+
+        monkeypatch.setattr(engine_mod, "decide_and_build", flaky_build)
+        cfg_path = write_config(tmp_path, steps=2)
+        out = tmp_path / "out"
+        code = main(["sweep", "--config", str(cfg_path), "--xi", "0,1", "--replications", "2",
+                     "--configurations", "equal_far,unequal_far", "--out", str(out)])
+        monkeypatch.undo()
+        assert code == 1
+        assert "flaky build" in capsys.readouterr().err
+        rows = read_csv(out / "sweep.csv")
+        assert len(rows) == 8
+        assert [(r["configuration"], r["xi"], r["seed"]) for r in rows if r["total_accessibility"] == ""] == [
+            ("equal_far", "0.0", "0")]
+        presets = sweep_configurations(two_city_config(steps=2))
+        for r in rows[1:]:
+            last = run(replace(presets[r["configuration"]], xi=float(r["xi"])), int(r["seed"])).history[-1]
+            assert (float(r["total_accessibility"]), float(r["total_travel_time"])) == (
+                last.total_accessibility, last.total_travel_time)
 
     def test_failed_cells_recorded_and_exit_nonzero(self, tmp_path, monkeypatch, capsys):
         import metrosim.cli as cli_mod

@@ -201,6 +201,30 @@ def test_swapped_weights_redirect_local_decisions():
     assert sum(swapped_mayors) < 0.3 * len(swapped_mayors)
 
 
+@pytest.mark.parametrize("cfg, swap", [
+    (two_city_config(steps=3, landuse_enabled=True), False),
+    (two_city_config(steps=2, congestion_in_evaluation=True), False),
+    (two_city_config(steps=3), True),
+], ids=["landuse", "congested", "swapped-weights"])
+def test_shared_memo_matches_memo_free_runs(cfg, swap):
+    # Memo-free runs are the oracle. Lanes xi 0, 0.5, 1 x seeds 0-3 share one
+    # memo; a lane that reuses another lane's steps must end in the same
+    # state and carry its own config.
+    memo = {}
+    for xi in (0.0, 0.5, 1.0):
+        lane = replace(cfg, xi=xi)
+        alone = [run(lane, seed, swap_mayor_weights=swap) for seed in range(4)]
+        for seed, oracle in enumerate(alone):
+            shared = run(lane, seed, swap_mayor_weights=swap, memo=memo)
+            assert shared.metropolis.config is lane
+            assert shared.history == oracle.history
+            assert shared.decisions == oracle.decisions
+            assert len(shared.density_history) == len(oracle.density_history)
+            assert all(np.array_equal(x, y) for x, y in zip(shared.density_history, oracle.density_history))
+        finals = [(s.history[-1].total_accessibility, s.history[-1].total_travel_time) for s in alone]
+        assert np.array_equal(replicate(lane, 4, 0, swap_mayor_weights=swap).finals, finals)
+
+
 class TestReplicate:
     def test_single_run_has_zero_covariance(self):
         cfg = two_city_config(steps=2)
