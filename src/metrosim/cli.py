@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 invalid configuration (the message names the field),
 3 I/O failure. Sweep cells that crash are recorded as empty rows and make the
 command exit nonzero without aborting the rest of the grid. A sweep runs each
-preset as one task whose xi x seed lanes share the engine's step memo.
+preset, or with spare workers each group of a preset's xi values, as one task
+whose xi x seed lanes share an engine.StepMemo.
 """
 from __future__ import annotations
 
@@ -121,8 +122,8 @@ def cmd_replicate(config: ScenarioConfig, n: int, base_seed: int, out_dir: Path)
 
 
 def _sweep_preset(name: str, xis: tuple[float, ...], seeds: list[int], config: ScenarioConfig) -> list[dict]:
-    """Rows of every xi x seed lane of one preset; the lanes share one engine memo."""
-    memo: dict = {}
+    """Rows of every xi x seed lane of one preset; the lanes share one engine.StepMemo."""
+    memo = engine.StepMemo()
     rows = []
     for xi in xis:
         for seed in seeds:
@@ -172,15 +173,20 @@ def _average_ranks(values: list[float]) -> np.ndarray:
 def cmd_sweep(spec: SweepSpec) -> int:
     spec.validate()
     seeds = [spec.base_seed + i for i in range(spec.replications)]
-    tasks = [(name, spec.xi_values, seeds, spec.configurations[name]) for name in sorted(spec.configurations)]
+    names = sorted(spec.configurations)
+    # Workers beyond one per preset split each preset's xi values into
+    # interleaved groups; the lanes of a group share one memo.
+    groups = max(1, min(len(spec.xi_values), spec.workers // len(names)))
+    tasks = [(name, spec.xi_values[g::groups], seeds, spec.configurations[name])
+             for name in names for g in range(groups)]
     workers = min(spec.workers, len(tasks))
     if workers > 1:
         # The pool starts all of its workers at the first submit.
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_preset = list(pool.map(_sweep_preset, *zip(*tasks)))
+            per_task = list(pool.map(_sweep_preset, *zip(*tasks)))
     else:
-        per_preset = [_sweep_preset(*task) for task in tasks]
-    rows = [row for preset_rows in per_preset for row in preset_rows]
+        per_task = [_sweep_preset(*task) for task in tasks]
+    rows = [row for task_rows in per_task for row in task_rows]
     rows.sort(key=lambda r: (r["configuration"], r["xi"], r["seed"]))
 
     spec.out_dir.mkdir(parents=True, exist_ok=True)
@@ -254,7 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--configurations", default=None,
                          help="comma-separated subset of equal_near,equal_far,unequal_near,unequal_far")
     p_sweep.add_argument("--workers", type=int, default=1,
-                         help="parallel sweep workers; starts at most one process per preset")
+                         help="parallel sweep workers: one process per preset, or per group of a "
+                              "preset's xi values when there are more workers than presets")
     return parser
 
 

@@ -9,19 +9,24 @@ seeds.
 
 xi and the seed enter only that draw, so the state after k steps depends on
 the scenario and the k stakeholders drawn so far, not on xi or the seed. `run`
-and `step` therefore take an optional memo (a dict) that the runs of one
-scenario share: `replicate` shares one over its seeds and a sweep one over a
-preset's xi x seed lanes. A step looks up its advanced half by the input
-state and its governed state by (input state, stakeholder), and computes each
-only on a miss. States compare by identity, so a hit returns the very value an
-earlier run computed and every output equals a memo-free run's bit for bit.
-The memo holds at most one (N, N) float64 travel-time matrix per distinct
-decider prefix until it is dropped. Warnings logged while a step is computed
-(a one-sided category, a Furness balance at max_iter) fire once per computed
-prefix, not once per run.
+and `step` therefore take an optional `StepMemo` that runs share: `replicate`
+shares one over its seeds and a sweep one over a preset's xi x seed lanes. A
+run looks up its initial state by its config with xi left out, a step its
+advanced half by the input state and its governed state by (input state,
+stakeholder), and each is computed only on a miss. States compare by
+identity, so a hit returns the very value an earlier run computed and every
+output equals a memo-free run's bit for bit; runs of different scenarios that
+share a memo share nothing but its budget.
+
+A memo holds one (N, N) float64 travel-time matrix per distinct decider
+prefix, and stores nothing more once those matrices reach `MEMO_BYTES`; a step
+it lacks is computed again, so the bound costs time, never a changed output.
+Warnings logged while a step is computed (a one-sided category, a Furness
+balance at max_iter) fire once per computed prefix, not once per run.
 """
 from __future__ import annotations
 
+import json
 import logging
 import random
 from collections.abc import Callable
@@ -30,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import ScenarioConfig
+from .config import ScenarioConfig, config_to_dict
 from .governance import DecisionRecord, Stakeholder, decide_and_build, select_stakeholder
 from .landuse import accessibility, cell_scores, relocate
 from .transport import Network, assign_traffic, build_network, distribute, shortest_times, total_travel_time
@@ -38,9 +43,8 @@ from .world import Metropolis, init_metropolis, mayor_weights, natural_totals
 
 log = logging.getLogger(__name__)
 
-# Memo key of the step-0 state. A memo serves one scenario, so runs sharing
-# it differ at most in xi, the seed and swap_mayor_weights.
-_INITIAL = "initial_state"
+# Travel-time bytes a StepMemo stores before it stops storing.
+MEMO_BYTES = 64 * 2**20
 
 
 @dataclass(frozen=True)
@@ -100,17 +104,34 @@ def _indicators(metropolis: Metropolis, d: np.ndarray, flows: np.ndarray, link_c
     )
 
 
-def _memoised(memo: dict | None, key: object, compute: Callable):
-    """memo[key], computed and stored on a miss; with no memo, compute() alone.
+class StepMemo:
+    """Initial states and steps that runs share; see the module docstring.
+
+    `nbytes` counts the travel-time matrices of the entries; once it reaches
+    MEMO_BYTES no entry is added, so the memo holds at most that plus one
+    matrix.
+    """
+
+    def __init__(self) -> None:
+        self.entries: dict = {}
+        self.nbytes = 0
+
+
+def _memoised(memo: StepMemo | None, key: object, compute: Callable, *, new_matrix: bool = True):
+    """The memo's entry for key, computed on a miss; with no memo, compute() alone.
 
     An entry is stored only once compute has returned, so a step that raises
-    leaves nothing behind for a later run to reuse.
+    leaves nothing behind for a later run to reuse. new_matrix says whether
+    the value brings a travel-time matrix the memo does not hold yet.
     """
     if memo is None:
         return compute()
-    value = memo.get(key)
+    value = memo.entries.get(key)
     if value is None:
-        value = memo[key] = compute()
+        value = compute()
+        if memo.nbytes < MEMO_BYTES:
+            memo.entries[key] = value
+            memo.nbytes += value.travel_times.nbytes if new_matrix else 0
     return value
 
 
@@ -173,31 +194,31 @@ def govern(state: SimState, advanced: Advanced, stakeholder: Stakeholder) -> Sim
     )
 
 
-def step(state: SimState, rng: random.Random, *, xi: float | None = None, swap_mayor_weights: bool = False,
-         memo: dict | None = None) -> SimState:
+def step(state: SimState, rng: random.Random, *, xi: float, swap_mayor_weights: bool = False,
+         memo: StepMemo | None = None) -> SimState:
     """Advance one time step: transport, land use, governance, indicators.
 
     `advance` runs transport and land use, the stakeholder drawn from rng
-    with governance share xi (by default the state's own config.xi) decides,
-    and `govern` builds its link. The input state is never altered.
+    with governance share xi decides, and `govern` builds its link. The
+    input state is never altered. xi is the caller's, not the state's
+    config.xi: a state taken from a memo carries the config of the run that
+    computed it.
 
     With a memo, the advanced half is looked up by the input state and the
     new state by (state, stakeholder); each is computed and stored only on a
-    miss, and with memo=None nothing is stored. A state taken from a memo
-    carries the config of the run that computed it, so a run sharing one
-    passes its own xi.
+    miss, and with memo=None nothing is stored.
     """
     advanced = _memoised(memo, state, lambda: advance(state))
     weights = mayor_weights(advanced.metropolis)
     if swap_mayor_weights:
         weights = weights[::-1]
-    if xi is None:
-        xi = state.metropolis.config.xi
     stakeholder, _ = select_stakeholder(xi, weights, rng)
-    return _memoised(memo, (state, stakeholder), lambda: govern(state, advanced, stakeholder))
+    # The new state shares the advanced half's travel times.
+    return _memoised(memo, (state, stakeholder), lambda: govern(state, advanced, stakeholder), new_matrix=False)
 
 
-def run(config: ScenarioConfig, seed: int, *, swap_mayor_weights: bool = False, memo: dict | None = None) -> SimState:
+def run(config: ScenarioConfig, seed: int, *, swap_mayor_weights: bool = False,
+        memo: StepMemo | None = None) -> SimState:
     """Execute a full run; identical (config, seed) pairs give identical output.
 
     swap_mayor_weights reverses the mayor weight vector before each
@@ -205,13 +226,14 @@ def run(config: ScenarioConfig, seed: int, *, swap_mayor_weights: bool = False, 
     otherwise minor mayor without touching the land use; it exists for
     governance-regime experiments.
 
-    memo, when given, is shared with the other runs of the same scenario
-    (configs that differ at most in xi): the initial state and every step
-    already computed by one of them are reused, not recomputed (see the
-    module docstring). The returned state's metropolis carries `config`.
+    memo, when given, is shared with other runs: the initial state and every
+    step one of them computed for the same scenario (config with xi left
+    out) are reused, not recomputed (see the module docstring). The returned
+    state's metropolis carries `config`.
     """
     rng = random.Random(seed)
-    state = _memoised(memo, _INITIAL, lambda: initial_state(config))
+    scenario = None if memo is None else json.dumps(config_to_dict(replace(config, xi=0.0)), sort_keys=True)
+    state = _memoised(memo, scenario, lambda: initial_state(config))
     for _ in range(config.steps):
         state = step(state, rng, xi=config.xi, swap_mayor_weights=swap_mayor_weights, memo=memo)
     return replace(state, metropolis=replace(state.metropolis, config=config))
@@ -260,7 +282,7 @@ def replicate(config: ScenarioConfig, n: int, base_seed: int, *, swap_mayor_weig
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    memo: dict = {}
+    memo = StepMemo()
     finals = np.empty((n, 2))
     for i in range(n):
         state = run(config, base_seed + i, swap_mayor_weights=swap_mayor_weights, memo=memo)

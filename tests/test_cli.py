@@ -242,9 +242,9 @@ class TestSweep:
         assert (out_seq / "sweep.csv").read_bytes() == (out_par / "sweep.csv").read_bytes()
 
     def test_worker_pool_no_larger_than_the_sweep(self, tmp_path, monkeypatch):
-        # A process pool starts all its workers at the first submit, and a
-        # sweep runs one task per preset, so a 2-preset sweep must not ask
-        # for 8. The fake pool maps serially and starts no process.
+        # A process pool starts all its workers at the first submit. A sweep
+        # runs one task per preset and xi group, so 2 presets x 2 xi values
+        # must not ask for 8. The fake pool maps serially and starts no process.
         import metrosim.cli as cli_mod
 
         requested = []
@@ -264,13 +264,14 @@ class TestSweep:
 
         monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", SerialPool)
         cfg_path = write_config(tmp_path, steps=1)
-        out_seq, out_pool = tmp_path / "seq", tmp_path / "pool"
+        out_seq = tmp_path / "seq"
         args = ["sweep", "--config", str(cfg_path), "--xi", "0,1", "--replications", "2",
                 "--configurations", "equal_far,unequal_far"]
         assert main(args + ["--out", str(out_seq)]) == 0
-        assert main(args + ["--out", str(out_pool), "--workers", "8"]) == 0
-        assert requested == [2]
-        assert (out_seq / "sweep.csv").read_bytes() == (out_pool / "sweep.csv").read_bytes()
+        for workers in ("8", "2"):
+            assert main(args + ["--out", str(tmp_path / workers), "--workers", workers]) == 0
+            assert (out_seq / "sweep.csv").read_bytes() == (tmp_path / workers / "sweep.csv").read_bytes()
+        assert requested == [4, 2]
 
     def test_failing_lane_leaves_the_memo_clean(self, tmp_path, monkeypatch, capsys):
         # The second build of the sweep, step 2 of the first lane, raises. The

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from metrosim.config import two_city_config
-from metrosim.engine import initial_state, replicate, run, step, summarize_finals
+from metrosim import engine
+from metrosim.engine import StepMemo, initial_state, replicate, run, step, summarize_finals
 from metrosim.landuse import accessibility
 
 
@@ -42,7 +43,7 @@ def test_frozen_landuse_keeps_metropolis_bit_identical():
     jobs_before = state.metropolis.jobs.copy()
     rng = random.Random(1)
     for _ in range(3):
-        state = step(state, rng)
+        state = step(state, rng, xi=cfg.xi)
     assert np.array_equal(state.metropolis.workers, workers_before)
     assert np.array_equal(state.metropolis.jobs, jobs_before)
 
@@ -104,7 +105,7 @@ def test_state_is_a_value():
     state = initial_state(cfg)
     history, decisions, metropolis = state.history, state.decisions, state.metropolis
     workers = metropolis.workers.copy()
-    after = step(state, random.Random(0))
+    after = step(state, random.Random(0), xi=cfg.xi)
     assert state.history is history and state.decisions is decisions and state.metropolis is metropolis
     assert len(state.history) == 1 and state.decisions == ()
     assert np.array_equal(state.metropolis.workers, workers)
@@ -135,8 +136,8 @@ class _StubRng:
 def test_step_depends_on_the_decider_not_the_draw():
     # Both level draws are >= xi, so both steps are the governor's.
     state = initial_state(two_city_config(steps=1, xi=0.5, landuse_enabled=True))
-    a = step(state, _StubRng(0.6))
-    b = step(state, _StubRng(0.9))
+    a = step(state, _StubRng(0.6), xi=0.5)
+    b = step(state, _StubRng(0.9), xi=0.5)
     assert a.decisions[0].level == "metropolitan"
     assert a.history == b.history
     assert a.decisions == b.decisions
@@ -210,7 +211,7 @@ def test_shared_memo_matches_memo_free_runs(cfg, swap):
     # Memo-free runs are the oracle. Lanes xi 0, 0.5, 1 x seeds 0-3 share one
     # memo; a lane that reuses another lane's steps must end in the same
     # state and carry its own config.
-    memo = {}
+    memo = StepMemo()
     for xi in (0.0, 0.5, 1.0):
         lane = replace(cfg, xi=xi)
         alone = [run(lane, seed, swap_mayor_weights=swap) for seed in range(4)]
@@ -223,6 +224,39 @@ def test_shared_memo_matches_memo_free_runs(cfg, swap):
             assert all(np.array_equal(x, y) for x, y in zip(shared.density_history, oracle.density_history))
         finals = [(s.history[-1].total_accessibility, s.history[-1].total_travel_time) for s in alone]
         assert np.array_equal(replicate(lane, 4, 0, swap_mayor_weights=swap).finals, finals)
+
+
+def _assert_same_run(shared, oracle):
+    assert shared.history == oracle.history
+    assert shared.decisions == oracle.decisions
+    assert all(np.array_equal(x, y) for x, y in zip(shared.density_history, oracle.density_history))
+
+
+def test_full_memo_stores_nothing_more_and_changes_no_output(monkeypatch):
+    # A budget of three 10x10 travel-time matrices: the first lane fills it
+    # with its initial state, step 1 and step 2's advanced half, and every
+    # later lane recomputes what the memo could not keep.
+    cfg = two_city_config(steps=3, landuse_enabled=True)
+    lanes = [(replace(cfg, xi=xi), seed) for xi in (0.0, 0.5, 1.0) for seed in range(3)]
+    oracles = [run(lane, seed) for lane, seed in lanes]
+    matrix = cfg.n_cells ** 2 * 8
+    monkeypatch.setattr(engine, "MEMO_BYTES", 3 * matrix)
+    memo = StepMemo()
+    for (lane, seed), oracle in zip(lanes, oracles):
+        _assert_same_run(run(lane, seed, memo=memo), oracle)
+        assert memo.nbytes <= 3 * matrix
+    assert memo.nbytes == 3 * matrix
+    assert len(memo.entries) == 4
+
+
+def test_memo_keeps_scenarios_apart():
+    # Two scenarios that differ in more than xi share one memo but no state.
+    near, far = two_city_config(steps=2, xi=0.5), two_city_config(steps=2, xi=0.5, dominant_position=(1, 8))
+    memo = StepMemo()
+    for cfg in (near, far, near, far):
+        shared = run(cfg, 1, memo=memo)
+        assert shared.metropolis.config is cfg
+        _assert_same_run(shared, run(cfg, 1))
 
 
 class TestReplicate:
