@@ -172,7 +172,7 @@ class _LinkGains:
         if rows.size == 0 or cols.size == 0:
             return 0.0
         via = (c * KTt[x, rows])[:, None] * K[y, cols][None, :]
-        base = K[np.ix_(self.cells[rows], cols)]
+        base = K[self.cells[rows][:, None], cols]
         weights = self.workers[rows] @ self.jobs[cols].T
         return float((weights * np.maximum(via - base, 0.0)).sum())
 

@@ -20,7 +20,10 @@ Both callers share only the endpoint graph (_terminal_graph). shortest_times
 closes it with plain min-plus reductions and keeps times only; the
 all-or-nothing loader inside assign_traffic closes it again with successor
 tracking and keeps each route's entry and exit terminals, which it needs to
-walk paths, and no times matrix.
+walk paths, and no times matrix. Both join the access and egress legs one
+terminal at a time into a running minimum, so no temporary is larger than
+(N, N) however many terminals there are; on ties the loader keeps the first
+terminal.
 """
 from __future__ import annotations
 
@@ -126,7 +129,7 @@ def _terminal_graph(afc: np.ndarray, network: Network, link_times: np.ndarray) -
     """
     terminals = np.array(network.endpoints())
     t = len(terminals)
-    dist = afc[np.ix_(terminals, terminals)]
+    dist = afc[terminals[:, None], terminals]
     edge_link = np.full((t, t), -1, dtype=int)
     ia = np.searchsorted(terminals, network.a)
     ib = np.searchsorted(terminals, network.b)
@@ -145,18 +148,26 @@ def shortest_times(network: Network, metropolis: Metropolis, *, free_flow: bool 
     diagonal carries the intra-cell time floor. Times only: a min-plus
     closure of the terminal graph joined with the AFC access and egress legs,
     with no routing kept (the loader, _load_all_or_nothing, does its own).
+    The join runs one terminal at a time, so no temporary is larger than
+    (N, N).
     """
     afc = metropolis.distance_km / metropolis.config.v_local
     d = afc
     if len(network):
         times = network.free_flow_time if free_flow else network.congested_time
         terminals, dist, _ = _terminal_graph(afc, network, times)
-        for k in range(len(terminals)):
+        t = len(terminals)
+        for k in range(t):
             dist = np.minimum(dist, dist[:, k : k + 1] + dist[k : k + 1, :])
-        # d_net[i, j] = min over terminals (a, b) of afc[i, a] + dist[a, b] + afc[b, j].
+        # d[i, j] = min(afc[i, j], min over terminals (a, b) of afc[i, a] + dist[a, b] + afc[b, j]).
         access = afc[:, terminals]                                   # (N, t)
-        best_via = (access[:, :, None] + dist[None]).min(axis=1)     # (N, t_b)
-        d = np.minimum(d, (best_via[:, None, :] + access[None]).min(axis=2))
+        best_via = access[:, :1] + dist[:1]                          # (N, t_b)
+        for a in range(1, t):
+            np.minimum(best_via, access[:, a : a + 1] + dist[a : a + 1], out=best_via)
+        leg = np.empty_like(d)
+        for b in range(t):
+            np.add(best_via[:, b : b + 1], access[:, b], out=leg)
+            np.minimum(d, leg, out=d)
     np.fill_diagonal(d, intra_cell_time(metropolis))
     return d
 
@@ -280,10 +291,11 @@ def _load_all_or_nothing(od: np.ndarray, afc: np.ndarray, network: Network) -> n
     """Route every OD flow on its current least-time path; return per-link loads.
 
     Closes the terminal graph at the congested link times, tracking each
-    endpoint path's successor, and joins the AFC access and egress legs,
-    keeping each route's entry and exit terminal. Flows whose best route is
-    the direct AFC leg stay off the network. Network routes are grouped by
-    their (entry, exit) terminal pair so each endpoint path is walked once.
+    endpoint path's successor, and joins the AFC access and egress legs one
+    terminal at a time, keeping each route's entry and exit terminal. Ties
+    keep the first (smallest) terminal. Flows whose best route is the direct
+    AFC leg stay off the network. Network routes are grouped by their
+    (entry, exit) terminal pair so each endpoint path is walked once.
     """
     loads = np.zeros(len(network))
     if not len(network):
@@ -300,21 +312,32 @@ def _load_all_or_nothing(od: np.ndarray, afc: np.ndarray, network: Network) -> n
             dist = np.where(better, cand, dist)
             succ = np.where(better, np.broadcast_to(succ[:, k : k + 1], succ.shape), succ)
 
-    # The same join as shortest_times, keeping the entry and exit terminals.
+    # The same join as shortest_times, keeping the entry and exit terminals;
+    # a strict < keeps the first terminal on ties.
     access = afc[:, terminals]                                   # (N, t)
-    via = access[:, :, None] + dist[None, :, :]                  # (N, t_a, t_b)
-    entry_for_exit = via.argmin(axis=1)                          # (N, t_b)
-    best_via = np.take_along_axis(via, entry_for_exit[:, None, :], axis=1)[:, 0, :]  # (N, t_b)
-    full = best_via[:, None, :] + access[None, :, :]             # (N, N, t_b)
-    exit_term = full.argmin(axis=2)                              # (N, N)
-    d_net = np.take_along_axis(full, exit_term[:, :, None], axis=2)[:, :, 0]
-    entry_term = np.take_along_axis(entry_for_exit, exit_term, axis=1)
+    best_via = access[:, :1] + dist[:1]                          # (N, t_b)
+    entry_for_exit = np.zeros(best_via.shape, dtype=np.intp)
+    for a in range(1, t):
+        via = access[:, a : a + 1] + dist[a : a + 1]
+        better = via < best_via
+        np.copyto(best_via, via, where=better)
+        np.copyto(entry_for_exit, a, where=better)
+    d_net = best_via[:, :1] + access[:, 0]                       # (N, N)
+    exit_term = np.zeros(d_net.shape, dtype=np.intp)
+    leg = np.empty_like(d_net)
+    better = np.empty(d_net.shape, dtype=bool)
+    for b in range(1, t):
+        np.add(best_via[:, b : b + 1], access[:, b], out=leg)
+        np.less(leg, d_net, out=better)
+        np.copyto(d_net, leg, where=better)
+        np.copyto(exit_term, b, where=better)
 
-    mask = (d_net < afc) & (od > 0.0)
-    if not mask.any():
+    rows, cols = np.nonzero((d_net < afc) & (od > 0.0))
+    if not rows.size:
         return loads
-    grouped = np.zeros((t, t))
-    np.add.at(grouped, (entry_term[mask], exit_term[mask]), od[mask])
+    exits = exit_term[rows, cols]
+    pair = entry_for_exit[rows, exits] * t + exits
+    grouped = np.bincount(pair, weights=od[rows, cols], minlength=t * t).reshape(t, t)
     for ei, xi in zip(*np.nonzero(grouped)):
         flow = grouped[ei, xi]
         u = ei

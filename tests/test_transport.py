@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import heapq
 import random
+import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from metrosim.config import two_city_config
 from metrosim.transport import (
     Network,
+    _load_all_or_nothing,
     assign_traffic,
     bpr_time,
     build_network,
@@ -91,6 +93,66 @@ def closure_times_oracle(metropolis, network, free_flow):
         d = np.where(d_net < afc, d_net, afc)
     np.fill_diagonal(d, intra_cell_time(metropolis))
     return d
+
+
+def load_all_or_nothing_oracle(od, afc, network):
+    """The loader with the whole join at once, and how many routed pairs tie.
+
+    Builds the (N, t, t) and (N, N, t) join arrays, takes argmin and
+    take_along_axis over their terminal axes and groups routes with np.add.at.
+    Returns the loads, the routed pairs whose best entry terminal ties with
+    another and those whose best exit terminal does.
+    """
+    loads = np.zeros(len(network))
+    if not len(network):
+        return loads, 0, 0
+    terminals = np.array(network.endpoints())
+    t = len(terminals)
+    dist = afc[np.ix_(terminals, terminals)]
+    edge_link = np.full((t, t), -1, dtype=int)
+    ia = np.searchsorted(terminals, network.a)
+    ib = np.searchsorted(terminals, network.b)
+    li = np.nonzero(network.congested_time < dist[ia, ib])[0]
+    ia, ib = ia[li], ib[li]
+    dist[ia, ib] = dist[ib, ia] = network.congested_time[li]
+    edge_link[ia, ib] = edge_link[ib, ia] = li
+
+    succ = np.tile(np.arange(t), (t, 1))
+    for k in range(t):
+        cand = dist[:, k : k + 1] + dist[k : k + 1, :]
+        better = cand < dist
+        if better.any():
+            dist = np.where(better, cand, dist)
+            succ = np.where(better, np.broadcast_to(succ[:, k : k + 1], succ.shape), succ)
+
+    access = afc[:, terminals]                                   # (N, t)
+    via = access[:, :, None] + dist[None, :, :]                  # (N, t_a, t_b)
+    entry_for_exit = via.argmin(axis=1)                          # (N, t_b)
+    best_via = np.take_along_axis(via, entry_for_exit[:, None, :], axis=1)[:, 0, :]  # (N, t_b)
+    full = best_via[:, None, :] + access[None, :, :]             # (N, N, t_b)
+    exit_term = full.argmin(axis=2)                              # (N, N)
+    d_net = np.take_along_axis(full, exit_term[:, :, None], axis=2)[:, :, 0]
+    entry_term = np.take_along_axis(entry_for_exit, exit_term, axis=1)
+
+    mask = (d_net < afc) & (od > 0.0)
+    entry_ties = (via == best_via[:, None, :]).sum(axis=1) > 1  # (N, t_b)
+    rows = np.nonzero(mask)[0]
+    n_entry_ties = int(entry_ties[rows, exit_term[mask]].sum())
+    n_exit_ties = int(((full[mask] == d_net[mask][:, None]).sum(axis=1) > 1).sum())
+    if not mask.any():
+        return loads, n_entry_ties, n_exit_ties
+    grouped = np.zeros((t, t))
+    np.add.at(grouped, (entry_term[mask], exit_term[mask]), od[mask])
+    for ei, xi in zip(*np.nonzero(grouped)):
+        flow = grouped[ei, xi]
+        u = ei
+        while u != xi:
+            v = succ[u, xi]
+            li = edge_link[u, v]
+            if li >= 0:
+                loads[li] += flow
+            u = v
+    return loads, n_entry_ties, n_exit_ties
 
 
 def ipf_oracle(origins, destinations, d, lam, sweeps=5000, tol=1e-13):
@@ -238,6 +300,73 @@ def test_shortest_times_equal_the_routing_closure_bit_for_bit():
                 oracle = closure_times_oracle(metropolis, net, ff)
                 assert np.array_equal(shortest_times(net, metropolis, free_flow=ff), oracle), \
                     f"{rows}x{cols}, {n_links} links, free_flow={ff}"
+
+
+def seeded_network(metropolis, rng, n_links, *, mirrored=False):
+    """n_links distinct links at random speeds and congestion factors.
+
+    mirrored adds each link's reflection about the grid diagonal at the same
+    time, so routes through mirrored links tie exactly.
+    """
+    cols = metropolis.config.grid_cols
+    net = Network(metropolis.n_cells)
+    while len(net) < n_links:
+        a, b = (int(c) for c in rng.choice(metropolis.n_cells, size=2, replace=False))
+        pairs = [(a, b)]
+        mirror = ((a % cols) * cols + a // cols, (b % cols) * cols + b // cols)
+        if mirrored and set(mirror) != {a, b}:
+            pairs.append(mirror)
+        if len(net) + len(pairs) > n_links or any(net.has_link(*p) for p in pairs):
+            continue
+        time = metropolis.distance_km[a, b] / rng.uniform(10.0, 130.0) * rng.uniform(1.0, 3.0)
+        for p in pairs:
+            net = net.with_link(*p, time)
+    return net
+
+
+def test_loader_equals_the_whole_join_bit_for_bit():
+    rng = np.random.default_rng(515)
+    entry_ties = exit_ties = 0
+    for rows, cols in ((3, 4), (5, 5), (8, 8)):
+        metropolis = make_metropolis(rows=rows, cols=cols)
+        n = metropolis.n_cells
+        afc = metropolis.distance_km / metropolis.config.v_local
+        for n_links in (1, 2, 5, 12, 25):
+            for mirrored in ((False, True) if rows == cols else (False,)):
+                net = seeded_network(metropolis, rng, n_links, mirrored=mirrored)
+                od = rng.uniform(0.0, 10.0, (n, n)) * (rng.random((n, n)) < 0.7)
+                expected, n_entry, n_exit = load_all_or_nothing_oracle(od, afc, net)
+                entry_ties += n_entry
+                exit_ties += n_exit
+                assert np.array_equal(_load_all_or_nothing(od, afc, net), expected), \
+                    f"{rows}x{cols}, {n_links} links, mirrored={mirrored}"
+    # Ties must occur on routed pairs, or the first-terminal rule goes untested.
+    assert entry_ties > 0 and exit_ties > 0
+
+
+def test_join_memory_stays_within_n_by_n_temporaries():
+    # A 30x30 grid with 40 links (76 terminals): the whole (N, N, t) join
+    # peaked at 1035 MB in the loader and 507 MB in shortest_times.
+    metropolis = make_metropolis(rows=30, cols=30)
+    n = metropolis.n_cells
+    rng = np.random.default_rng(30)
+    net = Network(n)
+    while len(net) < 40:
+        a, b = (int(c) for c in rng.choice(n, size=2, replace=False))
+        if not net.has_link(a, b):
+            net = net.with_link(a, b, metropolis.distance_km[a, b] / metropolis.config.v_link)
+    afc = metropolis.distance_km / metropolis.config.v_local
+    od = rng.uniform(0.0, 10.0, (n, n))
+    peaks = {}
+    for name, call, bound_mb in (("loader", lambda: _load_all_or_nothing(od, afc, net), 64),
+                                 ("shortest_times", lambda: shortest_times(net, metropolis), 32)):
+        tracemalloc.start()
+        try:
+            call()
+            peaks[name] = tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+        assert peaks[name] <= bound_mb, peaks
 
 
 def test_triangle_consistency():
