@@ -62,6 +62,10 @@ class ScenarioConfig:
     initial_links: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
+        for name in ("m", "m_prime"):  # read-only copies, out of the caller's reach
+            value = np.array(getattr(self, name), dtype=float)
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
         validate(self)
 
     @property

@@ -181,35 +181,29 @@ class _LinkGains:
         a, b, c = self.a[k], self.b[k], self.c[k]
         return self._block(a, b, c) + self._block(b, a, c)
 
-    def _excess(self, M: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per candidate, sum((c M[x] - M[y])+ * S[y]) for (x, y) = (a, b) and (b, a).
+    def bounds(self) -> np.ndarray:
+        """Upper bound on every candidate's gain: one box bound per route direction.
 
-        Runs _BOUND_CHUNK candidates at a time.
+        The x -> y route can only win on the block R x C of _block. There
+        c K_ix K_yj - K_ij is at most (c K_ix - K_iy) K_yj and at most
+        K_ix (c K_yj - K_xj). W_ij = sum_s w_is u_js (w = workers_T, u = jobs),
+        so each form summed over R x C factors through the S categories:
+        sum_s [sum_R w_is (c K_ix - K_iy)] [sum_C u_js K_yj] for the row form,
+        sum_s [sum_R w_is K_ix] [sum_C u_js (c K_yj - K_xj)] for the column
+        form. A direction's bound is the smaller form, a candidate's the sum
+        over its two directions.
         """
-        ab, ba = np.empty(len(self.a)), np.empty(len(self.a))
-        for s in range(0, len(ab), _BOUND_CHUNK):
+        out = np.zeros(len(self.a))
+        for s in range(0, len(out), _BOUND_CHUNK):
             a, b = self.a[s : s + _BOUND_CHUNK], self.b[s : s + _BOUND_CHUNK]
             c = self.c[s : s + _BOUND_CHUNK, None]
-            ma, mb = M[a], M[b]
-            ab[s : s + _BOUND_CHUNK] = (np.maximum(c * ma - mb, 0.0) * S[b]).sum(axis=1)
-            ba[s : s + _BOUND_CHUNK] = (np.maximum(c * mb - ma, 0.0) * S[a]).sum(axis=1)
-        return ab, ba
-
-    def bounds(self) -> np.ndarray:
-        """Upper bound on every candidate's gain.
-
-        Per direction a -> b, c K_ia K_bj - K_ij is at most (c K_ia - K_ib) K_bj
-        and at most K_ia (c K_bj - K_aj). Summed with the weights W, the first
-        gives a row bound against P = W K^T, the second a column bound against
-        Q = K_T^T W; the smaller of the two holds. W has rank S, so P and Q are
-        built as products through the S categories, one after the other.
-        """
-        Pt = (self.K @ self.jobs) @ self.workers.T                  # (N, |T|): Pt[b, i] = P_ib
-        row_ab, row_ba = self._excess(self.KTt, Pt)
-        del Pt
-        Q = (self.KTt @ self.workers) @ self.jobs.T                 # (N, N)
-        col_ba, col_ab = self._excess(self.K, Q)
-        return np.minimum(row_ab, col_ab) + np.minimum(row_ba, col_ba)
+            ta, tb, ka, kb = self.KTt[a], self.KTt[b], self.K[a], self.K[b]
+            for tx, ty, kx, ky in ((ta, tb, ka, kb), (tb, ta, kb, ka)):
+                in_r, in_c = c * tx > ty, c * ky > kx                 # the block R x C
+                row = (((c * tx - ty) * in_r) @ self.workers) * ((ky * in_c) @ self.jobs)
+                col = ((tx * in_r) @ self.workers) * (((c * ky - kx) * in_c) @ self.jobs)
+                out[s : s + _BOUND_CHUNK] += np.minimum(row.sum(axis=1), col.sum(axis=1))
+        return out
 
 
 def _bound_search(

@@ -85,9 +85,9 @@ class Network:
             congested_time=np.append(self.congested_time, free_flow_time),
         )
 
-    def endpoints(self) -> list[int]:
+    def endpoints(self) -> np.ndarray:
         """Sorted cells touched by at least one link."""
-        return sorted(set(self.a.tolist()) | set(self.b.tolist()))
+        return np.flatnonzero(np.bincount(np.concatenate((self.a, self.b)), minlength=self.n_cells))
 
     def __len__(self) -> int:
         return len(self.a)
@@ -127,7 +127,7 @@ def _terminal_graph(afc: np.ndarray, network: Network, link_times: np.ndarray) -
     are unique per endpoint pair, so each edge is written at most once;
     edge_link holds that link's index, or -1 where the edge is the AFC leg.
     """
-    terminals = np.array(network.endpoints())
+    terminals = network.endpoints()
     t = len(terminals)
     dist = afc[terminals[:, None], terminals]
     edge_link = np.full((t, t), -1, dtype=int)

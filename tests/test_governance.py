@@ -355,6 +355,41 @@ def test_gain_bound_holds_for_every_candidate():
                 assert gains.gain(k) == pytest.approx(exact, abs=1e-12 * abs(before))
 
 
+def row_column_bound_oracle(gains):
+    """Per direction x -> y, the smaller of a row bound against P = W K^T over
+    every column and a column bound against Q = K_T^T W over every row of T."""
+    weights = gains.workers @ gains.jobs.T                 # (|T|, N)
+    P, Q = weights @ gains.K.T, gains.KTt @ weights       # P[i, y], Q[x, j]
+    out = np.zeros(len(gains.a))
+    for k, (a, b, c) in enumerate(zip(gains.a, gains.b, gains.c)):
+        for x, y in ((a, b), (b, a)):
+            row = np.maximum(c * gains.KTt[x] - gains.KTt[y], 0.0) @ P[:, y]
+            col = np.maximum(c * gains.K[y] - gains.K[x], 0.0) @ Q[x]
+            out[k] += min(row, col)
+    return out
+
+
+def test_box_bound_is_no_looser_than_row_column_bound():
+    # The box bound sums over the block R x C only, where the row/column
+    # bound sums its row form over every column and its column form over
+    # every row of the territory.
+    tighter = 0
+    for n, seed in ((5, 3), (5, 4), (10, 5)):
+        metropolis, net = random_case(n, seed)
+        a, b = enumerate_candidates(net, metropolis)
+        d_base = shortest_times(net, metropolis, free_flow=True)
+        for stakeholder in STAKEHOLDERS:
+            cells = stakeholder.territory_cells(metropolis)
+            tol = 1e-12 * abs(_territory_accessibility(metropolis, d_base, cells))
+            gains = _LinkGains(metropolis, d_base, cells, a, b)
+            bounds, oracle = gains.bounds(), row_column_bound_oracle(gains)
+            for k in range(len(a)):
+                assert gains.gain(k) <= bounds[k] + tol
+                assert bounds[k] <= oracle[k] + tol
+            tighter += int((bounds < oracle - tol).sum())
+    assert tighter > 0
+
+
 def test_free_flow_times_obey_triangle_inequality():
     # The free-flow search is exact only because d_ij <= d_ik + d_kj: its
     # block split of a link's gain and its pruning bound both rest on it.

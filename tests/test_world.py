@@ -124,6 +124,16 @@ def test_metropolis_is_frozen(two_city):
         metropolis.workers = metropolis.workers * 2.0
 
 
+def test_config_preference_matrices_are_private_and_read_only():
+    m = np.array([[0.05, 0.01], [0.02, 0.05]])
+    config = two_city_config(m=m, m_prime=m)
+    for name in ("m", "m_prime"):
+        with pytest.raises(ValueError):
+            getattr(config, name)[0, 0] = 1.0
+    m[0, 0] = 9.0
+    assert config.m[0, 0] == 0.05 and config.m_prime[0, 0] == 0.05
+
+
 def test_mayor_weights_track_job_moves(two_city):
     metropolis = init_metropolis(two_city, 1000.0, 1000.0)
     before = mayor_weights(metropolis)
