@@ -90,8 +90,9 @@ class Advanced(NamedTuple):
     row: IndicatorRow
 
 
-def _indicators(metropolis: Metropolis, d: np.ndarray, flows: np.ndarray, link_count: int, step: int) -> IndicatorRow:
-    _, _, total_access = accessibility(metropolis, d, metropolis.config.nu)
+def _indicators(metropolis: Metropolis, d: np.ndarray, flows: np.ndarray, link_count: int, step: int,
+                kernel: np.ndarray | None = None) -> IndicatorRow:
+    _, _, total_access = accessibility(metropolis, d, metropolis.config.nu, kernel)
     per_mayor = tuple(
         float(total_access[metropolis.territory == i].sum()) for i in range(metropolis.n_mayors)
     )
@@ -164,16 +165,18 @@ def advance(state: SimState) -> Advanced:
     Travel demand is distributed on the previous step's times, assignment
     produces this step's congested times, and relocation (when enabled)
     applies them. Indicators are measured on the post-assignment times. The
-    OD matrix is not kept.
+    OD matrix is not kept. Scoring and the indicators read the same
+    accessibility kernel exp(-nu d), computed once here.
     """
     metropolis = state.metropolis
     cfg = metropolis.config
     od = distribute(metropolis, state.travel_times)
     network, d = assign_traffic(od.flows, state.network, metropolis, cfg.assignment_iterations)
+    kernel = np.exp(-cfg.nu * d)
     if cfg.landuse_enabled:
-        scores = cell_scores(metropolis, d)
+        scores = cell_scores(metropolis, d, kernel)
         metropolis = relocate(metropolis, scores, cfg.mu, cfg.relocation_fraction)
-    row = _indicators(metropolis, d, od.flows, len(network), len(state.decisions) + 1)
+    row = _indicators(metropolis, d, od.flows, len(network), len(state.decisions) + 1, kernel)
     return Advanced(metropolis, network, d, row)
 
 

@@ -211,7 +211,7 @@ def _bound_search(
     before_ff: float,
     margin: float,
     exact: Callable[[int], float],
-) -> dict[int, float]:
+) -> tuple[dict[int, float], float]:
     """Best-first search for the candidates that may hold the maximum of exact(k).
 
     Requires exact(k) <= before_ff + link_gains.gain(k) for every candidate,
@@ -219,20 +219,27 @@ def _bound_search(
     Candidates are visited in descending bound order until before_ff +
     bounds()[k] falls below the best exact score minus margin. A visited
     candidate is scored with exact(k) only if before_ff + gain(k) can still
-    reach the best minus margin. Returns the exact scores by candidate index;
-    every candidate that ties the maximum within the margin is among them.
+    reach the best minus margin. Returns the exact scores by candidate index,
+    among which is every candidate that ties the maximum within the margin,
+    and the ceiling of the unscored candidates (-inf if none was left): the
+    highest of before_ff + gain(k) over the visited ones and before_ff +
+    bounds()[k] over the rest. Up to rounding, no unscored candidate's exact
+    score exceeds it.
     """
     bounds = link_gains.bounds()
-    best = -np.inf
+    best = ceiling = -np.inf
     scores: dict[int, float] = {}
     for k in np.argsort(-bounds, kind="stable").tolist():
         if before_ff + bounds[k] < best - margin:
+            ceiling = max(ceiling, before_ff + bounds[k])
             break
-        if before_ff + link_gains.gain(k) < best - margin:
+        tight = before_ff + link_gains.gain(k)
+        if tight < best - margin:
+            ceiling = max(ceiling, tight)
             continue
         scores[k] = exact(k)
         best = max(best, scores[k])
-    return scores
+    return scores, ceiling
 
 
 def decide_and_build(
@@ -286,13 +293,20 @@ def decide_and_build(
             return _territory_accessibility(metropolis, d, cells)
 
     margin = PRUNE_MARGIN * max(abs(before), abs(before_ff))
-    scores = _bound_search(_LinkGains(metropolis, d_ff, cells, a, b), before_ff, margin, exact)
+    scores, ceiling = _bound_search(_LinkGains(metropolis, d_ff, cells, a, b), before_ff, margin, exact)
     ordered = sorted(scores)
     best = max(ordered, key=scores.__getitem__, default=None)
 
+    # With one candidate scored the runner-up is unscored, and the margin is
+    # at least the best score minus the ceiling of the unscored candidates.
     top = sorted(scores.values(), reverse=True)[:2]
-    log.debug("step %d: n_candidates %d, scored %d, best - runner-up %s",
-              step, len(a), len(scores), f"{top[0] - top[1]:.6g}" if len(top) == 2 else "n/a")
+    if len(top) == 2:
+        gap = f"best - runner-up {top[0] - top[1]:.6g}"
+    elif top and ceiling > -np.inf:
+        gap = f"best - highest unscored bound {top[0] - ceiling:.6g} (a lower bound on best - runner-up)"
+    else:
+        gap = "best - runner-up n/a"
+    log.debug("step %d: n_candidates %d, scored %d, %s", step, len(a), len(scores), gap)
     chosen = None if best is None else (int(a[best]), int(b[best]))
     record = DecisionRecord(
         step=step, level=stakeholder.level, mayor=stakeholder.mayor,

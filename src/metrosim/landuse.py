@@ -21,14 +21,18 @@ class CellScore:
     job_utility: np.ndarray     # (N, S)
 
 
-def accessibility(metropolis: Metropolis, d: np.ndarray, nu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def accessibility(metropolis: Metropolis, d: np.ndarray, nu: float,
+                  kernel: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Decayed opportunity sums per cell and category.
 
     Worker side counts reachable jobs, job side reachable workers; the
     aggregate weights each cell's per-category access by its resident
-    workers. Returns (worker_access, job_access, total_access).
+    workers. Returns (worker_access, job_access, total_access). A caller
+    that already holds the kernel exp(-nu * d) passes it, and it is not
+    computed again.
     """
-    kernel = np.exp(-nu * d)
+    if kernel is None:
+        kernel = np.exp(-nu * d)
     worker_access = kernel @ metropolis.jobs     # (N, S)
     job_access = kernel @ metropolis.workers     # (N, S)
     total_access = (metropolis.workers * worker_access).sum(axis=1)
@@ -59,10 +63,13 @@ def utility(access, form, gamma: float):
     return float(out) if out.ndim == 0 else out
 
 
-def cell_scores(metropolis: Metropolis, d: np.ndarray) -> CellScore:
-    """Worker and job utilities of the current land use on the supplied travel times."""
+def cell_scores(metropolis: Metropolis, d: np.ndarray, kernel: np.ndarray | None = None) -> CellScore:
+    """Worker and job utilities of the current land use on the supplied travel times.
+
+    kernel, when given, is accessibility's exp(-nu * d).
+    """
     cfg = metropolis.config
-    worker_access, job_access, _ = accessibility(metropolis, d, cfg.nu)
+    worker_access, job_access, _ = accessibility(metropolis, d, cfg.nu, kernel)
     worker_form, job_form = urban_form(metropolis, cfg.m, cfg.m_prime)
     return CellScore(
         worker_utility=utility(worker_access, worker_form, cfg.gamma),

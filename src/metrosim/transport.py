@@ -176,7 +176,7 @@ def shortest_times(network: Network, metropolis: Metropolis, *, free_flow: bool 
 # Gravity distribution
 
 
-@dataclass
+@dataclass(frozen=True)
 class FurnessResult:
     """Doubly-constrained gravity matrix with its balancing state."""
 
@@ -187,9 +187,10 @@ class FurnessResult:
     converged: bool
 
 
-def _marginal_error(flows: np.ndarray, origins: np.ndarray, destinations: np.ndarray) -> float:
-    row = np.abs(flows.sum(axis=1) - origins) / np.maximum(origins, 1e-12)
-    col = np.abs(flows.sum(axis=0) - destinations) / np.maximum(destinations, 1e-12)
+def _marginal_error(rows: np.ndarray, cols: np.ndarray, origins: np.ndarray, destinations: np.ndarray) -> float:
+    """Worst relative error of row and column sums against their marginals."""
+    row = np.abs(rows - origins) / np.maximum(origins, 1e-12)
+    col = np.abs(cols - destinations) / np.maximum(destinations, 1e-12)
     return float(max(row.max(initial=0.0), col.max(initial=0.0)))
 
 
@@ -208,8 +209,36 @@ def furness_distribution(
     fixed-point updates until the worst marginal relative error drops below
     tol; a non-converged matrix is still returned, flagged, with its residual.
     """
-    a = np.asarray(origins, dtype=float)
-    e = np.asarray(destinations, dtype=float)
+    return _balance(np.asarray(origins, dtype=float), np.asarray(destinations, dtype=float),
+                    np.exp(-lam * d), tol, max_iter)
+
+
+def _balance(a: np.ndarray, e: np.ndarray, kernel: np.ndarray, tol: float, max_iter: int) -> FurnessResult:
+    """furness_distribution on the kernel exp(-lam d).
+
+    With pa = p a and qe = q e the flows are pa_i qe_j K_ij, so their row
+    sums are pa (K qe) and their column sums qe (K^T pa), and both products
+    are ones the updates compute anyway (K qe is the next denom_p). Each
+    iteration tests this cheap residual and forms the (N, N) flows, to take
+    the exact residual from their sums, only when the cheap one is within
+    `guard` of tol, or at max_iter; the exact one decides.
+
+    The guard: a row sum sums the N nonnegative terms t_j = pa qe_j K_j. The
+    flows form rounds each term twice and sums them, the vector form rounds
+    K_j qe_j, sums N terms (in any BLAS order, with or without FMA) and
+    multiplies by pa. Either is within gamma_(N+1) ~ (N+1)u of the true sum
+    R (u = eps/2), so they differ by at most 2(N+1)u R. Subtracting the
+    marginal a and dividing by it rounds each residual twice more, to within
+    2u of itself. If the exact residual is below tol then R <= a (1 + tol),
+    and the cheap residual is below tol + 2(N+1)u (1 + tol) + 4u tol <
+    tol + (N+3) eps (1 + tol). guard = 4 (N+4) eps (1 + tol) exceeds that
+    fourfold, so no iteration at which the exact residual is below tol is
+    skipped, and the stopping iteration, flows and residual are exactly
+    those of testing the exact residual every iteration. Zero marginals give
+    zero sums both ways; underflow adds an absolute error under N 2^-1074
+    per sum, negligible against guard times the 1e-12 floor of the
+    denominators. A NaN cheap residual falls through to the exact test.
+    """
     n = a.shape[0]
     total_a, total_e = a.sum(), e.sum()
     if total_a <= 0.0 or total_e <= 0.0:
@@ -217,26 +246,29 @@ def furness_distribution(
         return FurnessResult(zeros, e * 0.0, 0.0, 0, True)
     e = e * (total_a / total_e)
 
-    kernel = np.exp(-lam * d)
-    p = np.ones(n)
-    q = np.ones(n)
+    guard = 4.0 * (n + 4) * np.finfo(float).eps * (1.0 + tol)
     flows = np.zeros((n, n))
     residual = np.inf
     iterations = 0
+    denom_p = kernel @ e  # q starts at ones
     for iterations in range(1, max_iter + 1):
-        denom_p = kernel @ (q * e)
         p = np.divide(1.0, denom_p, out=np.zeros(n), where=denom_p > 0.0)
-        denom_q = kernel.T @ (p * a)
+        pa = p * a
+        denom_q = kernel.T @ pa
         q = np.divide(1.0, denom_q, out=np.zeros(n), where=denom_q > 0.0)
-        flows = (p * a)[:, None] * (q * e)[None, :] * kernel
-        residual = _marginal_error(flows, a, e)
+        qe = q * e
+        denom_p = kernel @ qe
+        if _marginal_error(pa * denom_p, qe * denom_q, a, e) >= tol + guard and iterations < max_iter:
+            continue
+        flows = pa[:, None] * qe[None, :] * kernel
+        residual = _marginal_error(flows.sum(axis=1), flows.sum(axis=0), a, e)
         if residual < tol:
             return FurnessResult(flows, e, residual, iterations, True)
     log.warning("gravity balancing stopped at max_iter=%d with residual %.3e", max_iter, residual)
     return FurnessResult(flows, e, residual, iterations, False)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ODMatrix:
     """All-category commuting flows with each category's balancing state."""
 
@@ -253,17 +285,19 @@ def distribute(metropolis: Metropolis, d: np.ndarray) -> ODMatrix:
     model of furness_distribution, with lam, the tolerance and the iteration
     cap taken from the config; the category matrices are added in category
     order. A category with workers but no jobs, or jobs but no workers,
-    contributes no trips (engine.initial_state logs it once per run).
+    contributes no trips (engine.initial_state logs it once per run). The
+    kernel exp(-lam d) is computed once for all categories.
     """
     cfg = metropolis.config
     n, s = metropolis.workers.shape
+    kernel = np.exp(-cfg.lam * d)
     flows = np.zeros((n, n))
     residuals = np.zeros(s)
     converged = np.ones(s, dtype=bool)
     iterations = np.zeros(s, dtype=int)
     for cat in range(s):
-        result = furness_distribution(metropolis.workers[:, cat], metropolis.jobs[:, cat], d,
-                                      cfg.lam, cfg.furness_tolerance, cfg.furness_max_iter)
+        result = _balance(metropolis.workers[:, cat], metropolis.jobs[:, cat], kernel,
+                          cfg.furness_tolerance, cfg.furness_max_iter)
         flows += result.flows
         residuals[cat] = result.residual
         converged[cat] = result.converged

@@ -10,7 +10,7 @@ import pytest
 from metrosim.config import two_city_config
 from metrosim import engine
 from metrosim.engine import StepMemo, initial_state, replicate, run, step, summarize_finals
-from metrosim.landuse import accessibility
+from metrosim.landuse import accessibility, cell_scores
 
 
 def test_steps_zero_keeps_only_initial_snapshot():
@@ -149,6 +149,32 @@ def test_indicator_accessibility_recomputable_from_state():
     _, _, total_access = accessibility(state.metropolis, state.travel_times, cfg.nu)
     logged = state.history[-1].total_accessibility
     assert abs(float(total_access.sum()) - logged) < 1e-9 * max(1.0, abs(logged))
+
+
+def test_advance_shares_one_accessibility_kernel(monkeypatch):
+    # With land use on, scoring and the indicators read one kernel exp(-nu d),
+    # and the step's indicators equal a recomputation from the new state.
+    kernels = []
+
+    def scores_recording(metropolis, d, kernel=None):
+        kernels.append(kernel)
+        return cell_scores(metropolis, d, kernel)
+
+    def access_recording(metropolis, d, nu, kernel=None):
+        kernels.append(kernel)
+        return accessibility(metropolis, d, nu, kernel)
+
+    cfg = two_city_config(grid_rows=6, grid_cols=6, minor_position=(5, 5), dominant_position=(0, 0),
+                          landuse_enabled=True)
+    state = initial_state(cfg)
+    monkeypatch.setattr(engine, "cell_scores", scores_recording)
+    monkeypatch.setattr(engine, "accessibility", access_recording)
+    advanced = engine.advance(state)
+    monkeypatch.undo()
+    assert len(kernels) == 2 and kernels[0] is kernels[1]
+    assert kernels[0].tobytes() == np.exp(-cfg.nu * advanced.travel_times).tobytes()
+    _, _, total_access = accessibility(advanced.metropolis, advanced.travel_times, cfg.nu)
+    assert advanced.row.total_accessibility == float(total_access.sum())
 
 
 def test_mayor_objectives_partition_total():

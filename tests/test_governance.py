@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import logging
 import random
 from dataclasses import replace
 
@@ -338,6 +339,34 @@ def test_incremental_evaluation_matches_full_recompute():
                 assert value == pytest.approx(full[(a, b)], rel=1e-12)
             if n == 10:
                 assert len(record.evaluations) < len(candidates) // 4  # the bound prunes
+
+
+def test_debug_margin_never_exceeds_the_true_margin(caplog):
+    # With two or more candidates scored the log gives best - runner-up over
+    # them; with one scored, best minus the highest unscored bound, which may
+    # not exceed the exhaustive best - runner-up.
+    caplog.set_level(logging.DEBUG, logger="metrosim.governance")
+    one_scored = 0
+    for n, seed in ((5, 0), (5, 1), (10, 0), (10, 1)):
+        metropolis, net = random_case(n, seed)
+        d_base = shortest_times(net, metropolis, free_flow=True)
+        floor = intra_cell_time(metropolis)
+        for stakeholder in STAKEHOLDERS:
+            caplog.clear()
+            _, record = decide_and_build(metropolis, net, stakeholder, travel_times=shortest_times(net, metropolis))
+            message = caplog.records[-1].getMessage()
+            if len(record.evaluations) > 1:
+                assert "best - runner-up " in message
+                continue
+            cells = stakeholder.territory_cells(metropolis)
+            top = sorted((_territory_accessibility(metropolis, _candidate_times(
+                d_base, a, b, metropolis.distance_km[a, b] / metropolis.config.v_link, floor), cells)
+                for a, b in candidate_pairs(net, metropolis)), reverse=True)
+            logged = float(message.split("best - highest unscored bound ")[1].split()[0])
+            assert "(a lower bound on best - runner-up)" in message
+            assert logged <= top[0] - top[1] + 1e-5 * abs(logged) + 1e-12 * top[0]  # 6 printed digits
+            one_scored += 1
+    assert one_scored > 0
 
 
 def test_gain_bound_holds_for_every_candidate():

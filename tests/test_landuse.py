@@ -37,6 +37,18 @@ def afc_times(metropolis):
 # Accessibility
 
 
+def test_a_given_kernel_gives_the_same_scores():
+    metropolis = make_metropolis()
+    d = np.random.default_rng(3).uniform(0.01, 0.6, size=(metropolis.n_cells, metropolis.n_cells))
+    kernel = np.exp(-metropolis.config.nu * d)
+    for own, given in zip(accessibility(metropolis, d, metropolis.config.nu),
+                          accessibility(metropolis, d, metropolis.config.nu, kernel)):
+        assert own.tobytes() == given.tobytes()
+    own, given = cell_scores(metropolis, d), cell_scores(metropolis, d, kernel)
+    assert own.worker_utility.tobytes() == given.worker_utility.tobytes()
+    assert own.job_utility.tobytes() == given.job_utility.tobytes()
+
+
 def test_zero_decay_counts_all_jobs():
     metropolis = make_metropolis()
     d = afc_times(metropolis)

@@ -10,7 +10,9 @@ import pytest
 
 from metrosim.config import two_city_config
 from metrosim.transport import (
+    FurnessResult,
     Network,
+    ODMatrix,
     _load_all_or_nothing,
     assign_traffic,
     bpr_time,
@@ -169,6 +171,68 @@ def ipf_oracle(origins, destinations, d, lam, sweeps=5000, tol=1e-13):
                 and np.abs(flows.sum(axis=0) - target_cols).max() < tol):
             break
     return flows
+
+
+def furness_oracle(origins, destinations, d, lam, tol, max_iter):
+    """The gravity balance that forms the flow matrix and its exact residual every iteration."""
+    def _marginal_error(flows, origins, destinations):
+        row = np.abs(flows.sum(axis=1) - origins) / np.maximum(origins, 1e-12)
+        col = np.abs(flows.sum(axis=0) - destinations) / np.maximum(destinations, 1e-12)
+        return float(max(row.max(initial=0.0), col.max(initial=0.0)))
+
+    a = np.asarray(origins, dtype=float)
+    e = np.asarray(destinations, dtype=float)
+    n = a.shape[0]
+    total_a, total_e = a.sum(), e.sum()
+    if total_a <= 0.0 or total_e <= 0.0:
+        zeros = np.zeros((n, n))
+        return FurnessResult(zeros, e * 0.0, 0.0, 0, True)
+    e = e * (total_a / total_e)
+
+    kernel = np.exp(-lam * d)
+    p = np.ones(n)
+    q = np.ones(n)
+    flows = np.zeros((n, n))
+    residual = np.inf
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        denom_p = kernel @ (q * e)
+        p = np.divide(1.0, denom_p, out=np.zeros(n), where=denom_p > 0.0)
+        denom_q = kernel.T @ (p * a)
+        q = np.divide(1.0, denom_q, out=np.zeros(n), where=denom_q > 0.0)
+        flows = (p * a)[:, None] * (q * e)[None, :] * kernel
+        residual = _marginal_error(flows, a, e)
+        if residual < tol:
+            return FurnessResult(flows, e, residual, iterations, True)
+    return FurnessResult(flows, e, residual, iterations, False)
+
+
+def furness_residual_trace(a, e, d, lam, max_iter):
+    """Per iteration of furness_oracle, the residual taken from the scaling vectors and the exact one.
+
+    The vector residual is the balance's cheap test: row sums p a (K q e),
+    column sums q e (K^T p a).
+    """
+    def relative_error(rows, cols):
+        row = np.abs(rows - a) / np.maximum(a, 1e-12)
+        col = np.abs(cols - e) / np.maximum(e, 1e-12)
+        return float(max(row.max(initial=0.0), col.max(initial=0.0)))
+
+    e = e * (a.sum() / e.sum())
+    kernel = np.exp(-lam * d)
+    n = len(a)
+    q = np.ones(n)
+    trace = []
+    for _ in range(max_iter):
+        denom_p = kernel @ (q * e)
+        p = np.divide(1.0, denom_p, out=np.zeros(n), where=denom_p > 0.0)
+        denom_q = kernel.T @ (p * a)
+        q = np.divide(1.0, denom_q, out=np.zeros(n), where=denom_q > 0.0)
+        pa, qe = p * a, q * e
+        flows = pa[:, None] * qe[None, :] * kernel
+        trace.append((relative_error(pa * (kernel @ qe), qe * denom_q),
+                      relative_error(flows.sum(axis=1), flows.sum(axis=0))))
+    return trace
 
 
 def dijkstra_load_oracle(metropolis, network, od):
@@ -446,6 +510,92 @@ def test_one_sided_category_contributes_nothing():
     od = distribute(metropolis, d)
     assert np.array_equal(od.flows, category_furness(metropolis, d, 1).flows)
     assert (od.residuals[0], od.iterations[0], od.converged[0]) == (0.0, 0, True)
+
+
+def assert_same_balance(result, oracle):
+    assert result.flows.tobytes() == oracle.flows.tobytes()
+    assert result.destinations_scaled.tobytes() == oracle.destinations_scaled.tobytes()
+    assert (result.residual, result.iterations, result.converged) == (
+        oracle.residual, oracle.iterations, oracle.converged)
+
+
+def test_furness_matches_the_every_iteration_oracle_bit_for_bit():
+    # Seeded marginals with empty origin and destination cells, tolerances
+    # from loose to below rounding, and caps that stop the balance early.
+    rng = np.random.default_rng(17)
+    stops = {True: 0, False: 0}
+    for n in (1, 2, 7, 40, 120):
+        for lam in (0.0, 0.7, 3.0, 9.0):
+            for tol, max_iter in ((1e-3, 500), (1e-8, 500), (1e-12, 500), (1e-8, 3), (1e-15, 40)):
+                a = rng.uniform(0.0, 50.0, n)
+                e = rng.uniform(0.0, 50.0, n)
+                if n > 2:
+                    a[rng.choice(n, size=n // 3, replace=False)] = 0.0
+                    e[rng.choice(n, size=n // 3, replace=False)] = 0.0
+                d = rng.uniform(0.02, 1.5, (n, n))
+                oracle = furness_oracle(a, e, d, lam, tol, max_iter)
+                assert_same_balance(furness_distribution(a, e, d, lam, tol, max_iter), oracle)
+                stops[oracle.converged] += 1
+    assert stops[True] > 0 and stops[False] > 0  # both stop rules are exercised
+    d = rng.uniform(0.02, 1.5, (6, 6))
+    for a, e in ((np.zeros(6), np.ones(6)), (np.ones(6), np.zeros(6))):  # an empty side
+        assert_same_balance(furness_distribution(a, e, d, 1.0, 1e-8, 100), furness_oracle(a, e, d, 1.0, 1e-8, 100))
+
+
+def test_furness_stops_where_only_the_exact_residual_is_below_tol():
+    # At some iteration, at a working tolerance, the residual from the
+    # scaling vectors lies above the exact one by rounding. With tol set to
+    # the vector residual, only the exact one is below tol there, so the
+    # balance must take the exact test inside the guard band to stop at that
+    # iteration, as the oracle does.
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        a, e = rng.uniform(0.5, 50.0, 60), rng.uniform(0.5, 50.0, 60)
+        d = rng.uniform(0.02, 1.5, (60, 60))
+        trace = furness_residual_trace(a, e, d, 2.0, 40)
+        for k, (cheap, exact) in enumerate(trace):
+            if exact < cheap < 1e-6 and all(earlier >= cheap for _, earlier in trace[:k]):
+                break
+        else:
+            continue
+        assert cheap - exact < 4 * (60 + 4) * np.finfo(float).eps
+        oracle = furness_oracle(a, e, d, 2.0, cheap, 40)
+        assert (oracle.iterations, oracle.residual, oracle.converged) == (k + 1, exact, True)
+        assert_same_balance(furness_distribution(a, e, d, 2.0, cheap, 40), oracle)
+        return
+    pytest.fail("no seed gives an iteration with the vector residual above the exact one")
+
+
+def test_distribute_with_a_one_sided_category_matches_the_oracle():
+    metropolis = make_metropolis(rows=6, cols=6)
+    rng = np.random.default_rng(4)
+    workers = metropolis.workers * rng.uniform(0.5, 1.5, size=metropolis.workers.shape)
+    jobs = metropolis.jobs * rng.uniform(0.5, 1.5, size=metropolis.jobs.shape)
+    workers[:5] = 0.0
+    jobs[-5:] = 0.0
+    jobs[:, 0] = 0.0
+    metropolis = replace(metropolis, workers=workers, jobs=jobs)
+    d = shortest_times(build_network(metropolis, ((0, 35), (5, 30))), metropolis)
+    cfg = metropolis.config
+    od = distribute(metropolis, d)
+    flows = np.zeros_like(d)
+    for cat in range(workers.shape[1]):
+        oracle = furness_oracle(workers[:, cat], jobs[:, cat], d, cfg.lam, cfg.furness_tolerance,
+                                cfg.furness_max_iter)
+        flows += oracle.flows
+        assert (od.residuals[cat], od.iterations[cat], od.converged[cat]) == (
+            oracle.residual, oracle.iterations, oracle.converged)
+    assert od.iterations[0] == 0 and od.iterations[1] > 0
+    assert od.flows.tobytes() == flows.tobytes()
+
+
+def test_balance_results_are_frozen():
+    result = furness_distribution(np.ones(3), np.ones(3), np.ones((3, 3)), 1.0, 1e-8, 50)
+    od = ODMatrix(result.flows, np.zeros(1), np.ones(1, dtype=bool), np.ones(1, dtype=int))
+    with pytest.raises(FrozenInstanceError):
+        result.residual = 0.0
+    with pytest.raises(FrozenInstanceError):
+        od.flows = od.flows
 
 
 def test_furness_lambda_zero_closed_form():
