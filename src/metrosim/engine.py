@@ -1,28 +1,32 @@
 """Simulation orchestration: the seeded step loop and replication statistics.
 
-A state is a frozen value with no random stream. `step(state, rng)` runs two
-pure halves and returns a new state with one more indicator row: `advance`
-(transport, then land use) and `govern` (the drawn stakeholder builds its
-argmax link). Only `run` holds the seeded rng, whose only draws happen in
-stakeholder selection, so runs with xi = 0 are fully deterministic across
+A state is a frozen value with no random stream. `step(state, rng)` runs
+`advance` (transport, then land use), draws the deciding stakeholder and lets
+it build its argmax link (`decide_and_build`), and returns a new state with one
+more indicator row. Only `run` holds the seeded rng, whose only draws happen
+in stakeholder selection, so runs with xi = 0 are fully deterministic across
 seeds.
 
-xi and the seed enter only that draw, so the state after k steps depends on
-the scenario and the k stakeholders drawn so far, not on xi or the seed. `run`
-and `step` therefore take an optional `StepMemo` that runs share: `replicate`
-shares one over its seeds and a sweep one over a preset's xi x seed lanes. A
-run looks up its initial state by its config with xi left out, a step its
-advanced half by the input state and its governed state by (input state,
-stakeholder), and each is computed only on a miss. States compare by
-identity, so a hit returns the very value an earlier run computed and every
-output equals a memo-free run's bit for bit; runs of different scenarios that
-share a memo share nothing but its budget.
+The world after k steps (metropolis, network, travel times) depends only on
+the scenario and the k links built: `advance` reads nothing else, and the
+stakeholder enters a build only through the link it chooses and its
+`DecisionRecord`. `run` and `step` therefore take an optional `StepMemo` that
+runs share: `replicate` shares one over its seeds and a sweep one over a
+preset's xi x seed lanes. Its keys are build prefixes, the scenario key (the
+config's JSON with xi left out) plus the links chosen so far (None for a
+no-build). A run looks up its initial state by the scenario key, a step its
+advanced half by the build prefix and the built network and record by (build
+prefix, stakeholder); each is computed only on a miss. Every run assembles its
+own state from these shared values, with its own decisions, so every output
+equals a memo-free run's bit for bit; runs of different scenarios that share
+a memo share nothing but its budget.
 
-A memo holds one (N, N) float64 travel-time matrix per distinct decider
-prefix, and stores nothing more once those matrices reach `MEMO_BYTES`; a step
-it lacks is computed again, so the bound costs time, never a changed output.
-Warnings logged while a step is computed (a one-sided category, a Furness
-balance at max_iter) fire once per computed prefix, not once per run.
+A memo holds one (N, N) float64 travel-time matrix per scenario and per
+distinct build prefix, and stores nothing more once those matrices reach
+`MEMO_BYTES`; a step it lacks is computed again, so the bound costs time,
+never a changed output. Warnings logged while a step is computed (a one-sided
+category, a Furness balance at max_iter) fire once per computed build prefix,
+not once per run.
 """
 from __future__ import annotations
 
@@ -36,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import ScenarioConfig, config_to_dict
-from .governance import DecisionRecord, Stakeholder, decide_and_build, select_stakeholder
+from .governance import DecisionRecord, decide_and_build, select_stakeholder
 from .landuse import accessibility, cell_scores, relocate
 from .transport import Network, assign_traffic, build_network, distribute, shortest_times, total_travel_time
 from .world import Metropolis, init_metropolis, mayor_weights, natural_totals
@@ -81,7 +85,7 @@ class Advanced(NamedTuple):
 
     `network` carries this step's assigned flows and congested times and
     `travel_times` its all-pairs times. `row` holds the step's indicators;
-    `govern` sets its link count after the build.
+    `step` sets its link count after the build.
     """
 
     metropolis: Metropolis
@@ -106,11 +110,15 @@ def _indicators(metropolis: Metropolis, d: np.ndarray, flows: np.ndarray, link_c
 
 
 class StepMemo:
-    """Initial states and steps that runs share; see the module docstring.
+    """Initial states and step halves that runs share, keyed by build prefix.
 
-    `nbytes` counts the travel-time matrices of the entries; once it reaches
-    MEMO_BYTES no entry is added, so the memo holds at most that plus one
-    matrix.
+    `entries` maps a scenario key (a str) to the initial state, a build
+    prefix (a tuple that starts with the scenario key) to its advanced half,
+    and (build prefix, stakeholder) to the built network and its
+    DecisionRecord; the three key types never compare equal. `nbytes` counts
+    the travel-time matrices of the entries, which only initial states and
+    advanced halves bring; once it reaches MEMO_BYTES no entry is added, so
+    the memo holds at most that plus one matrix. See the module docstring.
     """
 
     def __init__(self) -> None:
@@ -118,12 +126,11 @@ class StepMemo:
         self.nbytes = 0
 
 
-def _memoised(memo: StepMemo | None, key: object, compute: Callable, *, new_matrix: bool = True):
+def _memoised(memo: StepMemo | None, key: object, compute: Callable):
     """The memo's entry for key, computed on a miss; with no memo, compute() alone.
 
     An entry is stored only once compute has returned, so a step that raises
-    leaves nothing behind for a later run to reuse. new_matrix says whether
-    the value brings a travel-time matrix the memo does not hold yet.
+    leaves nothing behind for a later run to reuse.
     """
     if memo is None:
         return compute()
@@ -132,7 +139,8 @@ def _memoised(memo: StepMemo | None, key: object, compute: Callable, *, new_matr
         value = compute()
         if memo.nbytes < MEMO_BYTES:
             memo.entries[key] = value
-            memo.nbytes += value.travel_times.nbytes if new_matrix else 0
+            matrix = getattr(value, "travel_times", None)
+            memo.nbytes += 0 if matrix is None else matrix.nbytes
     return value
 
 
@@ -180,13 +188,33 @@ def advance(state: SimState) -> Advanced:
     return Advanced(metropolis, network, d, row)
 
 
-def govern(state: SimState, advanced: Advanced, stakeholder: Stakeholder) -> SimState:
-    """The second half of a step: the stakeholder builds its argmax link on the advanced world.
+def step(state: SimState, rng: random.Random, *, xi: float, swap_mayor_weights: bool = False,
+         memo: StepMemo | None = None, scenario: str | None = None) -> SimState:
+    """Advance one time step: transport, land use, governance, indicators.
 
-    The freshly built link carries traffic from the next step on.
+    `advance` runs transport and land use, the stakeholder drawn from rng
+    with governance share xi builds its argmax link, and the freshly built
+    link carries traffic from the next step on. The input state is never
+    altered. xi is the caller's, not the state's config.xi: the world of a
+    state taken from a memo carries the config of the run that computed it.
+
+    A memo comes with `scenario`, the key `run` found the initial state
+    under. The advanced half is then looked up by the state's build prefix,
+    scenario plus the links its decisions chose, and the built network and
+    record by (build prefix, stakeholder); each is computed and stored only
+    on a miss, and with memo=None nothing is stored.
     """
-    metropolis, network, d, row = advanced
-    network, record = decide_and_build(metropolis, network, stakeholder, travel_times=d, step=row.step)
+    if memo is not None and scenario is None:
+        raise ValueError("a memo needs the scenario key of the run")
+    prefix = (scenario, *(record.chosen for record in state.decisions))
+    advanced = _memoised(memo, prefix, lambda: advance(state))
+    metropolis, _, d, row = advanced
+    weights = mayor_weights(metropolis)
+    if swap_mayor_weights:
+        weights = weights[::-1]
+    stakeholder, _ = select_stakeholder(xi, weights, rng)
+    network, record = _memoised(memo, (prefix, stakeholder), lambda: decide_and_build(
+        metropolis, advanced.network, stakeholder, travel_times=d, step=row.step))
     return SimState(
         metropolis=metropolis,
         network=network,
@@ -195,29 +223,6 @@ def govern(state: SimState, advanced: Advanced, stakeholder: Stakeholder) -> Sim
         decisions=state.decisions + (record,),
         density_history=state.density_history + (metropolis.workers.sum(axis=1),),
     )
-
-
-def step(state: SimState, rng: random.Random, *, xi: float, swap_mayor_weights: bool = False,
-         memo: StepMemo | None = None) -> SimState:
-    """Advance one time step: transport, land use, governance, indicators.
-
-    `advance` runs transport and land use, the stakeholder drawn from rng
-    with governance share xi decides, and `govern` builds its link. The
-    input state is never altered. xi is the caller's, not the state's
-    config.xi: a state taken from a memo carries the config of the run that
-    computed it.
-
-    With a memo, the advanced half is looked up by the input state and the
-    new state by (state, stakeholder); each is computed and stored only on a
-    miss, and with memo=None nothing is stored.
-    """
-    advanced = _memoised(memo, state, lambda: advance(state))
-    weights = mayor_weights(advanced.metropolis)
-    if swap_mayor_weights:
-        weights = weights[::-1]
-    stakeholder, _ = select_stakeholder(xi, weights, rng)
-    # The new state shares the advanced half's travel times.
-    return _memoised(memo, (state, stakeholder), lambda: govern(state, advanced, stakeholder), new_matrix=False)
 
 
 def run(config: ScenarioConfig, seed: int, *, swap_mayor_weights: bool = False,
@@ -230,15 +235,16 @@ def run(config: ScenarioConfig, seed: int, *, swap_mayor_weights: bool = False,
     governance-regime experiments.
 
     memo, when given, is shared with other runs: the initial state and every
-    step one of them computed for the same scenario (config with xi left
-    out) are reused, not recomputed (see the module docstring). The returned
-    state's metropolis carries `config`.
+    step half one of them computed for the same scenario (config with xi
+    left out) and the same links built are reused, not recomputed (see the
+    module docstring). The returned state's metropolis carries `config`.
     """
     rng = random.Random(seed)
     scenario = None if memo is None else json.dumps(config_to_dict(replace(config, xi=0.0)), sort_keys=True)
     state = _memoised(memo, scenario, lambda: initial_state(config))
     for _ in range(config.steps):
-        state = step(state, rng, xi=config.xi, swap_mayor_weights=swap_mayor_weights, memo=memo)
+        state = step(state, rng, xi=config.xi, swap_mayor_weights=swap_mayor_weights, memo=memo,
+                     scenario=scenario)
     return replace(state, metropolis=replace(state.metropolis, config=config))
 
 
@@ -280,8 +286,8 @@ def summarize_finals(finals: np.ndarray) -> ReplicationStats:
 def replicate(config: ScenarioConfig, n: int, base_seed: int, *, swap_mayor_weights: bool = False) -> ReplicationStats:
     """Run seeds base_seed .. base_seed + n - 1 and aggregate their final indicators.
 
-    The n runs share one memo, so a decider prefix two seeds have in common
-    is computed once.
+    The n runs share one memo, so a step two seeds reach with the same links
+    built is computed once.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

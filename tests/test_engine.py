@@ -258,10 +258,56 @@ def _assert_same_run(shared, oracle):
     assert all(np.array_equal(x, y) for x, y in zip(shared.density_history, oracle.density_history))
 
 
+def _record_calls(monkeypatch, name):
+    """Wrap engine.<name>; the returned list gets each call's positional arguments."""
+    original, calls = getattr(engine, name), []
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(engine, name, recorded)
+    return calls
+
+
+def test_memo_computes_each_build_prefix_once(monkeypatch):
+    # The world after k steps depends only on the scenario and the k links
+    # built. So with one memo shared by every scenario below, advance runs
+    # once per distinct (scenario, links built) and decide_and_build once per
+    # distinct (scenario, links built, stakeholder), while every lane still
+    # equals its memo-free run. The 2x2 grid saturates after six builds, so
+    # no-builds (None) enter its keys.
+    cases = [
+        (two_city_config(steps=3, landuse_enabled=True), False),
+        (two_city_config(steps=2, congestion_in_evaluation=True), False),
+        (two_city_config(steps=3), True),
+        (two_city_config(grid_rows=2, grid_cols=2, minor_position=(1, 1), dominant_position=(0, 0), steps=8), False),
+    ]
+    lanes = [(c, replace(cfg, xi=xi), seed, swap) for xi in (0.0, 0.5, 1.0) for seed in range(4)
+             for c, (cfg, swap) in enumerate(cases)]
+    oracles = [run(lane, seed, swap_mayor_weights=swap) for _, lane, seed, swap in lanes]
+    prefixes, pairs, decider_prefixes = set(), set(), set()
+    for (c, *_), oracle in zip(lanes, oracles):
+        chosen = tuple(record.chosen for record in oracle.decisions)
+        deciders = tuple((record.level, record.mayor) for record in oracle.decisions)
+        for k in range(len(chosen)):
+            prefixes.add((c, chosen[:k]))
+            pairs.add((c, chosen[:k], deciders[k]))
+            decider_prefixes.add((c, deciders[:k + 1]))
+    assert any(None in prefix for _, prefix in prefixes)
+    assert len(pairs) < len(decider_prefixes)
+    advanced, decided = _record_calls(monkeypatch, "advance"), _record_calls(monkeypatch, "decide_and_build")
+    memo = StepMemo()
+    for (_, lane, seed, swap), oracle in zip(lanes, oracles):
+        _assert_same_run(run(lane, seed, swap_mayor_weights=swap, memo=memo), oracle)
+    assert (len(advanced), len(decided)) == (len(prefixes), len(pairs))
+
+
 def test_full_memo_stores_nothing_more_and_changes_no_output(monkeypatch):
     # A budget of three 10x10 travel-time matrices: the first lane fills it
-    # with its initial state, step 1 and step 2's advanced half, and every
-    # later lane recomputes what the memo could not keep.
+    # with its initial state, step 1's advanced half and decision and step
+    # 2's advanced half, and every later lane recomputes what the memo could
+    # not keep.
     cfg = two_city_config(steps=3, landuse_enabled=True)
     lanes = [(replace(cfg, xi=xi), seed) for xi in (0.0, 0.5, 1.0) for seed in range(3)]
     oracles = [run(lane, seed) for lane, seed in lanes]
@@ -272,7 +318,29 @@ def test_full_memo_stores_nothing_more_and_changes_no_output(monkeypatch):
         _assert_same_run(run(lane, seed, memo=memo), oracle)
         assert memo.nbytes <= 3 * matrix
     assert memo.nbytes == 3 * matrix
-    assert len(memo.entries) == 4
+    assert [type(value).__name__ for value in memo.entries.values()] == ["SimState", "Advanced", "tuple", "Advanced"]
+
+
+def test_three_matrix_memo_serves_more_than_three_decider_prefixes(monkeypatch):
+    # On a 1x2 grid every stakeholder can build only the one link, so the
+    # governor and both mayors reach one world after step 1. A budget of
+    # three matrices holds the initial state and two advanced halves; keyed
+    # by the links built, those serve the empty decider prefix and all three
+    # one-decider prefixes.
+    cfg = two_city_config(grid_rows=1, grid_cols=2, minor_position=(0, 1), dominant_position=(0, 0), steps=3)
+    lanes = [(replace(cfg, xi=xi), seed) for xi in (0.0, 0.5, 1.0) for seed in range(5)]
+    oracles = [run(lane, seed) for lane, seed in lanes]
+    monkeypatch.setattr(engine, "MEMO_BYTES", 3 * cfg.n_cells ** 2 * 8)
+    advanced = _record_calls(monkeypatch, "advance")
+    memo = StepMemo()
+    served = set()
+    for (lane, seed), oracle in zip(lanes, oracles):
+        before = len(advanced)
+        _assert_same_run(run(lane, seed, memo=memo), oracle)
+        computed = {len(state.decisions) for state, in advanced[before:]}
+        deciders = tuple((record.level, record.mayor) for record in oracle.decisions)
+        served.update(deciders[:k] for k in range(cfg.steps) if k not in computed)
+    assert len(served) > 3
 
 
 def test_memo_keeps_scenarios_apart():
