@@ -24,11 +24,16 @@ METROPOLITAN = "metropolitan"
 # Slack of the bound-pruned search, relative to the larger of the objectives
 # before the build on the evaluation mode's and on free-flow times. Bounds
 # and block gains differ from the exhaustive per-candidate objective only by
-# rounding (measured below 1e-15 of the objective on 10x10 and 20x20 runs),
-# so with this slack every candidate that could tie the exact maximum is
-# scored exactly.
+# rounding: the worst slack, bound minus exact gain, measured -5.2e-16 of the
+# best objective after the build over 300 decisions (every stakeholder at
+# every step of 6-step 20x20 and 15x15 runs, the four sweep presets at 8
+# steps and a congested 10x10 run, seeds 0 and 1). So with this slack every
+# candidate that could tie the exact maximum is scored exactly.
 PRUNE_MARGIN = 1e-9
-_BOUND_CHUNK = 64  # candidates per bound pass; keeps the temporaries small
+# Kernel entries per gathered (slab, N) row block of bounds(): 1 << 13 keeps
+# each block at 64 KiB. 1 << 14 was slower at 10x10 (about 1.2 against 0.7 ms
+# per call, one BLAS thread).
+_BOUND_ENTRIES = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -148,6 +153,13 @@ class _LinkGains:
     can only win on rows with c K_ia > K_ib and columns with c K_bj > K_aj,
     the b -> a route only on the mirrored block, and the two blocks never
     share a pair.
+
+    Free-flow times are symmetric, since AFC legs run on Euclidean distance
+    and links are undirected, and shortest_times gives them to within
+    rounding (a few ulp). So K_ix is read from row x of K as K_xi: the row
+    block of one direction and the column block of the other come from the
+    same comparison of two kernel rows, and no transposed copy of K is kept.
+    Reading K_xi for K_ix moves a gain or a bound only by rounding.
     """
 
     def __init__(self, metropolis: Metropolis, d_base: np.ndarray, cells: np.ndarray,
@@ -157,29 +169,40 @@ class _LinkGains:
         np.fill_diagonal(K, 0.0)
         K *= -cfg.nu
         self.K = np.exp(K, out=K)
-        self.KTt = np.ascontiguousarray(K.T[:, cells])               # (N, |T|): KTt[x, i] = K_ix
         self.cells = cells
         self.workers = metropolis.workers[cells]                     # (|T|, S)
         self.jobs = metropolis.jobs                                  # (N, S)
+        # V = [workers scattered into T, zero elsewhere | jobs]: one product
+        # against V sums a masked kernel row over R (workers) and over C (jobs).
+        n, s = self.jobs.shape
+        self.V = np.zeros((n, 2 * s))
+        self.V[cells, :s] = self.workers
+        self.V[:, s:] = self.jobs
         self.a, self.b = a, b
         self.c = np.exp(-cfg.nu * link_time(metropolis, a, b))
 
-    def _block(self, x: int, y: int, c: float) -> float:
-        """Exact gain of the pairs whose new best route runs x -> y over the link."""
-        K, KTt = self.K, self.KTt
-        rows = np.nonzero(c * KTt[x] > KTt[y])[0]
-        cols = np.nonzero(c * K[y] > K[x])[0]
+    def _block(self, kx: np.ndarray, ky: np.ndarray, m_xy: np.ndarray, m_yx: np.ndarray, c: float) -> float:
+        """Exact gain of the pairs whose new best route runs x -> y over the link.
+
+        kx and ky are rows x and y of K; by symmetry the block is R = T
+        within m_xy = (c K_x > K_y) and C = m_yx = (c K_y > K_x).
+        """
+        rows = np.nonzero(m_xy[self.cells])[0]
+        cols = np.nonzero(m_yx)[0]
         if rows.size == 0 or cols.size == 0:
             return 0.0
-        via = (c * KTt[x, rows])[:, None] * K[y, cols][None, :]
-        base = K[self.cells[rows][:, None], cols]
+        r = self.cells[rows]
+        via = (c * kx[r])[:, None] * ky[cols][None, :]
+        base = self.K[r[:, None], cols]
         weights = self.workers[rows] @ self.jobs[cols].T
         return float((weights * np.maximum(via - base, 0.0)).sum())
 
     def gain(self, k: int) -> float:
         """Exact objective gain of candidate k, up to rounding."""
         a, b, c = self.a[k], self.b[k], self.c[k]
-        return self._block(a, b, c) + self._block(b, a, c)
+        ka, kb = self.K[a], self.K[b]
+        m_ab, m_ba = c * ka > kb, c * kb > ka
+        return self._block(ka, kb, m_ab, m_ba, c) + self._block(kb, ka, m_ba, m_ab, c)
 
     def bounds(self) -> np.ndarray:
         """Upper bound on every candidate's gain: one box bound per route direction.
@@ -192,18 +215,40 @@ class _LinkGains:
         sum_s [sum_R w_is K_ix] [sum_C u_js (c K_yj - K_xj)] for the column
         form. A direction's bound is the smaller form, a candidate's the sum
         over its two directions.
+
+        By symmetry R of a -> b is T within m_ab = (c K_a > K_b), which is
+        also C of b -> a, and m_ba = (c K_b > K_a) mirrors it. One product of
+        the rows K_a m_ab, K_b m_ab, K_b m_ba and K_a m_ba against V gives all
+        eight factor sums. The differences are taken after summing, which
+        errs by at most about N eps of the objective after the build, as
+        c sum_R w K_x times sum_C u K_y is at most that objective; this is
+        far inside PRUNE_MARGIN.
         """
-        out = np.zeros(len(self.a))
-        for s in range(0, len(out), _BOUND_CHUNK):
-            a, b = self.a[s : s + _BOUND_CHUNK], self.b[s : s + _BOUND_CHUNK]
-            c = self.c[s : s + _BOUND_CHUNK, None]
-            ta, tb, ka, kb = self.KTt[a], self.KTt[b], self.K[a], self.K[b]
-            for tx, ty, kx, ky in ((ta, tb, ka, kb), (tb, ta, kb, ka)):
-                in_r, in_c = c * tx > ty, c * ky > kx                 # the block R x C
-                row = (((c * tx - ty) * in_r) @ self.workers) * ((ky * in_c) @ self.jobs)
-                col = ((tx * in_r) @ self.workers) * (((c * ky - kx) * in_c) @ self.jobs)
-                out[s : s + _BOUND_CHUNK] += np.minimum(row.sum(axis=1), col.sum(axis=1))
-        return out
+        n, s2 = self.V.shape
+        s, k = s2 // 2, len(self.a)
+        slab = max(1, _BOUND_ENTRIES // n)
+        masked = np.empty((4, min(slab, k), n))
+        # sums[d, 0] and sums[d, 1]: K_x and K_y masked by m_xy, times V, for
+        # direction d = 0 (a -> b) and d = 1 (b -> a).
+        sums = np.empty((2, 2, k, s2))
+        for lo in range(0, k, slab):
+            a, b = self.a[lo : lo + slab], self.b[lo : lo + slab]
+            c = self.c[lo : lo + slab, None]
+            m = len(a)
+            ka, kb = self.K[a], self.K[b]
+            m_ab, m_ba = c * ka > kb, c * kb > ka
+            rows = masked[:, :m]
+            np.multiply(ka, m_ab, out=rows[0])
+            np.multiply(kb, m_ab, out=rows[1])
+            np.multiply(kb, m_ba, out=rows[2])
+            np.multiply(ka, m_ba, out=rows[3])
+            sums[:, :, lo : lo + m] = (rows.reshape(4 * m, n) @ self.V).reshape(2, 2, m, s2)
+        c = self.c[:, None]
+        rx, ry = sums[:, 0, :, :s], sums[:, 1, :, :s]                # sum_R w K_x, sum_R w K_y
+        cy, cx = sums[::-1, 0, :, s:], sums[::-1, 1, :, s:]          # sum_C u K_y, sum_C u K_x
+        row = ((c * rx - ry) * cy).sum(axis=2)
+        col = (rx * (c * cy - cx)).sum(axis=2)
+        return np.minimum(row, col).sum(axis=0)
 
 
 def _bound_search(

@@ -387,15 +387,67 @@ def test_gain_bound_holds_for_every_candidate():
 def row_column_bound_oracle(gains):
     """Per direction x -> y, the smaller of a row bound against P = W K^T over
     every column and a column bound against Q = K_T^T W over every row of T."""
+    KTt = np.ascontiguousarray(gains.K.T[:, gains.cells])  # KTt[x, i] = K_ix
     weights = gains.workers @ gains.jobs.T                 # (|T|, N)
-    P, Q = weights @ gains.K.T, gains.KTt @ weights       # P[i, y], Q[x, j]
+    P, Q = weights @ gains.K.T, KTt @ weights              # P[i, y], Q[x, j]
     out = np.zeros(len(gains.a))
     for k, (a, b, c) in enumerate(zip(gains.a, gains.b, gains.c)):
         for x, y in ((a, b), (b, a)):
-            row = np.maximum(c * gains.KTt[x] - gains.KTt[y], 0.0) @ P[:, y]
+            row = np.maximum(c * KTt[x] - KTt[y], 0.0) @ P[:, y]
             col = np.maximum(c * gains.K[y] - gains.K[x], 0.0) @ Q[x]
             out[k] += min(row, col)
     return out
+
+
+def box_bound_oracle(gains, KTt):
+    """The box bound with K_ix read from KTt[x, i], an (N, |T|) array: per
+    chunk of 64 candidates, one masked pass per route direction."""
+    out = np.zeros(len(gains.a))
+    for s in range(0, len(out), 64):
+        a, b = gains.a[s : s + 64], gains.b[s : s + 64]
+        c = gains.c[s : s + 64, None]
+        ta, tb, ka, kb = KTt[a], KTt[b], gains.K[a], gains.K[b]
+        for tx, ty, kx, ky in ((ta, tb, ka, kb), (tb, ta, kb, ka)):
+            in_r, in_c = c * tx > ty, c * ky > kx                 # the block R x C
+            row = (((c * tx - ty) * in_r) @ gains.workers) * ((ky * in_c) @ gains.jobs)
+            col = ((tx * in_r) @ gains.workers) * (((c * ky - kx) * in_c) @ gains.jobs)
+            out[s : s + 64] += np.minimum(row.sum(axis=1), col.sum(axis=1))
+    return out
+
+
+def test_box_bound_matches_oracle_on_either_reading_of_the_kernel():
+    # bounds() reads K_ix from row x of K, as K_xi. Fed those rows, the
+    # two-pass oracle must give the same bounds up to rounding. Fed the true
+    # transpose, a row i can only change sides of the block where c K_ix and
+    # K_iy tie in exact arithmetic, as when i reaches y over an existing link
+    # parallel to the candidate and as long; every other candidate must get
+    # the same bound. Both cases must occur.
+    asymmetric = flipped = 0
+    for n, seed in ((5, 3), (5, 4), (10, 5), (10, 0), (15, 1)):
+        metropolis, net = random_case(n, seed)
+        a, b = enumerate_candidates(net, metropolis)
+        d_base = shortest_times(net, metropolis, free_flow=True)
+        asymmetric += not np.array_equal(d_base, d_base.T)
+        for stakeholder in STAKEHOLDERS:
+            cells = stakeholder.territory_cells(metropolis)
+            tol = 1e-12 * abs(_territory_accessibility(metropolis, d_base, cells))
+            gains = _LinkGains(metropolis, d_base, cells, a, b)
+            K, bounds = gains.K, gains.bounds()
+            rows = box_bound_oracle(gains, np.ascontiguousarray(K[:, cells]))
+            transposed = box_bound_oracle(gains, np.ascontiguousarray(K.T[:, cells]))
+            assert np.abs(bounds - rows).max() <= tol
+            for k in range(len(a)):
+                assert gains.gain(k) <= bounds[k] + tol
+                ties = 0
+                for x, y in ((a[k], b[k]), (b[k], a[k])):
+                    cx, ky = gains.c[k] * K[x, cells], K[y, cells]
+                    flip = (cx > ky) != (gains.c[k] * K[cells, x] > K[cells, y])
+                    assert (np.abs(cx - ky)[flip] <= 4 * np.finfo(float).eps * ky[flip]).all()
+                    ties += int(flip.sum())
+                if ties == 0:
+                    assert abs(bounds[k] - transposed[k]) <= tol
+                flipped += ties > 0
+    assert asymmetric > 0 and flipped > 0
 
 
 def test_box_bound_is_no_looser_than_row_column_bound():
@@ -429,6 +481,19 @@ def test_free_flow_times_obey_triangle_inequality():
         tol = 1e-12 * d.max()
         for k in range(metropolis.n_cells):
             assert (d <= d[:, k, None] + d[None, k, :] + tol).all()
+
+
+def test_free_flow_times_are_symmetric_to_rounding():
+    # _LinkGains reads K_ix from row x of K: AFC legs are Euclidean and links
+    # undirected, so free-flow times are symmetric in exact arithmetic, and
+    # the closure must keep them so to within a few ulp.
+    asymmetric = 0
+    for n, seed in ((5, 6), (10, 7), (10, 8), (15, 1)):
+        metropolis, net = random_case(n, seed)
+        d = shortest_times(net, metropolis, free_flow=True)
+        assert (np.abs(d - d.T) <= 4 * np.finfo(float).eps * np.maximum(d, d.T)).all()
+        asymmetric += not np.array_equal(d, d.T)
+    assert asymmetric > 0
 
 
 def test_congested_objective_is_bounded_by_free_flow_gain():
