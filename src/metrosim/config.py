@@ -7,7 +7,6 @@ defaults.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Any
@@ -90,12 +89,9 @@ def _require_real(value: Any, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name}: expected a number, got {value!r}")
     try:
-        real = float(value)
+        return float(value)
     except OverflowError:
         raise ConfigError(f"{name}: must be finite, got an integer too large for a float") from None
-    if not math.isfinite(real):
-        raise ConfigError(f"{name}: must be finite, got {value!r}")
-    return real
 
 
 def _require_bool(value: Any, name: str) -> bool:
@@ -135,8 +131,6 @@ def _matrix(value: Any, name: str, size: int) -> np.ndarray:
         raise ConfigError(f"{name}: not a numeric matrix ({exc})") from None
     if arr.shape != (size, size):
         raise ConfigError(f"{name}: expected a {size}x{size} matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ConfigError(f"{name}: entries must be finite")
     return arr
 
 
@@ -191,6 +185,12 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
 
 def validate(config: ScenarioConfig) -> None:
     """Check every invariant; raise ConfigError naming the first violated field."""
+    real = [(_ATTR_TO_KEY[f.name], getattr(config, f.name)) for f in fields(config) if f.type in ("float", "np.ndarray")]
+    real += [(f"centers[{i}].{name}", getattr(c, name)) for i, c in enumerate(config.centers)
+             for name in ("amplitude", "gradient", "job_share", "mix")]
+    for name, value in real:
+        if not np.isfinite(value).all():
+            raise ConfigError(f"{name}: must be finite, got {value!r}")
     # Candidate enumeration holds row and column indices as int16.
     max_side = int(np.iinfo(np.int16).max)
     for name in ("grid_rows", "grid_cols"):

@@ -7,8 +7,8 @@ more indicator row. Only `run` holds the seeded rng, whose only draws happen
 in stakeholder selection, so runs with xi = 0 are fully deterministic across
 seeds.
 
-The world after k steps (metropolis, network, travel times) depends only on
-the scenario and the k links built: `advance` reads nothing else, and the
+The world after k steps (metropolis and network) depends only on the
+scenario and the k links built: `advance` reads nothing else, and the
 stakeholder enters a build only through the link it chooses and its
 `DecisionRecord`. `run` and `step` therefore take an optional `StepMemo` that
 runs share: `replicate` shares one over its seeds and a sweep one over a
@@ -19,12 +19,12 @@ advanced half by the build prefix and the built network and record by (build
 prefix, stakeholder); each is computed only on a miss. Every run assembles its
 own state from these shared values, with its own decisions, so every output
 equals a memo-free run's bit for bit; runs of different scenarios that share
-a memo share nothing but its budget.
+a memo share nothing.
 
-A memo holds one (N, N) float64 travel-time matrix per scenario and per
-distinct build prefix, and stores nothing more once those matrices reach
-`MEMO_BYTES`; a step it lacks is computed again, so the bound costs time,
-never a changed output. Warnings logged while a step is computed (a one-sided
+A memo keeps every entry: a metropolis, a network, a record or row, but no
+(N, N) matrix besides the scenario's shared cell distances, so its memory
+grows as entries x O(N S + links). `SimState.travel_times` derives a state's
+times from its network. Warnings logged while a step is computed (a one-sided
 category, a Furness balance at max_iter) fire once per computed build prefix,
 not once per run.
 """
@@ -47,9 +47,6 @@ from .world import Metropolis, init_metropolis, mayor_weights, natural_totals
 
 log = logging.getLogger(__name__)
 
-# Travel-time bytes a StepMemo stores before it stops storing.
-MEMO_BYTES = 64 * 2**20
-
 
 @dataclass(frozen=True)
 class IndicatorRow:
@@ -64,33 +61,37 @@ class IndicatorRow:
 
 @dataclass(frozen=True, eq=False)
 class SimState:
-    """The world after some steps and its full history; `step` returns a new one.
-
-    `travel_times` is made read-only when the state is built.
-    """
+    """The world after some steps and its full history; `step` returns a new one."""
 
     metropolis: Metropolis
     network: Network
-    travel_times: np.ndarray
     history: tuple[IndicatorRow, ...]
     decisions: tuple[DecisionRecord, ...]
     density_history: tuple[np.ndarray, ...]
 
-    def __post_init__(self) -> None:
-        self.travel_times.flags.writeable = False
+    @property
+    def travel_times(self) -> np.ndarray:
+        """The last assignment's all-pairs times (free-flow at step 0), read-only and never cached."""
+        # assign_traffic returns shortest_times of the network it returns, and
+        # a build appends its link last at its free-flow time, as the initial
+        # links are; so these are shortest_times before the last build.
+        network = self.network
+        if self.decisions and self.decisions[-1].chosen is not None:
+            network = network.without_last_link()
+        d = shortest_times(network, self.metropolis)
+        d.flags.writeable = False
+        return d
 
 
 class Advanced(NamedTuple):
     """A step's decider-independent half: the world after transport and land use.
 
-    `network` carries this step's assigned flows and congested times and
-    `travel_times` its all-pairs times. `row` holds the step's indicators;
-    `step` sets its link count after the build.
+    `network` carries this step's assigned flows and congested times. `row`
+    holds the step's indicators; `step` sets its link count after the build.
     """
 
     metropolis: Metropolis
     network: Network
-    travel_times: np.ndarray
     row: IndicatorRow
 
 
@@ -115,15 +116,14 @@ class StepMemo:
     `entries` maps a scenario key (a str) to the initial state, a build
     prefix (a tuple that starts with the scenario key) to its advanced half,
     and (build prefix, stakeholder) to the built network and its
-    DecisionRecord; the three key types never compare equal. `nbytes` counts
-    the travel-time matrices of the entries, which only initial states and
-    advanced halves bring; once it reaches MEMO_BYTES no entry is added, so
-    the memo holds at most that plus one matrix. See the module docstring.
+    DecisionRecord; the three key types never compare equal. Every computed
+    value is stored. An entry holds O(N S + links) values of its own: no
+    travel-time matrix, only the scenario's shared (N, N) cell distances. See
+    the module docstring.
     """
 
     def __init__(self) -> None:
         self.entries: dict = {}
-        self.nbytes = 0
 
 
 def _memoised(memo: StepMemo | None, key: object, compute: Callable):
@@ -136,11 +136,7 @@ def _memoised(memo: StepMemo | None, key: object, compute: Callable):
         return compute()
     value = memo.entries.get(key)
     if value is None:
-        value = compute()
-        if memo.nbytes < MEMO_BYTES:
-            memo.entries[key] = value
-            matrix = getattr(value, "travel_times", None)
-            memo.nbytes += 0 if matrix is None else matrix.nbytes
+        value = memo.entries[key] = compute()
     return value
 
 
@@ -160,7 +156,6 @@ def initial_state(config: ScenarioConfig) -> SimState:
     return SimState(
         metropolis=metropolis,
         network=network,
-        travel_times=d,
         history=(_indicators(metropolis, d, od.flows, len(network), 0),),
         decisions=(),
         density_history=(metropolis.workers.sum(axis=1),),
@@ -185,7 +180,7 @@ def advance(state: SimState) -> Advanced:
         scores = cell_scores(metropolis, d, kernel)
         metropolis = relocate(metropolis, scores, cfg.mu, cfg.relocation_fraction)
     row = _indicators(metropolis, d, od.flows, len(network), len(state.decisions) + 1, kernel)
-    return Advanced(metropolis, network, d, row)
+    return Advanced(metropolis, network, row)
 
 
 def step(state: SimState, rng: random.Random, *, xi: float, swap_mayor_weights: bool = False,
@@ -208,17 +203,16 @@ def step(state: SimState, rng: random.Random, *, xi: float, swap_mayor_weights: 
         raise ValueError("a memo needs the scenario key of the run")
     prefix = (scenario, *(record.chosen for record in state.decisions))
     advanced = _memoised(memo, prefix, lambda: advance(state))
-    metropolis, _, d, row = advanced
+    metropolis, assigned, row = advanced
     weights = mayor_weights(metropolis)
     if swap_mayor_weights:
         weights = weights[::-1]
     stakeholder, _ = select_stakeholder(xi, weights, rng)
     network, record = _memoised(memo, (prefix, stakeholder), lambda: decide_and_build(
-        metropolis, advanced.network, stakeholder, travel_times=d, step=row.step))
+        metropolis, assigned, stakeholder, step=row.step))
     return SimState(
         metropolis=metropolis,
         network=network,
-        travel_times=d,
         history=state.history + (replace(row, link_count=len(network)),),
         decisions=state.decisions + (record,),
         density_history=state.density_history + (metropolis.workers.sum(axis=1),),

@@ -292,7 +292,6 @@ def decide_and_build(
     network: Network,
     stakeholder: Stakeholder,
     *,
-    travel_times: np.ndarray,
     step: int = 0,
 ) -> tuple[Network, DecisionRecord]:
     """Score the candidates for the stakeholder and build the best one.
@@ -305,10 +304,10 @@ def decide_and_build(
     free-flow value can still reach the best score is scored exactly: under
     free-flow evaluation on the one-link relaxation of the base all-pairs
     times, under congested evaluation by assigning the demand distributed
-    once on travel_times (the step's times on `network` as assigned) onto
-    the network plus that link. Under heavy congestion the bound prunes
-    little. The first maximum in enumeration order (the smallest (a, b)
-    pair) is built. An empty candidate set records a no-build.
+    once on the times of `network` as assigned onto the network plus that
+    link. Under heavy congestion the bound prunes little. The first maximum
+    in enumeration order (the smallest (a, b) pair) is built. An empty
+    candidate set records a no-build.
 
     Returns a new network with the chosen link appended, or the input
     network itself when nothing is built, and the decision record. The
@@ -321,7 +320,7 @@ def decide_and_build(
     before_ff = _territory_accessibility(metropolis, d_ff, cells)
 
     if cfg.congestion_in_evaluation:
-        od = distribute(metropolis, travel_times).flows
+        od = distribute(metropolis, shortest_times(network, metropolis)).flows
         _, d_base = assign_traffic(od, network, metropolis, cfg.assignment_iterations)
         before = _territory_accessibility(metropolis, d_base, cells)
 

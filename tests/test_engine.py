@@ -2,15 +2,16 @@ from __future__ import annotations
 
 import logging
 import random
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 
 import numpy as np
 import pytest
 
 from metrosim.config import two_city_config
 from metrosim import engine
-from metrosim.engine import StepMemo, initial_state, replicate, run, step, summarize_finals
+from metrosim.engine import SimState, StepMemo, initial_state, replicate, run, step, summarize_finals
 from metrosim.landuse import accessibility, cell_scores
+from metrosim.transport import assign_traffic, shortest_times
 
 
 def test_steps_zero_keeps_only_initial_snapshot():
@@ -164,16 +165,25 @@ def test_advance_shares_one_accessibility_kernel(monkeypatch):
         kernels.append(kernel)
         return accessibility(metropolis, d, nu, kernel)
 
+    assigned = []
+
+    def assign_recording(*args):
+        network, d = assign_traffic(*args)
+        assigned.append(d)
+        return network, d
+
     cfg = two_city_config(grid_rows=6, grid_cols=6, minor_position=(5, 5), dominant_position=(0, 0),
                           landuse_enabled=True)
     state = initial_state(cfg)
     monkeypatch.setattr(engine, "cell_scores", scores_recording)
     monkeypatch.setattr(engine, "accessibility", access_recording)
+    monkeypatch.setattr(engine, "assign_traffic", assign_recording)
     advanced = engine.advance(state)
     monkeypatch.undo()
+    (d,) = assigned
     assert len(kernels) == 2 and kernels[0] is kernels[1]
-    assert kernels[0].tobytes() == np.exp(-cfg.nu * advanced.travel_times).tobytes()
-    _, _, total_access = accessibility(advanced.metropolis, advanced.travel_times, cfg.nu)
+    assert kernels[0].tobytes() == np.exp(-cfg.nu * d).tobytes()
+    _, _, total_access = accessibility(advanced.metropolis, d, cfg.nu)
     assert advanced.row.total_accessibility == float(total_access.sum())
 
 
@@ -303,34 +313,14 @@ def test_memo_computes_each_build_prefix_once(monkeypatch):
     assert (len(advanced), len(decided)) == (len(prefixes), len(pairs))
 
 
-def test_full_memo_stores_nothing_more_and_changes_no_output(monkeypatch):
-    # A budget of three 10x10 travel-time matrices: the first lane fills it
-    # with its initial state, step 1's advanced half and decision and step
-    # 2's advanced half, and every later lane recomputes what the memo could
-    # not keep.
-    cfg = two_city_config(steps=3, landuse_enabled=True)
-    lanes = [(replace(cfg, xi=xi), seed) for xi in (0.0, 0.5, 1.0) for seed in range(3)]
-    oracles = [run(lane, seed) for lane, seed in lanes]
-    matrix = cfg.n_cells ** 2 * 8
-    monkeypatch.setattr(engine, "MEMO_BYTES", 3 * matrix)
-    memo = StepMemo()
-    for (lane, seed), oracle in zip(lanes, oracles):
-        _assert_same_run(run(lane, seed, memo=memo), oracle)
-        assert memo.nbytes <= 3 * matrix
-    assert memo.nbytes == 3 * matrix
-    assert [type(value).__name__ for value in memo.entries.values()] == ["SimState", "Advanced", "tuple", "Advanced"]
-
-
-def test_three_matrix_memo_serves_more_than_three_decider_prefixes(monkeypatch):
+def test_three_computed_steps_serve_more_than_three_decider_prefixes(monkeypatch):
     # On a 1x2 grid every stakeholder can build only the one link, so the
-    # governor and both mayors reach one world after step 1. A budget of
-    # three matrices holds the initial state and two advanced halves; keyed
-    # by the links built, those serve the empty decider prefix and all three
-    # one-decider prefixes.
+    # governor and both mayors reach one world after step 1, and steps 2 and
+    # 3 build nothing. Keyed by the links built, three advance calls serve
+    # the empty decider prefix and all one- and two-decider prefixes.
     cfg = two_city_config(grid_rows=1, grid_cols=2, minor_position=(0, 1), dominant_position=(0, 0), steps=3)
     lanes = [(replace(cfg, xi=xi), seed) for xi in (0.0, 0.5, 1.0) for seed in range(5)]
     oracles = [run(lane, seed) for lane, seed in lanes]
-    monkeypatch.setattr(engine, "MEMO_BYTES", 3 * cfg.n_cells ** 2 * 8)
     advanced = _record_calls(monkeypatch, "advance")
     memo = StepMemo()
     served = set()
@@ -340,7 +330,73 @@ def test_three_matrix_memo_serves_more_than_three_decider_prefixes(monkeypatch):
         computed = {len(state.decisions) for state, in advanced[before:]}
         deciders = tuple((record.level, record.mayor) for record in oracle.decisions)
         served.update(deciders[:k] for k in range(cfg.steps) if k not in computed)
+    assert len(advanced) == 3
     assert len(served) > 3
+
+
+def _square_arrays(value, n, seen):
+    """Every (n, n) ndarray reachable from value through tuples, dicts and dataclass fields."""
+    if id(value) in seen:
+        return []
+    seen.add(id(value))
+    if isinstance(value, np.ndarray):
+        return [value] if value.shape == (n, n) else []
+    if isinstance(value, dict):
+        children = [*value.keys(), *value.values()]
+    elif isinstance(value, (tuple, list)):
+        children = value
+    elif is_dataclass(value):
+        children = [getattr(value, f.name) for f in fields(value)]
+    else:
+        return []
+    return [array for child in children for array in _square_arrays(child, n, seen)]
+
+
+def test_memo_entries_hold_no_travel_time_matrix():
+    # After two scenarios' lanes share one memo, the only (N, N) arrays its
+    # entries reach are the scenarios' own cell distances, which every
+    # metropolis of a scenario shares.
+    scenarios = [two_city_config(steps=3, landuse_enabled=True),
+                 two_city_config(steps=2, congestion_in_evaluation=True, dominant_position=(1, 8))]
+    memo = StepMemo()
+    for cfg in scenarios:
+        for xi in (0.0, 0.5, 1.0):
+            for seed in range(3):
+                run(replace(cfg, xi=xi), seed, memo=memo)
+    distances = {id(state.metropolis.distance_km) for state in memo.entries.values() if isinstance(state, SimState)}
+    assert len(distances) == 2
+    square = _square_arrays(list(memo.entries.values()), scenarios[0].n_cells, set())
+    assert square and {id(array) for array in square} <= distances
+
+
+@pytest.mark.parametrize("cfg", [
+    two_city_config(steps=3, landuse_enabled=True),
+    two_city_config(steps=2, congestion_in_evaluation=True, capacity=60.0),
+    two_city_config(grid_rows=15, grid_cols=15, minor_position=(12, 12), dominant_position=(2, 2), steps=3,
+                    initial_links=((0, 16), (32, 64), (100, 130))),
+    two_city_config(grid_rows=2, grid_cols=2, minor_position=(1, 1), dominant_position=(0, 0), steps=8),
+], ids=["landuse", "congested", "15x15-initial-links", "saturating"])
+def test_derived_travel_times_equal_the_assigned_ones(monkeypatch, cfg):
+    # A state's travel times are derived from its network; each step's must
+    # equal, bit for bit, the matrix that step's assignment returned, and
+    # the initial state's the free-flow times of the pre-seeded network.
+    assigned = []
+
+    def assign_recording(*args):
+        network, d = assign_traffic(*args)
+        assigned.append(d)
+        return network, d
+
+    monkeypatch.setattr(engine, "assign_traffic", assign_recording)
+    state = initial_state(cfg)
+    assert state.travel_times.tobytes() == shortest_times(state.network, state.metropolis, free_flow=True).tobytes()
+    rng = random.Random(0)
+    for k in range(1, cfg.steps + 1):
+        state = step(state, rng, xi=cfg.xi)
+        assert len(assigned) == k
+        assert state.travel_times.tobytes() == assigned[-1].tobytes()
+    if cfg.grid_rows == 2:
+        assert state.decisions[-1].chosen is None
 
 
 def test_memo_keeps_scenarios_apart():

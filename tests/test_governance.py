@@ -298,8 +298,7 @@ def test_evaluation_leaves_network_untouched():
         net.flow[0] = 42.0
         net.congested_time[0] = 0.5
         before = {name: getattr(net, name).copy() for name in names}
-        built, _ = decide_and_build(metropolis, net, Stakeholder(kind="governor"),
-                                    travel_times=shortest_times(net, metropolis))
+        built, _ = decide_and_build(metropolis, net, Stakeholder(kind="governor"))
         assert len(built) == 2
         for name in names:
             assert np.array_equal(getattr(net, name), before[name])
@@ -318,7 +317,7 @@ def test_incremental_evaluation_matches_full_recompute():
         floor = intra_cell_time(metropolis)
         v_link = metropolis.config.v_link
         for stakeholder in STAKEHOLDERS:
-            _, record = decide_and_build(metropolis, net, stakeholder, travel_times=shortest_times(net, metropolis))
+            _, record = decide_and_build(metropolis, net, stakeholder)
             full = {(a, b): evaluate_candidate_oracle(metropolis, net, a, b, stakeholder) for a, b in candidates}
             oracle = max(full, key=full.__getitem__)  # first maximum in enumeration order
             assert record.chosen == oracle
@@ -353,7 +352,7 @@ def test_debug_margin_never_exceeds_the_true_margin(caplog):
         floor = intra_cell_time(metropolis)
         for stakeholder in STAKEHOLDERS:
             caplog.clear()
-            _, record = decide_and_build(metropolis, net, stakeholder, travel_times=shortest_times(net, metropolis))
+            _, record = decide_and_build(metropolis, net, stakeholder)
             message = caplog.records[-1].getMessage()
             if len(record.evaluations) > 1:
                 assert "best - runner-up " in message
@@ -527,8 +526,7 @@ def test_single_candidate_is_built():
         metropolis = make_metropolis(grid_rows=2, grid_cols=2, minor_position=(1, 1), dominant_position=(0, 0),
                                      congestion_in_evaluation=congested)
         net = build_network(metropolis, ((0, 1), (0, 2), (0, 3), (1, 2), (2, 3)))
-        built, record = decide_and_build(metropolis, net, Stakeholder(kind="governor"),
-                                         travel_times=shortest_times(net, metropolis))
+        built, record = decide_and_build(metropolis, net, Stakeholder(kind="governor"))
         assert record.chosen == (1, 3)
         assert [(a, b) for a, b, _ in record.evaluations] == [(1, 3)]
         assert built.has_link(1, 3)
@@ -540,8 +538,7 @@ def test_no_candidates_records_no_build():
         metropolis = make_metropolis(grid_rows=2, grid_cols=2, minor_position=(1, 1), dominant_position=(0, 0),
                                      congestion_in_evaluation=congested)
         net = build_network(metropolis, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
-        built, record = decide_and_build(metropolis, net, Stakeholder(kind="governor"),
-                                         travel_times=shortest_times(net, metropolis))
+        built, record = decide_and_build(metropolis, net, Stakeholder(kind="governor"))
         assert record.chosen is None
         assert record.n_candidates == 0
         assert record.evaluations == ()
@@ -561,7 +558,7 @@ def test_equal_objectives_break_to_first_pair():
                               minor_job_share=0.5, dominant_job_share=0.5)
         metropolis = init_metropolis(cfg, 100.0, 100.0)
         net = Network(cols)
-        _, record = decide_and_build(metropolis, net, stakeholder, travel_times=shortest_times(net, metropolis))
+        _, record = decide_and_build(metropolis, net, stakeholder)
         values = {ab: evaluate_candidate_oracle(metropolis, net, *ab, stakeholder)
                   for ab in candidate_pairs(net, metropolis)}
         assert values[(0, 1)] == pytest.approx(values[(cols - 2, cols - 1)], rel=1e-12)
@@ -579,7 +576,7 @@ def test_chosen_link_dominates_all_candidates():
     for mayor in (None, 0, 1):
         stakeholder = (Stakeholder(kind="governor") if mayor is None
                        else Stakeholder(kind="mayor", mayor=mayor))
-        built, record = decide_and_build(metropolis, net, stakeholder, travel_times=shortest_times(net, metropolis))
+        built, record = decide_and_build(metropolis, net, stakeholder)
         assert record.objective_after >= record.objective_before
         for _, _, value in record.evaluations:
             assert record.objective_after >= value
@@ -600,7 +597,7 @@ def test_congested_scoring_matches_oracle():
         candidates = candidate_pairs(net, metropolis)
         trial = {(a, b): trial_times_oracle(metropolis, net, a, b) for a, b in candidates}
         for stakeholder in STAKEHOLDERS:
-            _, record = decide_and_build(metropolis, net, stakeholder, travel_times=shortest_times(net, metropolis))
+            _, record = decide_and_build(metropolis, net, stakeholder)
             cells = stakeholder.territory_cells(metropolis)
             oracle = {ab: _territory_accessibility(metropolis, d, cells) for ab, d in trial.items()}
             assert record.n_candidates == len(candidates)
@@ -617,8 +614,7 @@ def test_congested_evaluation_mode_runs():
                           congestion_in_evaluation=True)
     metropolis = init_metropolis(cfg, 300.0, 300.0)
     net = Network(9)
-    built, record = decide_and_build(metropolis, net, Stakeholder(kind="governor"),
-                                     travel_times=shortest_times(net, metropolis))
+    built, record = decide_and_build(metropolis, net, Stakeholder(kind="governor"))
     assert record.chosen is not None
     assert len(built) == 1
     assert np.isfinite(record.objective_after)

@@ -210,6 +210,39 @@ class TestConfigJson:
             with pytest.raises(ConfigError, match=r"centers\[0\].mix"):
                 config_from_dict(doc)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_value_names_field(self, tmp_path, value):
+        # From Python and from JSON (whose NaN and Infinity literals Python's
+        # json module reads), validation rejects every non-finite float field.
+        centers = two_city_config().centers
+        python_cases = [
+            ("nu", dict(nu=value)),
+            ("lambda", dict(lam=value)),
+            ("furness_tolerance", dict(furness_tolerance=value)),
+            ("v_local", dict(v_local=value)),
+            (r"centers\[1\]\.gradient", dict(centers=(centers[0], replace(centers[1], gradient=value)))),
+            (r"centers\[0\]\.mix", dict(centers=(replace(centers[0], mix=(value, 0.5)), centers[1]))),
+            ("m_prime", dict(m_prime=np.array([[0.05, value], [0.0, 0.05]]))),
+        ]
+        for field, overrides in python_cases:
+            with pytest.raises(ConfigError, match=f"^{field}: "):
+                two_city_config(**overrides)
+        json_cases = [
+            ("nu", lambda doc: doc.update(nu=value)),
+            ("lambda", lambda doc: doc.update({"lambda": value})),
+            ("capacity", lambda doc: doc.update(capacity=value)),
+            (r"centers\[1\]\.amplitude", lambda doc: doc["centers"][1].update(amplitude=value)),
+            (r"centers\[0\]\.job_share", lambda doc: doc["centers"][0].update(job_share=value)),
+            ("m", lambda doc: doc["m"][0].__setitem__(1, value)),
+        ]
+        path = tmp_path / "scenario.json"
+        for field, edit in json_cases:
+            doc = config_to_dict(two_city_config())
+            edit(doc)
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            with pytest.raises(ConfigError, match=f"^{field}: "):
+                load_config(path)
+
     def test_replace_revalidates(self):
         with pytest.raises(ConfigError, match="steps"):
             replace(two_city_config(), steps=-1)
