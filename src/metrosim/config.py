@@ -2,11 +2,13 @@
 
 A scenario is a flat JSON document with a fixed key set; unknown keys are
 rejected so typos in sweep scripts fail loudly instead of silently running
-defaults.
+defaults. Whether built from JSON or in Python, a ScenarioConfig checks each
+field by its type and then its range when constructed.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Any
@@ -31,7 +33,11 @@ class CenterSpec:
 
 @dataclass(frozen=True, eq=False)
 class ScenarioConfig:
-    """All exogenous parameters of one simulation scenario."""
+    """All exogenous parameters of one simulation scenario.
+
+    The constructor checks each field by its annotation, stores it as a Python
+    int or float, a tuple or a read-only float matrix, then applies `validate`.
+    """
 
     grid_rows: int
     grid_cols: int
@@ -61,10 +67,8 @@ class ScenarioConfig:
     initial_links: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        for name in ("m", "m_prime"):  # read-only copies, out of the caller's reach
-            value = np.array(getattr(self, name), dtype=float)
-            value.flags.writeable = False
-            object.__setattr__(self, name, value)
+        for attr, key, check in _FIELD_TYPES:
+            object.__setattr__(self, attr, check(getattr(self, attr), key))
         validate(self)
 
     @property
@@ -72,26 +76,22 @@ class ScenarioConfig:
         return self.grid_rows * self.grid_cols
 
 
-# Attribute name -> JSON key, in field order. "lambda" is a Python keyword,
-# hence the rename.
-_ATTR_TO_KEY = {f.name: ("lambda" if f.name == "lam" else f.name) for f in fields(ScenarioConfig)}
-_OPTIONAL_KEYS = {_ATTR_TO_KEY[f.name] for f in fields(ScenarioConfig) if f.default is not MISSING}
-_CENTER_KEYS = {"position", "amplitude", "gradient", "job_share", "mix"}
-
-
 def _require_int(value: Any, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ConfigError(f"{name}: expected an integer, got {value!r}")
-    return value
+    return int(value)
 
 
 def _require_real(value: Any, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ConfigError(f"{name}: expected a number, got {value!r}")
     try:
-        return float(value)
+        value = float(value)
     except OverflowError:
         raise ConfigError(f"{name}: must be finite, got an integer too large for a float") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{name}: must be finite, got {value!r}")
+    return value
 
 
 def _require_bool(value: Any, name: str) -> bool:
@@ -100,97 +100,97 @@ def _require_bool(value: Any, name: str) -> bool:
     return value
 
 
-def _center_from_dict(doc: dict, index: int) -> CenterSpec:
-    name = f"centers[{index}]"
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{name}: expected an object")
-    unknown = set(doc) - _CENTER_KEYS
-    if unknown:
-        raise ConfigError(f"{name}: unknown keys {sorted(unknown)}")
-    missing = _CENTER_KEYS - set(doc)
-    if missing:
-        raise ConfigError(f"{name}: missing keys {sorted(missing)}")
-    pos = doc["position"]
-    if not isinstance(pos, (list, tuple)) or len(pos) != 2:
-        raise ConfigError(f"{name}.position: expected [row, col]")
-    if not isinstance(doc["mix"], (list, tuple)):
-        raise ConfigError(f"{name}.mix: expected a list of numbers, got {doc['mix']!r}")
-    return CenterSpec(
-        position=(_require_int(pos[0], f"{name}.position[0]"), _require_int(pos[1], f"{name}.position[1]")),
-        amplitude=_require_real(doc["amplitude"], f"{name}.amplitude"),
-        gradient=_require_real(doc["gradient"], f"{name}.gradient"),
-        job_share=_require_real(doc["job_share"], f"{name}.job_share"),
-        mix=tuple(_require_real(x, f"{name}.mix") for x in doc["mix"]),
-    )
+def _require_pair(value: Any, name: str) -> tuple[int, int]:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigError(f"{name}: expected a pair of integers, got {value!r}")
+    return (_require_int(value[0], f"{name}[0]"), _require_int(value[1], f"{name}[1]"))
 
 
-def _matrix(value: Any, name: str, size: int) -> np.ndarray:
+def _matrix(value: Any, name: str) -> np.ndarray:
+    """A read-only float copy; validate checks its shape and finiteness."""
     try:
-        arr = np.asarray(value, dtype=float)
+        arr = np.array(value, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name}: not a numeric matrix ({exc})") from None
-    if arr.shape != (size, size):
-        raise ConfigError(f"{name}: expected a {size}x{size} matrix, got shape {arr.shape}")
+    arr.flags.writeable = False
     return arr
 
 
-_FIELD_CHECKS = {"int": _require_int, "float": _require_real, "bool": _require_bool}
+def _centers(value: Any, name: str) -> tuple[CenterSpec, ...]:
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ConfigError(f"{name}: expected a nonempty sequence of centres, got {value!r}")
+    centers = []
+    for i, c in enumerate(value):
+        at = f"{name}[{i}]"
+        if not isinstance(c, CenterSpec):
+            raise ConfigError(f"{at}: expected a CenterSpec, got {c!r}")
+        if not isinstance(c.mix, (list, tuple)):
+            raise ConfigError(f"{at}.mix: expected a list of numbers, got {c.mix!r}")
+        centers.append(CenterSpec(
+            position=_require_pair(c.position, f"{at}.position"),
+            amplitude=_require_real(c.amplitude, f"{at}.amplitude"),
+            gradient=_require_real(c.gradient, f"{at}.gradient"),
+            job_share=_require_real(c.job_share, f"{at}.job_share"),
+            mix=tuple(_require_real(x, f"{at}.mix") for x in c.mix),
+        ))
+    return tuple(centers)
+
+
+def _links(value: Any, name: str) -> tuple[tuple[int, int], ...]:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{name}: expected a list of [a, b] pairs, got {value!r}")
+    return tuple(_require_pair(pair, f"{name}[{i}]") for i, pair in enumerate(value))
+
+
+# Attribute name -> JSON key, in field order. "lambda" is a Python keyword,
+# hence the rename.
+_ATTR_TO_KEY = {f.name: ("lambda" if f.name == "lam" else f.name) for f in fields(ScenarioConfig)}
+_KEY_TO_ATTR = {key: attr for attr, key in _ATTR_TO_KEY.items()}
+_OPTIONAL_KEYS = {_ATTR_TO_KEY[f.name] for f in fields(ScenarioConfig) if f.default is not MISSING}
+_CENTER_KEYS = {f.name for f in fields(CenterSpec)}
+_CHECK_BY_ANNOTATION = {
+    "int": _require_int,
+    "float": _require_real,
+    "bool": _require_bool,
+    "np.ndarray": _matrix,
+    "tuple[CenterSpec, ...]": _centers,
+    "tuple[tuple[int, int], ...]": _links,
+}
+# (attribute, JSON key, check), in field order: categories precedes m and m_prime.
+_FIELD_TYPES = tuple((f.name, _ATTR_TO_KEY[f.name], _CHECK_BY_ANNOTATION[f.type]) for f in fields(ScenarioConfig))
+
+
+def _require_keys(doc: Any, keys: set[str], optional: set[str], name: str) -> None:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{name}: expected a JSON object")
+    unknown = set(doc) - keys
+    if unknown:
+        raise ConfigError(f"{name}: unknown keys {sorted(unknown)}")
+    missing = keys - optional - set(doc)
+    if missing:
+        raise ConfigError(f"{name}: missing keys {sorted(missing)}")
 
 
 def config_from_dict(doc: dict) -> ScenarioConfig:
-    """Build and validate a ScenarioConfig from a parsed JSON document.
+    """Build a ScenarioConfig from a parsed JSON document.
 
-    Fields are checked in field order by their annotated type; an absent
-    optional key takes the dataclass default.
+    Checks only the document's shape: an object with exactly the scenario
+    keys, whose `centers` is a list of objects with exactly the centre keys.
+    An absent optional key takes the dataclass default. Every value goes to
+    the constructor as it is, which checks its type and range.
     """
-    if not isinstance(doc, dict):
-        raise ConfigError("scenario document: expected a JSON object")
-    unknown = set(doc) - set(_ATTR_TO_KEY.values())
-    if unknown:
-        raise ConfigError(f"unknown configuration keys {sorted(unknown)}")
-    missing = (set(_ATTR_TO_KEY.values()) - _OPTIONAL_KEYS) - set(doc)
-    if missing:
-        raise ConfigError(f"missing configuration keys {sorted(missing)}")
-
-    s = _require_int(doc["categories"], "categories")
-    if s < 1:
-        raise ConfigError("categories: must be >= 1")
-    centers_doc = doc["centers"]
-    if not isinstance(centers_doc, list) or not centers_doc:
-        raise ConfigError("centers: expected a nonempty list")
-    values: dict[str, Any] = {
-        "categories": s,
-        "centers": tuple(_center_from_dict(c, i) for i, c in enumerate(centers_doc)),
-    }
-    if "initial_links" in doc:
-        raw_links = doc["initial_links"]
-        if not isinstance(raw_links, (list, tuple)):
-            raise ConfigError("initial_links: expected a list of [a, b] pairs")
-        links = []
-        for i, pair in enumerate(raw_links):
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise ConfigError(f"initial_links[{i}]: expected [a, b]")
-            links.append((_require_int(pair[0], f"initial_links[{i}][0]"), _require_int(pair[1], f"initial_links[{i}][1]")))
-        values["initial_links"] = tuple(links)
-    for f in fields(ScenarioConfig):
-        key = _ATTR_TO_KEY[f.name]
-        if f.name in values or key not in doc:
-            continue
-        if f.name in ("m", "m_prime"):
-            values[f.name] = _matrix(doc[key], key, s)
-        else:
-            values[f.name] = _FIELD_CHECKS[f.type](doc[key], key)
-    return ScenarioConfig(**values)
+    _require_keys(doc, set(_KEY_TO_ATTR), _OPTIONAL_KEYS, "scenario document")
+    centers = doc["centers"]
+    if not isinstance(centers, list):
+        raise ConfigError(f"centers: expected a list, got {centers!r}")
+    for i, center in enumerate(centers):
+        _require_keys(center, _CENTER_KEYS, set(), f"centers[{i}]")
+    values = {_KEY_TO_ATTR[key]: value for key, value in doc.items()}
+    return ScenarioConfig(**values | {"centers": [CenterSpec(**center) for center in centers]})
 
 
 def validate(config: ScenarioConfig) -> None:
-    """Check every invariant; raise ConfigError naming the first violated field."""
-    real = [(_ATTR_TO_KEY[f.name], getattr(config, f.name)) for f in fields(config) if f.type in ("float", "np.ndarray")]
-    real += [(f"centers[{i}].{name}", getattr(c, name)) for i, c in enumerate(config.centers)
-             for name in ("amplitude", "gradient", "job_share", "mix")]
-    for name, value in real:
-        if not np.isfinite(value).all():
-            raise ConfigError(f"{name}: must be finite, got {value!r}")
+    """Range rules on type-checked fields; raise ConfigError naming the first violated one."""
     # Candidate enumeration holds row and column indices as int16.
     max_side = int(np.iinfo(np.int16).max)
     for name in ("grid_rows", "grid_cols"):
@@ -200,8 +200,6 @@ def validate(config: ScenarioConfig) -> None:
         raise ConfigError("cell_size_km: must be > 0")
     if config.categories < 1:
         raise ConfigError("categories: must be >= 1")
-    if not config.centers:
-        raise ConfigError("centers: must be nonempty")
     for i, c in enumerate(config.centers):
         r, col = c.position
         if not (0 <= r < config.grid_rows and 0 <= col < config.grid_cols):
@@ -229,10 +227,12 @@ def validate(config: ScenarioConfig) -> None:
     if not (0.0 <= config.xi <= 1.0):
         raise ConfigError("xi: must lie in [0, 1]")
     s = config.categories
-    if config.m.shape != (s, s):
-        raise ConfigError(f"m: expected a {s}x{s} matrix")
-    if config.m_prime.shape != (s, s):
-        raise ConfigError(f"m_prime: expected a {s}x{s} matrix")
+    for name in ("m", "m_prime"):
+        value = getattr(config, name)
+        if value.shape != (s, s):
+            raise ConfigError(f"{name}: expected a {s}x{s} matrix, got shape {value.shape}")
+        if not np.isfinite(value).all():
+            raise ConfigError(f"{name}: must be finite, got {value!r}")
     if not (0.0 <= config.relocation_fraction <= 1.0):
         raise ConfigError("relocation_fraction: must lie in [0, 1]")
     # steps == 0 is the degenerate "initial snapshot only" run and is allowed.

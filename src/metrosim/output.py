@@ -68,7 +68,6 @@ def write_final_state_json(path: str | Path, state: SimState) -> None:
     travel times, mostly repeated grid values, are formatted by _json_matrix.
     """
     net, cfg = state.network, state.metropolis.config
-    v_link, capacity = float(cfg.v_link), float(cfg.capacity)
     fields = {
         "config": json.dumps(config_to_dict(cfg)),
         "step": json.dumps(len(state.decisions)),
@@ -76,7 +75,7 @@ def write_final_state_json(path: str | Path, state: SimState) -> None:
         "jobs": json.dumps(state.metropolis.jobs.tolist()),
         "territory": json.dumps(state.metropolis.territory.tolist()),
         "links": json.dumps([
-            {"from": a, "to": b, "length_km": length, "v_link": v_link, "capacity": capacity,
+            {"from": a, "to": b, "length_km": length, "v_link": cfg.v_link, "capacity": cfg.capacity,
              "flow": flow, "congested_time": time}
             for a, b, length, flow, time in zip(
                 net.a.tolist(), net.b.tolist(), state.metropolis.distance_km[net.a, net.b].tolist(),

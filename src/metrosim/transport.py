@@ -199,27 +199,14 @@ def _marginal_error(rows: np.ndarray, cols: np.ndarray, origins: np.ndarray, des
     return float(max(row.max(initial=0.0), col.max(initial=0.0)))
 
 
-def furness_distribution(
-    origins: np.ndarray,
-    destinations: np.ndarray,
-    d: np.ndarray,
-    lam: float,
-    tol: float,
-    max_iter: int,
-) -> FurnessResult:
-    """Stage 2: balance flows[i, j] = p_i q_j A_i E_j exp(-lam d_ij) to both marginals.
+def furness_balance(a: np.ndarray, e: np.ndarray, kernel: np.ndarray, tol: float, max_iter: int) -> FurnessResult:
+    """Stage 2: balance flows[i, j] = p_i q_j a_i e_j kernel_ij to both marginals.
 
+    The gravity model takes kernel = exp(-lam d) on travel times d.
     Destination totals are rescaled to the origin total first (the
     doubly-constrained system is infeasible otherwise). Alternates the p and q
     fixed-point updates until the worst marginal relative error drops below
     tol; a non-converged matrix is still returned, flagged, with its residual.
-    """
-    return _balance(np.asarray(origins, dtype=float), np.asarray(destinations, dtype=float),
-                    np.exp(-lam * d), tol, max_iter)
-
-
-def _balance(a: np.ndarray, e: np.ndarray, kernel: np.ndarray, tol: float, max_iter: int) -> FurnessResult:
-    """furness_distribution on the kernel exp(-lam d).
 
     With pa = p a and qe = q e the flows are pa_i qe_j K_ij, so their row
     sums are pa (K qe) and their column sums qe (K^T pa), and both products
@@ -287,7 +274,7 @@ def distribute(metropolis: Metropolis, d: np.ndarray) -> ODMatrix:
     """Stages 1-2: balance each category's workers against its jobs on times d, then sum.
 
     Category s sends its workers[:, s] to its jobs[:, s] under the gravity
-    model of furness_distribution, with lam, the tolerance and the iteration
+    model of furness_balance, with lam, the tolerance and the iteration
     cap taken from the config; the category matrices are added in category
     order. A category with workers but no jobs, or jobs but no workers,
     contributes no trips (engine.initial_state logs it once per run). The
@@ -301,8 +288,8 @@ def distribute(metropolis: Metropolis, d: np.ndarray) -> ODMatrix:
     converged = np.ones(s, dtype=bool)
     iterations = np.zeros(s, dtype=int)
     for cat in range(s):
-        result = _balance(metropolis.workers[:, cat], metropolis.jobs[:, cat], kernel,
-                          cfg.furness_tolerance, cfg.furness_max_iter)
+        result = furness_balance(metropolis.workers[:, cat], metropolis.jobs[:, cat], kernel,
+                                 cfg.furness_tolerance, cfg.furness_max_iter)
         flows += result.flows
         residuals[cat] = result.residual
         converged[cat] = result.converged

@@ -20,7 +20,7 @@ from metrosim.config import two_city_config
 from metrosim.engine import replicate, run
 from metrosim.governance import select_stakeholder
 from metrosim.landuse import choice_probabilities
-from metrosim.transport import Network, furness_distribution, intra_cell_time, shortest_times
+from metrosim.transport import Network, furness_balance, intra_cell_time, shortest_times
 from metrosim.world import grid_centroids, init_metropolis, natural_totals
 
 
@@ -49,7 +49,7 @@ def test_criterion_1_furness_correctness():
         destinations = rng.uniform(0.5, 50.0, size=10)
         d = rng.uniform(0.01, 1.0, size=(10, 10))
         for lam in (0.0, 0.1, 0.5):
-            result = furness_distribution(origins, destinations, d, lam, tol=1e-9, max_iter=5000)
+            result = furness_balance(origins, destinations, np.exp(-lam * d), tol=1e-9, max_iter=5000)
             scaled = result.destinations_scaled
             row_err = np.max(np.abs(result.flows.sum(1) - origins) / np.maximum(origins, 1e-12))
             col_err = np.max(np.abs(result.flows.sum(0) - scaled) / np.maximum(scaled, 1e-12))

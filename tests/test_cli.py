@@ -156,13 +156,13 @@ class TestRun:
             assert (link["v_link"], link["capacity"]) == (cfg.v_link, cfg.capacity)
             assert isinstance(link["v_link"], float) and isinstance(link["capacity"], float)
 
-        # A config built in Python may hold an integer speed and capacity; the
-        # link records still carry them as JSON floats.
+        # A config built in Python with an integer speed and capacity stores
+        # them as floats, so the config and both link records write JSON floats.
         cfg = two_city_config(steps=0, v_link=75, capacity=1500, initial_links=((0, 11), (11, 22)))
         cmd_run(cfg, 0, tmp_path / "int_config")
         text = (tmp_path / "int_config" / "final_state.json").read_text(encoding="utf-8")
         assert [(link["from"], link["to"]) for link in json.loads(text)["links"]] == [(0, 11), (11, 22)]
-        assert text.count('"v_link": 75.0, "capacity": 1500.0,') == 2
+        assert text.count('"v_link": 75.0, "capacity": 1500.0,') == 3
 
 
 class TestReplicate:

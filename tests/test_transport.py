@@ -18,7 +18,7 @@ from metrosim.transport import (
     bpr_time,
     build_network,
     distribute,
-    furness_distribution,
+    furness_balance,
     intra_cell_time,
     shortest_times,
     total_travel_time,
@@ -479,8 +479,8 @@ def test_network_rejects_duplicates_and_self_loops():
 def category_furness(metropolis, d, cat):
     """One category's gravity balancing with the config's parameters."""
     cfg = metropolis.config
-    return furness_distribution(metropolis.workers[:, cat], metropolis.jobs[:, cat], d,
-                                cfg.lam, cfg.furness_tolerance, cfg.furness_max_iter)
+    return furness_balance(metropolis.workers[:, cat], metropolis.jobs[:, cat], np.exp(-cfg.lam * d),
+                           cfg.furness_tolerance, cfg.furness_max_iter)
 
 
 def test_distribute_sums_the_category_balancings_in_order():
@@ -534,12 +534,12 @@ def test_furness_matches_the_every_iteration_oracle_bit_for_bit():
                     e[rng.choice(n, size=n // 3, replace=False)] = 0.0
                 d = rng.uniform(0.02, 1.5, (n, n))
                 oracle = furness_oracle(a, e, d, lam, tol, max_iter)
-                assert_same_balance(furness_distribution(a, e, d, lam, tol, max_iter), oracle)
+                assert_same_balance(furness_balance(a, e, np.exp(-lam * d), tol, max_iter), oracle)
                 stops[oracle.converged] += 1
     assert stops[True] > 0 and stops[False] > 0  # both stop rules are exercised
     d = rng.uniform(0.02, 1.5, (6, 6))
     for a, e in ((np.zeros(6), np.ones(6)), (np.ones(6), np.zeros(6))):  # an empty side
-        assert_same_balance(furness_distribution(a, e, d, 1.0, 1e-8, 100), furness_oracle(a, e, d, 1.0, 1e-8, 100))
+        assert_same_balance(furness_balance(a, e, np.exp(-1.0 * d), 1e-8, 100), furness_oracle(a, e, d, 1.0, 1e-8, 100))
 
 
 def test_furness_stops_where_only_the_exact_residual_is_below_tol():
@@ -561,7 +561,7 @@ def test_furness_stops_where_only_the_exact_residual_is_below_tol():
         assert cheap - exact < 4 * (60 + 4) * np.finfo(float).eps
         oracle = furness_oracle(a, e, d, 2.0, cheap, 40)
         assert (oracle.iterations, oracle.residual, oracle.converged) == (k + 1, exact, True)
-        assert_same_balance(furness_distribution(a, e, d, 2.0, cheap, 40), oracle)
+        assert_same_balance(furness_balance(a, e, np.exp(-2.0 * d), cheap, 40), oracle)
         return
     pytest.fail("no seed gives an iteration with the vector residual above the exact one")
 
@@ -590,7 +590,7 @@ def test_distribute_with_a_one_sided_category_matches_the_oracle():
 
 
 def test_balance_results_are_frozen():
-    result = furness_distribution(np.ones(3), np.ones(3), np.ones((3, 3)), 1.0, 1e-8, 50)
+    result = furness_balance(np.ones(3), np.ones(3), np.exp(-1.0 * np.ones((3, 3))), 1e-8, 50)
     od = ODMatrix(result.flows, np.zeros(1), np.ones(1, dtype=bool), np.ones(1, dtype=int))
     with pytest.raises(FrozenInstanceError):
         result.residual = 0.0
@@ -604,15 +604,15 @@ def test_furness_lambda_zero_closed_form():
         a = rng.uniform(1.0, 20.0, size=8)
         e = rng.uniform(1.0, 20.0, size=8)
         d = rng.uniform(0.05, 1.0, size=(8, 8))
-        result = furness_distribution(a, e, d, lam=0.0, tol=1e-12, max_iter=500)
+        result = furness_balance(a, e, np.exp(-0.0 * d), tol=1e-12, max_iter=500)
         e_scaled = e * a.sum() / e.sum()
         expected = np.outer(a, e_scaled) / e_scaled.sum()
         assert np.max(np.abs(result.flows - expected)) < 1e-9
 
 
 def test_furness_single_zone():
-    result = furness_distribution(np.array([5.0]), np.array([7.0]), np.array([[0.1]]),
-                                  lam=1.0, tol=1e-10, max_iter=100)
+    result = furness_balance(np.array([5.0]), np.array([7.0]), np.exp(-1.0 * np.array([[0.1]])),
+                             tol=1e-10, max_iter=100)
     assert result.flows[0, 0] == pytest.approx(5.0, rel=1e-9)
 
 
@@ -623,7 +623,7 @@ def test_furness_matches_reference_ipf():
         e = rng.uniform(0.5, 30.0, size=10)
         d = rng.uniform(0.02, 0.8, size=(10, 10))
         d = (d + d.T) / 2
-        result = furness_distribution(a, e, d, lam=0.3, tol=1e-10, max_iter=2000)
+        result = furness_balance(a, e, np.exp(-0.3 * d), tol=1e-10, max_iter=2000)
         assert result.converged
         oracle = ipf_oracle(a, e, d, lam=0.3)
         assert np.max(np.abs(result.flows - oracle)) < 1e-6
@@ -635,7 +635,7 @@ def test_furness_marginals_converge():
     a[3] = 0.0  # an empty zone must stay empty
     e = rng.uniform(0.5, 10.0, size=12)
     d = rng.uniform(0.05, 0.5, size=(12, 12))
-    result = furness_distribution(a, e, d, lam=0.8, tol=1e-9, max_iter=1000)
+    result = furness_balance(a, e, np.exp(-0.8 * d), tol=1e-9, max_iter=1000)
     assert result.converged
     e_scaled = result.destinations_scaled
     assert np.max(np.abs(result.flows.sum(axis=1) - a) / np.maximum(a, 1e-12)) < 1e-9
@@ -648,7 +648,7 @@ def test_furness_nonconvergence_is_flagged():
     a = rng.uniform(1.0, 10.0, size=10)
     e = rng.uniform(1.0, 10.0, size=10)
     d = rng.uniform(0.1, 1.0, size=(10, 10))
-    result = furness_distribution(a, e, d, lam=2.0, tol=1e-14, max_iter=1)
+    result = furness_balance(a, e, np.exp(-2.0 * d), tol=1e-14, max_iter=1)
     assert not result.converged
     assert result.residual > 0.0
     assert np.isfinite(result.flows).all()
@@ -662,7 +662,7 @@ def test_gravity_cost_weakly_decreases_with_lambda():
     d = (d + d.T) / 2
     costs = []
     for lam in (0.0, 0.5, 1.0, 2.0):
-        result = furness_distribution(a, e, d, lam=lam, tol=1e-11, max_iter=3000)
+        result = furness_balance(a, e, np.exp(-lam * d), tol=1e-11, max_iter=3000)
         costs.append((result.flows * d).sum())
     assert all(costs[i + 1] <= costs[i] + 1e-9 for i in range(len(costs) - 1))
 

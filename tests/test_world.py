@@ -180,10 +180,44 @@ def test_centroids_are_cell_centres(small_config):
 
 class TestConfigJson:
     def test_round_trip(self, tmp_path, two_city):
+        # Saving what load_config read back writes the same text, also for a
+        # config built in Python with ints in float fields.
         path = tmp_path / "scenario.json"
-        save_config(two_city, path)
-        loaded = load_config(path)
-        assert config_to_dict(loaded) == config_to_dict(two_city)
+        for config in (two_city, two_city_config(cell_size_km=1, capacity=1500, initial_links=((0, 11),))):
+            save_config(config, path)
+            text = path.read_text(encoding="utf-8")
+            save_config(load_config(path), path)
+            assert path.read_text(encoding="utf-8") == text
+            assert json.dumps(config_to_dict(load_config(path))) == json.dumps(config_to_dict(config))
+
+    def test_numpy_scalars_are_stored_as_python_numbers(self):
+        plain = two_city_config(steps=3, xi=0.5, initial_links=((0, 1),))
+        config = two_city_config(steps=np.int64(3), xi=np.float64(0.5),
+                                 initial_links=((np.int64(0), np.int32(1)),))
+        assert (type(config.steps), type(config.xi)) == (int, float)
+        assert [type(end) for end in config.initial_links[0]] == [int, int]
+        assert json.dumps(config_to_dict(config)) == json.dumps(config_to_dict(plain))
+
+    @pytest.mark.parametrize(
+        ("field", "overrides"),
+        [
+            ("assignment_iterations: ", dict(assignment_iterations=2.5)),
+            ("steps: ", dict(steps=2.0)),
+            ("furness_max_iter: ", dict(furness_max_iter=math.inf)),
+            ("landuse_enabled: ", dict(landuse_enabled=1)),
+            ("network_extension_radius: ", dict(network_extension_radius=2.5)),
+            (r"initial_links\[0\]", dict(initial_links=((0, 1.5),))),
+            (r"centers\[0\]\.position", dict(minor_position=(8.0, 8))),
+            ("nu: must be finite", dict(nu=10**400)),
+        ],
+        ids=["float_int", "float_steps", "inf_int", "int_bool", "float_radius", "float_link_end",
+             "float_position", "huge_int_float"],
+    )
+    def test_python_config_type_names_field(self, field, overrides):
+        # A config built in Python goes through the same type checks as one
+        # read from JSON, so it fails here and not inside a run.
+        with pytest.raises(ConfigError, match=f"^{field}"):
+            two_city_config(**overrides)
 
     def test_unknown_key_rejected(self, two_city):
         doc = config_to_dict(two_city)
