@@ -95,9 +95,10 @@ class Advanced(NamedTuple):
     row: IndicatorRow
 
 
-def _indicators(metropolis: Metropolis, d: np.ndarray, flows: np.ndarray, link_count: int, step: int,
-                kernel: np.ndarray | None = None) -> IndicatorRow:
-    _, _, total_access = accessibility(metropolis, d, metropolis.config.nu, kernel)
+def _indicators(metropolis: Metropolis, d: np.ndarray, kernel: np.ndarray, flows: np.ndarray, link_count: int,
+                step: int) -> IndicatorRow:
+    """Indicators on the times d, whose accessibility kernel exp(-nu * d) is kernel."""
+    _, _, total_access = accessibility(metropolis, kernel)
     per_mayor = tuple(
         float(total_access[metropolis.territory == i].sum()) for i in range(metropolis.n_mayors)
     )
@@ -156,7 +157,7 @@ def initial_state(config: ScenarioConfig) -> SimState:
     return SimState(
         metropolis=metropolis,
         network=network,
-        history=(_indicators(metropolis, d, od.flows, len(network), 0),),
+        history=(_indicators(metropolis, d, np.exp(-config.nu * d), od.flows, len(network), 0),),
         decisions=(),
         density_history=(metropolis.workers.sum(axis=1),),
     )
@@ -177,9 +178,8 @@ def advance(state: SimState) -> Advanced:
     network, d = assign_traffic(od.flows, state.network, metropolis, cfg.assignment_iterations)
     kernel = np.exp(-cfg.nu * d)
     if cfg.landuse_enabled:
-        scores = cell_scores(metropolis, d, kernel)
-        metropolis = relocate(metropolis, scores, cfg.mu, cfg.relocation_fraction)
-    row = _indicators(metropolis, d, od.flows, len(network), len(state.decisions) + 1, kernel)
+        metropolis = relocate(metropolis, cell_scores(metropolis, kernel))
+    row = _indicators(metropolis, d, kernel, od.flows, len(network), len(state.decisions) + 1)
     return Advanced(metropolis, network, row)
 
 

@@ -81,8 +81,6 @@ def select_stakeholder(xi: float, weights: np.ndarray, rng: random.Random) -> tu
     using win probabilities proportional to the territory job weights. An
     all-zero weight vector degrades to a uniform mayor draw.
     """
-    if not (0.0 <= xi <= 1.0):
-        raise ValueError("xi must lie in [0, 1]")
     level_draw = rng.random()
     if level_draw >= xi:
         return Stakeholder(kind="governor"), (level_draw,)

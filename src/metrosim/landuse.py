@@ -21,18 +21,14 @@ class CellScore:
     job_utility: np.ndarray     # (N, S)
 
 
-def accessibility(metropolis: Metropolis, d: np.ndarray, nu: float,
-                  kernel: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Decayed opportunity sums per cell and category.
+def accessibility(metropolis: Metropolis, kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Decayed opportunity sums per cell and category on the kernel exp(-nu * d).
 
     Worker side counts reachable jobs, job side reachable workers; the
     aggregate weights each cell's per-category access by its resident
-    workers. Returns (worker_access, job_access, total_access). A caller
-    that already holds the kernel exp(-nu * d) passes it, and it is not
-    computed again.
+    workers. Returns (worker_access, job_access, total_access). The caller
+    computes the kernel from its travel times d, once per set of times.
     """
-    if kernel is None:
-        kernel = np.exp(-nu * d)
     worker_access = kernel @ metropolis.jobs     # (N, S)
     job_access = kernel @ metropolis.workers     # (N, S)
     total_access = (metropolis.workers * worker_access).sum(axis=1)
@@ -55,21 +51,15 @@ def urban_form(metropolis: Metropolis, m: np.ndarray, m_prime: np.ndarray) -> tu
     return worker_form, job_form
 
 
-def utility(access, form, gamma: float):
-    """Cobb-Douglas blend access**gamma * form**(1 - gamma)."""
-    access = np.asarray(access, dtype=float)
-    form = np.asarray(form, dtype=float)
-    out = access**gamma * form ** (1.0 - gamma)
-    return float(out) if out.ndim == 0 else out
+def utility(access: np.ndarray, form: np.ndarray, gamma: float) -> np.ndarray:
+    """Cobb-Douglas blend access**gamma * form**(1 - gamma), element by element."""
+    return access**gamma * form ** (1.0 - gamma)
 
 
-def cell_scores(metropolis: Metropolis, d: np.ndarray, kernel: np.ndarray | None = None) -> CellScore:
-    """Worker and job utilities of the current land use on the supplied travel times.
-
-    kernel, when given, is accessibility's exp(-nu * d).
-    """
+def cell_scores(metropolis: Metropolis, kernel: np.ndarray) -> CellScore:
+    """Worker and job utilities of the current land use on accessibility's kernel exp(-nu * d)."""
     cfg = metropolis.config
-    worker_access, job_access, _ = accessibility(metropolis, d, cfg.nu, kernel)
+    worker_access, job_access, _ = accessibility(metropolis, kernel)
     worker_form, job_form = urban_form(metropolis, cfg.m, cfg.m_prime)
     return CellScore(
         worker_utility=utility(worker_access, worker_form, cfg.gamma),
@@ -90,29 +80,25 @@ def choice_probabilities(utilities: np.ndarray, mu: float) -> np.ndarray:
     return weights / weights.sum()
 
 
-def relocate(
-    metropolis: Metropolis,
-    scores: CellScore,
-    mu: float,
-    relocation_fraction: float,
-) -> Metropolis:
-    """Move a fixed fraction of each category between cells by logit shares.
+def relocate(metropolis: Metropolis, scores: CellScore) -> Metropolis:
+    """Move the configured fraction of each category between cells by logit shares.
 
-    The pool removed from every cell proportionally is reallocated as expected
-    mass pool * P(c); counts stay continuous, so no multinomial sampling is
-    needed and per-category totals are conserved to rounding. Returns a new
-    metropolis with new worker and job arrays; the input is left unaltered,
-    and its distance_km and territory are shared.
+    The pool of relocation_fraction of every cell's count is reallocated as
+    expected mass pool * P(c), with P the logit shares at the configured mu;
+    counts stay continuous, so no multinomial sampling is needed and
+    per-category totals are conserved to rounding. Returns a new metropolis
+    with new worker and job arrays; the input is left unaltered, and its
+    distance_km and territory are shared.
     """
-    if not (0.0 <= relocation_fraction <= 1.0):
-        raise ValueError("relocation_fraction must lie in [0, 1]")
+    cfg = metropolis.config
+    fraction = cfg.relocation_fraction
     workers, jobs = metropolis.workers.copy(), metropolis.jobs.copy()
     for counts, utilities in ((workers, scores.worker_utility), (jobs, scores.job_utility)):
         for cat in range(counts.shape[1]):
             total = counts[:, cat].sum()
             if total <= 0.0:
                 continue
-            shares = choice_probabilities(utilities[:, cat], mu)
-            pool = relocation_fraction * total
-            counts[:, cat] = counts[:, cat] * (1.0 - relocation_fraction) + pool * shares
+            shares = choice_probabilities(utilities[:, cat], cfg.mu)
+            pool = fraction * total
+            counts[:, cat] = counts[:, cat] * (1.0 - fraction) + pool * shares
     return replace(metropolis, workers=workers, jobs=jobs)

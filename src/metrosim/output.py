@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -23,29 +24,32 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def write_history_csv(path: str | Path, history: tuple[IndicatorRow, ...], n_mayors: int) -> None:
-    header = ["step", "total_accessibility", "total_travel_time", "link_count"]
-    header += [f"mayor_{i}_objective" for i in range(n_mayors)]
+def _save_csv(path: str | Path, header: list[str], records: Iterable[list]) -> None:
+    """The one CSV dialect of every table: UTF-8, LF line endings, header first."""
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(header)
-        for row in history:
-            record = [row.step, _fmt(row.total_accessibility), _fmt(row.total_travel_time), row.link_count]
-            record += [_fmt(x) for x in row.mayor_objectives]
-            writer.writerow(record)
+        writer.writerows(records)
+
+
+def write_history_csv(path: str | Path, history: tuple[IndicatorRow, ...], n_mayors: int) -> None:
+    header = ["step", "total_accessibility", "total_travel_time", "link_count"]
+    header += [f"mayor_{i}_objective" for i in range(n_mayors)]
+    _save_csv(path, header, (
+        [row.step, _fmt(row.total_accessibility), _fmt(row.total_travel_time), row.link_count]
+        + [_fmt(x) for x in row.mayor_objectives]
+        for row in history
+    ))
 
 
 def write_decisions_csv(path: str | Path, decisions: tuple[DecisionRecord, ...]) -> None:
     header = ["step", "level", "mayor_id", "chosen_a", "chosen_b", "obj_before", "obj_after", "n_candidates"]
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(header)
-        for rec in decisions:
-            chosen_a = "" if rec.chosen is None else rec.chosen[0]
-            chosen_b = "" if rec.chosen is None else rec.chosen[1]
-            mayor = "" if rec.mayor is None else rec.mayor
-            writer.writerow([rec.step, rec.level, mayor, chosen_a, chosen_b,
-                             _fmt(rec.objective_before), _fmt(rec.objective_after), rec.n_candidates])
+    _save_csv(path, header, (
+        [rec.step, rec.level, "" if rec.mayor is None else rec.mayor,
+         *(("", "") if rec.chosen is None else rec.chosen),
+         _fmt(rec.objective_before), _fmt(rec.objective_after), rec.n_candidates]
+        for rec in decisions
+    ))
 
 
 def _json_matrix(m: np.ndarray) -> str:
@@ -94,33 +98,26 @@ def write_replicate_summary_csv(path: str | Path, stats: ReplicationStats) -> No
         "cov_acc_acc", "cov_acc_time", "cov_time_time",
         "axis_major", "axis_minor", "angle_rad",
     ]
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerow([
-            stats.n, _fmt(stats.mean[0]), _fmt(stats.mean[1]),
-            _fmt(stats.covariance[0, 0]), _fmt(stats.covariance[0, 1]), _fmt(stats.covariance[1, 1]),
-            _fmt(stats.axis_lengths[0]), _fmt(stats.axis_lengths[1]), _fmt(stats.angle_rad),
-        ])
+    _save_csv(path, header, [[
+        stats.n, _fmt(stats.mean[0]), _fmt(stats.mean[1]),
+        _fmt(stats.covariance[0, 0]), _fmt(stats.covariance[0, 1]), _fmt(stats.covariance[1, 1]),
+        _fmt(stats.axis_lengths[0]), _fmt(stats.axis_lengths[1]), _fmt(stats.angle_rad),
+    ]])
 
 
 def write_sweep_csv(path: str | Path, rows: list[dict]) -> None:
     header = ["configuration", "xi", "seed", "total_accessibility", "total_travel_time"]
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            acc = "" if row["total_accessibility"] is None else _fmt(row["total_accessibility"])
-            ttt = "" if row["total_travel_time"] is None else _fmt(row["total_travel_time"])
-            writer.writerow([row["configuration"], _fmt(row["xi"]), row["seed"], acc, ttt])
+    _save_csv(path, header, (
+        [row["configuration"], _fmt(row["xi"]), row["seed"],
+         "" if row["total_accessibility"] is None else _fmt(row["total_accessibility"]),
+         "" if row["total_travel_time"] is None else _fmt(row["total_travel_time"])]
+        for row in rows
+    ))
 
 
 def write_trend_csv(path: str | Path, trends: dict[str, float]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["configuration", "spearman_xi_accessibility"])
-        for name in sorted(trends):
-            writer.writerow([name, _fmt(trends[name])])
+    _save_csv(path, ["configuration", "spearman_xi_accessibility"],
+              ([name, _fmt(trends[name])] for name in sorted(trends)))
 
 
 # ---------------------------------------------------------------------------

@@ -301,16 +301,14 @@ def distribute(metropolis: Metropolis, d: np.ndarray) -> ODMatrix:
 # Congestion and assignment
 
 
-def bpr_time(t0, flow, capacity, alpha: float, beta: float):
-    """Volume-delay function: t0 * (1 + alpha * (flow / capacity) ** beta).
+def bpr_time(t0: np.ndarray, flow: np.ndarray, capacity: float, alpha: float, beta: float) -> np.ndarray:
+    """Volume-delay function per link: t0 * (1 + alpha * (flow / capacity) ** beta).
 
     float_power calls the C library's pow element by element, as scalar
     powers do; np.power's SIMD loop can round differently in the last bit,
     so times would then depend on whether links are updated one at a time.
     """
-    ratio = np.asarray(flow, dtype=float) / capacity
-    out = np.asarray(t0, dtype=float) * (1.0 + alpha * np.float_power(ratio, beta))
-    return float(out) if out.ndim == 0 else out
+    return t0 * (1.0 + alpha * np.float_power(flow / capacity, beta))
 
 
 def _load_all_or_nothing(od: np.ndarray, afc: np.ndarray, network: Network) -> np.ndarray:
@@ -386,8 +384,6 @@ def assign_traffic(od: np.ndarray, network: Network, metropolis: Metropolis, ite
     congested times, leaving the input as it was, and the final travel-time
     matrix at those congested times.
     """
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
     cfg = metropolis.config
     net = network
     afc = metropolis.distance_km / cfg.v_local

@@ -145,7 +145,7 @@ class TestRun:
             distance_km=grid_distances(cfg),
         )
         d = np.array(dump["travel_times"])
-        _, _, total_access = accessibility(metropolis, d, cfg.nu)
+        _, _, total_access = accessibility(metropolis, np.exp(-cfg.nu * d))
         logged = float(history[-1]["total_accessibility"])
         assert abs(float(total_access.sum()) - logged) <= 1e-9 * max(1.0, abs(logged))
 

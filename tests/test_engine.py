@@ -9,9 +9,9 @@ import pytest
 
 from metrosim.config import two_city_config
 from metrosim import engine
-from metrosim.engine import SimState, StepMemo, initial_state, replicate, run, step, summarize_finals
+from metrosim.engine import IndicatorRow, SimState, StepMemo, initial_state, replicate, run, step, summarize_finals
 from metrosim.landuse import accessibility, cell_scores
-from metrosim.transport import assign_traffic, shortest_times
+from metrosim.transport import assign_traffic, distribute, shortest_times, total_travel_time
 
 
 def test_steps_zero_keeps_only_initial_snapshot():
@@ -147,7 +147,7 @@ def test_step_depends_on_the_decider_not_the_draw():
 def test_indicator_accessibility_recomputable_from_state():
     cfg = two_city_config(steps=3)
     state = run(cfg, seed=9)
-    _, _, total_access = accessibility(state.metropolis, state.travel_times, cfg.nu)
+    _, _, total_access = accessibility(state.metropolis, np.exp(-cfg.nu * state.travel_times))
     logged = state.history[-1].total_accessibility
     assert abs(float(total_access.sum()) - logged) < 1e-9 * max(1.0, abs(logged))
 
@@ -157,13 +157,13 @@ def test_advance_shares_one_accessibility_kernel(monkeypatch):
     # and the step's indicators equal a recomputation from the new state.
     kernels = []
 
-    def scores_recording(metropolis, d, kernel=None):
+    def scores_recording(metropolis, kernel):
         kernels.append(kernel)
-        return cell_scores(metropolis, d, kernel)
+        return cell_scores(metropolis, kernel)
 
-    def access_recording(metropolis, d, nu, kernel=None):
+    def access_recording(metropolis, kernel):
         kernels.append(kernel)
-        return accessibility(metropolis, d, nu, kernel)
+        return accessibility(metropolis, kernel)
 
     assigned = []
 
@@ -183,8 +183,27 @@ def test_advance_shares_one_accessibility_kernel(monkeypatch):
     (d,) = assigned
     assert len(kernels) == 2 and kernels[0] is kernels[1]
     assert kernels[0].tobytes() == np.exp(-cfg.nu * d).tobytes()
-    _, _, total_access = accessibility(advanced.metropolis, d, cfg.nu)
+    _, _, total_access = accessibility(advanced.metropolis, np.exp(-cfg.nu * d))
     assert advanced.row.total_accessibility == float(total_access.sum())
+
+
+def test_step_zero_indicators_recompute_from_free_flow_times():
+    # Row 0 is measured on the pre-seeded network's free-flow times d, with
+    # the kernel initial_state builds itself. Equal reprs are equal bits.
+    cfg = two_city_config(initial_links=((0, 11), (11, 22)))
+    state = initial_state(cfg)
+    metropolis = state.metropolis
+    d = shortest_times(state.network, metropolis, free_flow=True)
+    _, _, total_access = accessibility(metropolis, np.exp(-cfg.nu * d))
+    expected = IndicatorRow(
+        step=0,
+        total_accessibility=float(total_access.sum()),
+        total_travel_time=total_travel_time(distribute(metropolis, d).flows, d),
+        link_count=2,
+        mayor_objectives=tuple(float(total_access[metropolis.territory == i].sum()) for i in range(2)),
+    )
+    assert state.history == (expected,)
+    assert repr(state.history[0]) == repr(expected)
 
 
 def test_mayor_objectives_partition_total():

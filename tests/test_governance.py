@@ -254,7 +254,7 @@ def test_single_cell_territory_objective():
     d = shortest_times(Network(metropolis.n_cells), metropolis)
     from metrosim.landuse import accessibility
 
-    _, _, total_access = accessibility(metropolis, d, metropolis.config.nu)
+    _, _, total_access = accessibility(metropolis, np.exp(-metropolis.config.nu * d))
     mayor = Stakeholder(kind="mayor", mayor=1)
     assert _territory_accessibility(metropolis, d, mayor.territory_cells(metropolis)) == pytest.approx(
         float(total_access[13]), rel=1e-12

@@ -33,26 +33,24 @@ def afc_times(metropolis):
     return shortest_times(Network(metropolis.n_cells), metropolis)
 
 
+def afc_kernel(metropolis):
+    """The accessibility kernel exp(-nu * d) at the configured nu on afc_times."""
+    return np.exp(-metropolis.config.nu * afc_times(metropolis))
+
+
+def with_relocation(metropolis, mu, relocation_fraction):
+    """The same metropolis, relocating with the given logit scale and fraction."""
+    return replace(metropolis, config=replace(metropolis.config, mu=mu, relocation_fraction=relocation_fraction))
+
+
 # ---------------------------------------------------------------------------
 # Accessibility
-
-
-def test_a_given_kernel_gives_the_same_scores():
-    metropolis = make_metropolis()
-    d = np.random.default_rng(3).uniform(0.01, 0.6, size=(metropolis.n_cells, metropolis.n_cells))
-    kernel = np.exp(-metropolis.config.nu * d)
-    for own, given in zip(accessibility(metropolis, d, metropolis.config.nu),
-                          accessibility(metropolis, d, metropolis.config.nu, kernel)):
-        assert own.tobytes() == given.tobytes()
-    own, given = cell_scores(metropolis, d), cell_scores(metropolis, d, kernel)
-    assert own.worker_utility.tobytes() == given.worker_utility.tobytes()
-    assert own.job_utility.tobytes() == given.job_utility.tobytes()
 
 
 def test_zero_decay_counts_all_jobs():
     metropolis = make_metropolis()
     d = afc_times(metropolis)
-    worker_access, job_access, _ = accessibility(metropolis, d, nu=0.0)
+    worker_access, job_access, _ = accessibility(metropolis, np.exp(-0.0 * d))
     for s in range(2):
         assert np.allclose(worker_access[:, s], metropolis.jobs[:, s].sum(), rtol=1e-12)
         assert np.allclose(job_access[:, s], metropolis.workers[:, s].sum(), rtol=1e-12)
@@ -63,7 +61,7 @@ def test_single_job_mass_decays_with_time():
     metropolis.jobs[:] = 0.0
     metropolis.jobs[7, 0] = 40.0
     d = afc_times(metropolis)
-    worker_access, _, _ = accessibility(metropolis, d, nu=2.0)
+    worker_access, _, _ = accessibility(metropolis, np.exp(-2.0 * d))
     for c in (0, 7, 19):
         assert worker_access[c, 0] == pytest.approx(40.0 * math.exp(-2.0 * d[c, 7]), rel=1e-12)
 
@@ -73,7 +71,7 @@ def test_accessibility_matches_brute_force():
     rng = np.random.default_rng(17)
     d = rng.uniform(0.01, 0.6, size=(metropolis.n_cells, metropolis.n_cells))
     nu = 1.7
-    worker_access, job_access, total = accessibility(metropolis, d, nu)
+    worker_access, job_access, total = accessibility(metropolis, np.exp(-nu * d))
     n, s = metropolis.workers.shape
     for c in range(n):
         for cat in range(s):
@@ -195,9 +193,8 @@ def test_equal_utilities_give_uniform_shares():
 
 def test_relocation_conserves_totals():
     metropolis = make_metropolis()
-    d = afc_times(metropolis)
-    scores = cell_scores(metropolis, d)
-    moved = relocate(metropolis, scores, mu=0.01, relocation_fraction=0.3)
+    scores = cell_scores(metropolis, afc_kernel(metropolis))
+    moved = relocate(with_relocation(metropolis, mu=0.01, relocation_fraction=0.3), scores)
     for s in range(2):
         assert moved.workers[:, s].sum() == pytest.approx(metropolis.workers[:, s].sum(), rel=1e-9)
         assert moved.jobs[:, s].sum() == pytest.approx(metropolis.jobs[:, s].sum(), rel=1e-9)
@@ -210,18 +207,17 @@ def test_two_equal_cells_split_pool_evenly():
                           minor_job_share=0.5, dominant_job_share=0.5)
     metropolis = init_metropolis(cfg, 100.0, 100.0)
     metropolis.workers[:] = np.array([[40.0, 0.0], [10.0, 0.0]])  # asymmetric start
-    d = afc_times(metropolis)
-    scores = cell_scores(metropolis, d)
+    scores = cell_scores(metropolis, afc_kernel(metropolis))
     scores.worker_utility[:] = 1.0  # equal utility everywhere
-    moved = relocate(metropolis, scores, mu=5.0, relocation_fraction=1.0)
+    moved = relocate(with_relocation(metropolis, mu=5.0, relocation_fraction=1.0), scores)
     assert moved.workers[0, 0] == pytest.approx(25.0, rel=1e-12)
     assert moved.workers[1, 0] == pytest.approx(25.0, rel=1e-12)
 
 
 def test_zero_fraction_is_identity():
     metropolis = make_metropolis()
-    scores = cell_scores(metropolis, afc_times(metropolis))
-    moved = relocate(metropolis, scores, mu=1.0, relocation_fraction=0.0)
+    scores = cell_scores(metropolis, afc_kernel(metropolis))
+    moved = relocate(with_relocation(metropolis, mu=1.0, relocation_fraction=0.0), scores)
     assert np.array_equal(moved.workers, metropolis.workers)
     assert np.array_equal(moved.jobs, metropolis.jobs)
 
@@ -229,8 +225,8 @@ def test_zero_fraction_is_identity():
 def test_relocate_returns_a_new_metropolis():
     metropolis = make_metropolis()
     workers, jobs = metropolis.workers.copy(), metropolis.jobs.copy()
-    scores = cell_scores(metropolis, afc_times(metropolis))
-    moved = relocate(metropolis, scores, mu=1.0, relocation_fraction=0.5)
+    scores = cell_scores(metropolis, afc_kernel(metropolis))
+    moved = relocate(with_relocation(metropolis, mu=1.0, relocation_fraction=0.5), scores)
     assert not np.array_equal(moved.workers, workers)
     assert np.array_equal(metropolis.workers, workers)
     assert np.array_equal(metropolis.jobs, jobs)
@@ -239,9 +235,9 @@ def test_relocate_returns_a_new_metropolis():
 
 def test_relocation_moves_mass_toward_higher_utility():
     metropolis = make_metropolis()
-    scores = cell_scores(metropolis, afc_times(metropolis))
+    scores = cell_scores(metropolis, afc_kernel(metropolis))
     best = int(np.argmax(scores.worker_utility[:, 0]))
-    moved = relocate(metropolis, scores, mu=50.0 / scores.worker_utility[:, 0].max(),
-                     relocation_fraction=0.5)
+    moved = relocate(with_relocation(metropolis, mu=50.0 / scores.worker_utility[:, 0].max(),
+                                     relocation_fraction=0.5), scores)
     assert moved.workers[best, 0] > metropolis.workers[best, 0]
 

@@ -237,6 +237,23 @@ class TestConfigJson:
         with pytest.raises(ConfigError, match="xi"):
             config_from_dict(doc)
 
+    @pytest.mark.parametrize(("field", "value"), [
+        ("relocation_fraction", -0.1),
+        ("relocation_fraction", 1.5),
+        ("assignment_iterations", 0),
+    ])
+    def test_out_of_range_step_constant_names_field(self, tmp_path, field, value):
+        # The constructor is the only check of the constants that relocate and
+        # assign_traffic read, from Python and from JSON alike.
+        with pytest.raises(ConfigError, match=f"^{field}: "):
+            replace(two_city_config(), **{field: value})
+        doc = config_to_dict(two_city_config())
+        doc[field] = value
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"^{field}: "):
+            load_config(path)
+
     def test_bad_mix_names_center(self, two_city):
         for mix in ([0.7, 0.7], 1.0, None, True):
             doc = config_to_dict(two_city)
