@@ -4,7 +4,7 @@ Exit codes: 0 success, 2 invalid configuration (the message names the field),
 3 I/O failure. Sweep cells that crash are recorded as empty rows and make the
 command exit nonzero without aborting the rest of the grid. A sweep runs each
 preset, or with spare workers each group of a preset's xi values, as one task
-whose xi x seed lanes share an engine.StepMemo.
+whose xi x seed lanes share one engine memo, a dict.
 """
 from __future__ import annotations
 
@@ -122,15 +122,16 @@ def cmd_replicate(config: ScenarioConfig, n: int, base_seed: int, out_dir: Path)
 
 
 def _sweep_preset(name: str, xis: tuple[float, ...], seeds: list[int], config: ScenarioConfig) -> list[dict]:
-    """Rows of every xi x seed lane of one preset; the lanes share one engine.StepMemo."""
-    memo = engine.StepMemo()
+    """Rows of every xi x seed lane of one preset; the lanes share one engine memo."""
+    memo = {}
     rows = []
     for xi in xis:
+        lane = replace(config, xi=xi)
         for seed in seeds:
             row = {"configuration": name, "xi": xi, "seed": seed,
                    "total_accessibility": None, "total_travel_time": None, "error": None}
             try:
-                state = engine.run(replace(config, xi=xi), seed, memo=memo)
+                state = engine.run(lane, seed, memo=memo)
                 last = state.history[-1]
                 row["total_accessibility"] = last.total_accessibility
                 row["total_travel_time"] = last.total_travel_time

@@ -1,6 +1,6 @@
 """Simulation orchestration: the seeded step loop and replication statistics.
 
-A state is a frozen value with no random stream. `step(state, rng)` runs
+A state is a frozen value with no random stream. `step(state, rng, ...)` runs
 `advance` (transport, then land use), draws the deciding stakeholder and lets
 it build its argmax link (`decide_and_build`), and returns a new state with one
 more indicator row. Only `run` holds the seeded rng, whose only draws happen
@@ -10,23 +10,29 @@ seeds.
 The world after k steps (metropolis and network) depends only on the
 scenario and the k links built: `advance` reads nothing else, and the
 stakeholder enters a build only through the link it chooses and its
-`DecisionRecord`. `run` and `step` therefore take an optional `StepMemo` that
-runs share: `replicate` shares one over its seeds and a sweep one over a
-preset's xi x seed lanes. Its keys are build prefixes, the scenario key (the
-config's JSON with xi left out) plus the links chosen so far (None for a
-no-build). A run looks up its initial state by the scenario key, a step its
-advanced half by the build prefix and the built network and record by (build
-prefix, stakeholder); each is computed only on a miss. Every run assembles its
-own state from these shared values, with its own decisions, so every output
-equals a memo-free run's bit for bit; runs of different scenarios that share
-a memo share nothing.
+`DecisionRecord`. `run` therefore keys its steps in a memo, a plain dict: the
+caller's, which runs share (`replicate` one over its seeds, a sweep one over
+a preset's xi x seed lanes), or a fresh one of its own. The memo maps three
+key types, which never compare equal:
+
+- the scenario key, a str (the config's JSON with xi set to null), to the
+  initial state;
+- a build prefix, a tuple of the scenario key and the links chosen so far
+  (None for a no-build), to the step's advanced half;
+- (build prefix, stakeholder) to the built network and its record.
+
+Each value is computed only on a miss. A lone run's own memo never hits,
+since each step's prefix is one link longer than the last. Every run
+assembles its own state from these shared values, with its own decisions, so
+every output equals a lone run's bit for bit; runs of different scenarios
+that share a memo share nothing.
 
 A memo keeps every entry: a metropolis, a network, a record or row, but no
 (N, N) matrix besides the scenario's shared cell distances, so its memory
-grows as entries x O(N S + links). `SimState.travel_times` derives a state's
-times from its network. Warnings logged while a step is computed (a one-sided
-category, a Furness balance at max_iter) fire once per computed build prefix,
-not once per run.
+grows as entries x O(N S + links). A state keeps the network its last
+assignment returned, and `SimState.travel_times` derives its times from that.
+Warnings logged while a step is computed (a one-sided category, a Furness
+balance at max_iter) fire once per computed build prefix, not once per run.
 """
 from __future__ import annotations
 
@@ -65,6 +71,7 @@ class SimState:
 
     metropolis: Metropolis
     network: Network
+    assigned: Network  # the network the last assignment returned; the initial one at step 0
     history: tuple[IndicatorRow, ...]
     decisions: tuple[DecisionRecord, ...]
     density_history: tuple[np.ndarray, ...]
@@ -72,13 +79,7 @@ class SimState:
     @property
     def travel_times(self) -> np.ndarray:
         """The last assignment's all-pairs times (free-flow at step 0), read-only and never cached."""
-        # assign_traffic returns shortest_times of the network it returns, and
-        # a build appends its link last at its free-flow time, as the initial
-        # links are; so these are shortest_times before the last build.
-        network = self.network
-        if self.decisions and self.decisions[-1].chosen is not None:
-            network = network.without_last_link()
-        d = shortest_times(network, self.metropolis)
+        d = shortest_times(self.assigned, self.metropolis)
         d.flags.writeable = False
         return d
 
@@ -111,33 +112,15 @@ def _indicators(metropolis: Metropolis, d: np.ndarray, kernel: np.ndarray, flows
     )
 
 
-class StepMemo:
-    """Initial states and step halves that runs share, keyed by build prefix.
-
-    `entries` maps a scenario key (a str) to the initial state, a build
-    prefix (a tuple that starts with the scenario key) to its advanced half,
-    and (build prefix, stakeholder) to the built network and its
-    DecisionRecord; the three key types never compare equal. Every computed
-    value is stored. An entry holds O(N S + links) values of its own: no
-    travel-time matrix, only the scenario's shared (N, N) cell distances. See
-    the module docstring.
-    """
-
-    def __init__(self) -> None:
-        self.entries: dict = {}
-
-
-def _memoised(memo: StepMemo | None, key: object, compute: Callable):
-    """The memo's entry for key, computed on a miss; with no memo, compute() alone.
+def _memoised(memo: dict, key: object, compute: Callable):
+    """The memo's entry for key, computed on a miss.
 
     An entry is stored only once compute has returned, so a step that raises
     leaves nothing behind for a later run to reuse.
     """
-    if memo is None:
-        return compute()
-    value = memo.entries.get(key)
+    value = memo.get(key)
     if value is None:
-        value = memo.entries[key] = compute()
+        value = memo[key] = compute()
     return value
 
 
@@ -157,6 +140,7 @@ def initial_state(config: ScenarioConfig) -> SimState:
     return SimState(
         metropolis=metropolis,
         network=network,
+        assigned=network,
         history=(_indicators(metropolis, d, np.exp(-config.nu * d), od.flows, len(network), 0),),
         decisions=(),
         density_history=(metropolis.workers.sum(axis=1),),
@@ -183,8 +167,8 @@ def advance(state: SimState) -> Advanced:
     return Advanced(metropolis, network, row)
 
 
-def step(state: SimState, rng: random.Random, *, xi: float, swap_mayor_weights: bool = False,
-         memo: StepMemo | None = None, scenario: str | None = None) -> SimState:
+def step(state: SimState, rng: random.Random, *, xi: float, memo: dict, scenario: str,
+         swap_mayor_weights: bool = False) -> SimState:
     """Advance one time step: transport, land use, governance, indicators.
 
     `advance` runs transport and land use, the stakeholder drawn from rng
@@ -193,17 +177,13 @@ def step(state: SimState, rng: random.Random, *, xi: float, swap_mayor_weights: 
     altered. xi is the caller's, not the state's config.xi: the world of a
     state taken from a memo carries the config of the run that computed it.
 
-    A memo comes with `scenario`, the key `run` found the initial state
-    under. The advanced half is then looked up by the state's build prefix,
-    scenario plus the links its decisions chose, and the built network and
-    record by (build prefix, stakeholder); each is computed and stored only
-    on a miss, and with memo=None nothing is stored.
+    scenario is the key `run` found the initial state under in memo. The
+    advanced half is looked up by the state's build prefix, scenario plus
+    the links its decisions chose, and the built network and record by
+    (build prefix, stakeholder); each is computed and stored only on a miss.
     """
-    if memo is not None and scenario is None:
-        raise ValueError("a memo needs the scenario key of the run")
     prefix = (scenario, *(record.chosen for record in state.decisions))
-    advanced = _memoised(memo, prefix, lambda: advance(state))
-    metropolis, assigned, row = advanced
+    metropolis, assigned, row = _memoised(memo, prefix, lambda: advance(state))
     weights = mayor_weights(metropolis)
     if swap_mayor_weights:
         weights = weights[::-1]
@@ -213,6 +193,7 @@ def step(state: SimState, rng: random.Random, *, xi: float, swap_mayor_weights: 
     return SimState(
         metropolis=metropolis,
         network=network,
+        assigned=assigned,
         history=state.history + (replace(row, link_count=len(network)),),
         decisions=state.decisions + (record,),
         density_history=state.density_history + (metropolis.workers.sum(axis=1),),
@@ -220,7 +201,7 @@ def step(state: SimState, rng: random.Random, *, xi: float, swap_mayor_weights: 
 
 
 def run(config: ScenarioConfig, seed: int, *, swap_mayor_weights: bool = False,
-        memo: StepMemo | None = None) -> SimState:
+        memo: dict | None = None) -> SimState:
     """Execute a full run; identical (config, seed) pairs give identical output.
 
     swap_mayor_weights reverses the mayor weight vector before each
@@ -231,14 +212,16 @@ def run(config: ScenarioConfig, seed: int, *, swap_mayor_weights: bool = False,
     memo, when given, is shared with other runs: the initial state and every
     step half one of them computed for the same scenario (config with xi
     left out) and the same links built are reused, not recomputed (see the
-    module docstring). The returned state's metropolis carries `config`.
+    module docstring). Without one the run keys its steps in a fresh dict.
+    The returned state's metropolis carries `config`.
     """
     rng = random.Random(seed)
-    scenario = None if memo is None else json.dumps(config_to_dict(replace(config, xi=0.0)), sort_keys=True)
+    memo = {} if memo is None else memo
+    scenario = json.dumps(config_to_dict(config) | {"xi": None}, sort_keys=True)
     state = _memoised(memo, scenario, lambda: initial_state(config))
     for _ in range(config.steps):
-        state = step(state, rng, xi=config.xi, swap_mayor_weights=swap_mayor_weights, memo=memo,
-                     scenario=scenario)
+        state = step(state, rng, xi=config.xi, memo=memo, scenario=scenario,
+                     swap_mayor_weights=swap_mayor_weights)
     return replace(state, metropolis=replace(state.metropolis, config=config))
 
 
@@ -285,7 +268,7 @@ def replicate(config: ScenarioConfig, n: int, base_seed: int, *, swap_mayor_weig
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    memo = StepMemo()
+    memo = {}
     finals = np.empty((n, 2))
     for i in range(n):
         state = run(config, base_seed + i, swap_mayor_weights=swap_mayor_weights, memo=memo)

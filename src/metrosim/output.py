@@ -198,15 +198,22 @@ def _frame(parts: list[str], x0: float, y0: float, x1: float, y1: float,
     parts.append(f'<text x="{x0 - 4:.1f}" y="{y0 + 10:.1f}" font-size="10" text-anchor="end">{yrange[1]:.4g}</text>\n')
 
 
+def _axis_range(centre: float, span: float) -> tuple[float, float]:
+    """(centre - span, centre + span), or the floats next to centre if both round to one value."""
+    lo, hi = centre - span, centre + span
+    if lo == hi:
+        lo, hi = math.nextafter(centre, -math.inf), math.nextafter(centre, math.inf)
+    return lo, hi
+
+
 def render_ellipse_svg(path: str | Path, stats: ReplicationStats) -> None:
     """Mean point and 1-sigma variation ellipse in accessibility/time axes."""
     w, h = 480, 360
     x0, y0, x1, y1 = 70, 20, w - 20, h - 50
-    span_x = max(float(stats.axis_lengths[0]), 1e-9) * 3
-    span_y = span_x
+    span = max(float(stats.axis_lengths[0]), 1e-9) * 3
     cx, cy = float(stats.mean[0]), float(stats.mean[1])
-    xrange = (cx - span_x, cx + span_x)
-    yrange = (cy - span_y, cy + span_y)
+    xrange = _axis_range(cx, span)
+    yrange = _axis_range(cy, span)
 
     def sx(x: float) -> float:
         return x0 + (x - xrange[0]) / (xrange[1] - xrange[0]) * (x1 - x0)

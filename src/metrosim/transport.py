@@ -85,11 +85,6 @@ class Network:
             congested_time=np.append(self.congested_time, free_flow_time),
         )
 
-    def without_last_link(self) -> "Network":
-        """This network less its last link, with every other link's state as it is."""
-        return Network(self.n_cells, self.a[:-1], self.b[:-1], self.free_flow_time[:-1], self.flow[:-1],
-                       self.congested_time[:-1])
-
     def endpoints(self) -> np.ndarray:
         """Sorted cells touched by at least one link."""
         return np.flatnonzero(np.bincount(np.concatenate((self.a, self.b)), minlength=self.n_cells))

@@ -185,6 +185,17 @@ class TestReplicate:
         assert float(row["axis_major"]) == 0.0
         assert float(row["axis_minor"]) == 0.0
 
+    @pytest.mark.parametrize("xi, replications", [(0.0, "2"), (0.5, "1")], ids=["xi-zero", "one-replication"])
+    def test_zero_variance_at_large_accessibility_draws_the_ellipse(self, tmp_path, xi, replications):
+        # The mean accessibility, 2.18e8, is above 2**25, where floats are
+        # spaced wider than the plot's minimum half-span of 3e-9.
+        cfg_path = write_config(tmp_path, steps=1, xi=xi, dominant_amplitude=4000.0, minor_amplitude=1000.0)
+        out = tmp_path / "out"
+        assert main(["replicate", "--config", str(cfg_path), "--replications", replications, "--out", str(out)]) == 0
+        assert float(read_csv(out / "replicate_summary.csv")[0]["mean_accessibility"]) > 2.0**25
+        svg = (out / "ellipse.svg").read_text(encoding="utf-8")
+        assert "nan" not in svg and "inf" not in svg
+
 
 class TestSweep:
     def test_row_cardinality_and_order(self, tmp_path):

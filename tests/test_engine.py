@@ -9,7 +9,7 @@ import pytest
 
 from metrosim.config import two_city_config
 from metrosim import engine
-from metrosim.engine import IndicatorRow, SimState, StepMemo, initial_state, replicate, run, step, summarize_finals
+from metrosim.engine import IndicatorRow, SimState, initial_state, replicate, run, step, summarize_finals
 from metrosim.landuse import accessibility, cell_scores
 from metrosim.transport import assign_traffic, distribute, shortest_times, total_travel_time
 
@@ -44,7 +44,7 @@ def test_frozen_landuse_keeps_metropolis_bit_identical():
     jobs_before = state.metropolis.jobs.copy()
     rng = random.Random(1)
     for _ in range(3):
-        state = step(state, rng, xi=cfg.xi)
+        state = step(state, rng, xi=cfg.xi, memo={}, scenario="")
     assert np.array_equal(state.metropolis.workers, workers_before)
     assert np.array_equal(state.metropolis.jobs, jobs_before)
 
@@ -106,7 +106,7 @@ def test_state_is_a_value():
     state = initial_state(cfg)
     history, decisions, metropolis = state.history, state.decisions, state.metropolis
     workers = metropolis.workers.copy()
-    after = step(state, random.Random(0), xi=cfg.xi)
+    after = step(state, random.Random(0), xi=cfg.xi, memo={}, scenario="")
     assert state.history is history and state.decisions is decisions and state.metropolis is metropolis
     assert len(state.history) == 1 and state.decisions == ()
     assert np.array_equal(state.metropolis.workers, workers)
@@ -137,8 +137,8 @@ class _StubRng:
 def test_step_depends_on_the_decider_not_the_draw():
     # Both level draws are >= xi, so both steps are the governor's.
     state = initial_state(two_city_config(steps=1, xi=0.5, landuse_enabled=True))
-    a = step(state, _StubRng(0.6), xi=0.5)
-    b = step(state, _StubRng(0.9), xi=0.5)
+    a = step(state, _StubRng(0.6), xi=0.5, memo={}, scenario="")
+    b = step(state, _StubRng(0.9), xi=0.5, memo={}, scenario="")
     assert a.decisions[0].level == "metropolitan"
     assert a.history == b.history
     assert a.decisions == b.decisions
@@ -263,10 +263,10 @@ def test_swapped_weights_redirect_local_decisions():
     (two_city_config(steps=3), True),
 ], ids=["landuse", "congested", "swapped-weights"])
 def test_shared_memo_matches_memo_free_runs(cfg, swap):
-    # Memo-free runs are the oracle. Lanes xi 0, 0.5, 1 x seeds 0-3 share one
-    # memo; a lane that reuses another lane's steps must end in the same
-    # state and carry its own config.
-    memo = StepMemo()
+    # Runs that share no memo are the oracle. Lanes xi 0, 0.5, 1 x seeds 0-3
+    # share one memo; a lane that reuses another lane's steps must end in
+    # the same state and carry its own config.
+    memo = {}
     for xi in (0.0, 0.5, 1.0):
         lane = replace(cfg, xi=xi)
         alone = [run(lane, seed, swap_mayor_weights=swap) for seed in range(4)]
@@ -304,7 +304,7 @@ def test_memo_computes_each_build_prefix_once(monkeypatch):
     # built. So with one memo shared by every scenario below, advance runs
     # once per distinct (scenario, links built) and decide_and_build once per
     # distinct (scenario, links built, stakeholder), while every lane still
-    # equals its memo-free run. The 2x2 grid saturates after six builds, so
+    # equals its lone run. The 2x2 grid saturates after six builds, so
     # no-builds (None) enter its keys.
     cases = [
         (two_city_config(steps=3, landuse_enabled=True), False),
@@ -326,10 +326,27 @@ def test_memo_computes_each_build_prefix_once(monkeypatch):
     assert any(None in prefix for _, prefix in prefixes)
     assert len(pairs) < len(decider_prefixes)
     advanced, decided = _record_calls(monkeypatch, "advance"), _record_calls(monkeypatch, "decide_and_build")
-    memo = StepMemo()
+    memo = {}
     for (_, lane, seed, swap), oracle in zip(lanes, oracles):
         _assert_same_run(run(lane, seed, swap_mayor_weights=swap, memo=memo), oracle)
     assert (len(advanced), len(decided)) == (len(prefixes), len(pairs))
+
+
+@pytest.mark.parametrize("cfg", [
+    two_city_config(steps=3, landuse_enabled=True),
+    two_city_config(steps=2, congestion_in_evaluation=True),
+    two_city_config(grid_rows=2, grid_cols=2, minor_position=(1, 1), dominant_position=(0, 0), steps=8),
+], ids=["landuse", "congested", "saturating"])
+def test_lone_run_never_hits_its_own_memo(monkeypatch, cfg):
+    # A run keys step k under a build prefix of k links (None for a
+    # no-build), so its own fresh memo never serves one of its steps: a
+    # lone run computes every step, as the oracles above, runs that share
+    # no memo, assume.
+    advanced, decided = _record_calls(monkeypatch, "advance"), _record_calls(monkeypatch, "decide_and_build")
+    state = run(cfg, 0)
+    assert (len(advanced), len(decided)) == (cfg.steps, cfg.steps)
+    if cfg.grid_rows == 2:
+        assert state.decisions[-1].chosen is None
 
 
 def test_three_computed_steps_serve_more_than_three_decider_prefixes(monkeypatch):
@@ -341,7 +358,7 @@ def test_three_computed_steps_serve_more_than_three_decider_prefixes(monkeypatch
     lanes = [(replace(cfg, xi=xi), seed) for xi in (0.0, 0.5, 1.0) for seed in range(5)]
     oracles = [run(lane, seed) for lane, seed in lanes]
     advanced = _record_calls(monkeypatch, "advance")
-    memo = StepMemo()
+    memo = {}
     served = set()
     for (lane, seed), oracle in zip(lanes, oracles):
         before = len(advanced)
@@ -377,14 +394,14 @@ def test_memo_entries_hold_no_travel_time_matrix():
     # metropolis of a scenario shares.
     scenarios = [two_city_config(steps=3, landuse_enabled=True),
                  two_city_config(steps=2, congestion_in_evaluation=True, dominant_position=(1, 8))]
-    memo = StepMemo()
+    memo = {}
     for cfg in scenarios:
         for xi in (0.0, 0.5, 1.0):
             for seed in range(3):
                 run(replace(cfg, xi=xi), seed, memo=memo)
-    distances = {id(state.metropolis.distance_km) for state in memo.entries.values() if isinstance(state, SimState)}
+    distances = {id(state.metropolis.distance_km) for state in memo.values() if isinstance(state, SimState)}
     assert len(distances) == 2
-    square = _square_arrays(list(memo.entries.values()), scenarios[0].n_cells, set())
+    square = _square_arrays(list(memo.values()), scenarios[0].n_cells, set())
     assert square and {id(array) for array in square} <= distances
 
 
@@ -396,24 +413,27 @@ def test_memo_entries_hold_no_travel_time_matrix():
     two_city_config(grid_rows=2, grid_cols=2, minor_position=(1, 1), dominant_position=(0, 0), steps=8),
 ], ids=["landuse", "congested", "15x15-initial-links", "saturating"])
 def test_derived_travel_times_equal_the_assigned_ones(monkeypatch, cfg):
-    # A state's travel times are derived from its network; each step's must
+    # A state keeps the network its last assignment returned (the pre-seeded
+    # one at step 0) and derives its travel times from it; each step's must
     # equal, bit for bit, the matrix that step's assignment returned, and
     # the initial state's the free-flow times of the pre-seeded network.
     assigned = []
 
     def assign_recording(*args):
         network, d = assign_traffic(*args)
-        assigned.append(d)
+        assigned.append((network, d))
         return network, d
 
     monkeypatch.setattr(engine, "assign_traffic", assign_recording)
     state = initial_state(cfg)
+    assert state.assigned is state.network
     assert state.travel_times.tobytes() == shortest_times(state.network, state.metropolis, free_flow=True).tobytes()
     rng = random.Random(0)
     for k in range(1, cfg.steps + 1):
-        state = step(state, rng, xi=cfg.xi)
+        state = step(state, rng, xi=cfg.xi, memo={}, scenario="")
         assert len(assigned) == k
-        assert state.travel_times.tobytes() == assigned[-1].tobytes()
+        assert state.assigned is assigned[-1][0]
+        assert state.travel_times.tobytes() == assigned[-1][1].tobytes()
     if cfg.grid_rows == 2:
         assert state.decisions[-1].chosen is None
 
@@ -421,7 +441,7 @@ def test_derived_travel_times_equal_the_assigned_ones(monkeypatch, cfg):
 def test_memo_keeps_scenarios_apart():
     # Two scenarios that differ in more than xi share one memo but no state.
     near, far = two_city_config(steps=2, xi=0.5), two_city_config(steps=2, xi=0.5, dominant_position=(1, 8))
-    memo = StepMemo()
+    memo = {}
     for cfg in (near, far, near, far):
         shared = run(cfg, 1, memo=memo)
         assert shared.metropolis.config is cfg
