@@ -117,6 +117,7 @@ def cmd_replicate(config: ScenarioConfig, n: int, base_seed: int, out_dir: Path)
     stats = engine.replicate(config, n, base_seed)
     out_dir.mkdir(parents=True, exist_ok=True)
     output.write_replicate_summary_csv(out_dir / "replicate_summary.csv", stats)
+    output.write_replicate_finals_csv(out_dir / "replicate_finals.csv", stats)
     output.render_ellipse_svg(out_dir / "ellipse.svg", stats)
     return 0
 

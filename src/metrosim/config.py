@@ -269,28 +269,21 @@ def validate(config: ScenarioConfig) -> None:
         seen.add(key)
 
 
+def _plain(value: Any) -> Any:
+    """A field value as JSON holds it, by type: a CenterSpec becomes an object
+    in field order, a tuple a list, an array nested lists."""
+    if isinstance(value, CenterSpec):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(CenterSpec)}
+    if isinstance(value, tuple):
+        return [_plain(x) for x in value]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return value
+
+
 def config_to_dict(config: ScenarioConfig) -> dict:
     """Inverse of config_from_dict; the result round-trips through JSON."""
-    doc: dict[str, Any] = {}
-    for attr, key in _ATTR_TO_KEY.items():
-        value = getattr(config, attr)
-        if key == "centers":
-            value = [
-                {
-                    "position": list(c.position),
-                    "amplitude": c.amplitude,
-                    "gradient": c.gradient,
-                    "job_share": c.job_share,
-                    "mix": list(c.mix),
-                }
-                for c in value
-            ]
-        elif key in ("m", "m_prime"):
-            value = [list(row) for row in np.asarray(value)]
-        elif key == "initial_links":
-            value = [list(pair) for pair in value]
-        doc[key] = value
-    return doc
+    return {key: _plain(getattr(config, attr)) for attr, key in _ATTR_TO_KEY.items()}
 
 
 def load_config(path: str | Path) -> ScenarioConfig:

@@ -230,6 +230,7 @@ class ReplicationStats:
     """Cross-replication statistics of the final-step indicator pair."""
 
     n: int
+    seeds: list[int]          # (n,): the seed of each row of finals
     finals: np.ndarray        # (n, 2): total accessibility, total travel time
     mean: np.ndarray          # (2,)
     covariance: np.ndarray    # (2, 2)
@@ -237,8 +238,8 @@ class ReplicationStats:
     angle_rad: float          # orientation of the major axis
 
 
-def summarize_finals(finals: np.ndarray) -> ReplicationStats:
-    """Mean, covariance and 1-sigma variation ellipse of (accessibility, time) pairs."""
+def summarize_finals(seeds: list[int], finals: np.ndarray) -> ReplicationStats:
+    """Mean, covariance and 1-sigma variation ellipse of the runs' (accessibility, time) pairs."""
     finals = np.asarray(finals, dtype=float)
     n = finals.shape[0]
     mean = finals.mean(axis=0)
@@ -252,6 +253,7 @@ def summarize_finals(finals: np.ndarray) -> ReplicationStats:
     major = eigvecs[:, order[0]]
     return ReplicationStats(
         n=n,
+        seeds=list(seeds),
         finals=finals,
         mean=mean,
         covariance=covariance,
@@ -269,9 +271,10 @@ def replicate(config: ScenarioConfig, n: int, base_seed: int, *, swap_mayor_weig
     if n < 1:
         raise ValueError("n must be >= 1")
     memo = {}
+    seeds = list(range(base_seed, base_seed + n))
     finals = np.empty((n, 2))
-    for i in range(n):
-        state = run(config, base_seed + i, swap_mayor_weights=swap_mayor_weights, memo=memo)
+    for i, seed in enumerate(seeds):
+        state = run(config, seed, swap_mayor_weights=swap_mayor_weights, memo=memo)
         last = state.history[-1]
         finals[i] = (last.total_accessibility, last.total_travel_time)
-    return summarize_finals(finals)
+    return summarize_finals(seeds, finals)

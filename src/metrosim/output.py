@@ -2,8 +2,10 @@
 
 All CSVs are UTF-8, comma-separated, '.' decimal, LF line endings, with fixed
 headers; floats are written with repr so reruns are byte-identical and values
-round-trip. SVGs are plain SVG 1.1 documents drawn only from data that is
-also persisted, so every plot can be regenerated offline.
+round-trip. SVGs are plain SVG 1.1 documents, each drawn only from data that
+is also persisted, so every plot can be regenerated offline: the maps from
+final_state.json and history.csv, the ellipse plot from replicate_finals.csv
+and replicate_summary.csv, the sweep plot from sweep.csv.
 """
 from __future__ import annotations
 
@@ -105,6 +107,13 @@ def write_replicate_summary_csv(path: str | Path, stats: ReplicationStats) -> No
     ]])
 
 
+def write_replicate_finals_csv(path: str | Path, stats: ReplicationStats) -> None:
+    """One row per replication, in seed order: the points the ellipse plot draws."""
+    _save_csv(path, ["seed", "total_accessibility", "total_travel_time"], (
+        [seed, _fmt(acc), _fmt(time)] for seed, (acc, time) in zip(stats.seeds, stats.finals.tolist())
+    ))
+
+
 def write_sweep_csv(path: str | Path, rows: list[dict]) -> None:
     header = ["configuration", "xi", "seed", "total_accessibility", "total_travel_time"]
     _save_csv(path, header, (
@@ -124,9 +133,17 @@ def write_trend_csv(path: str | Path, trends: dict[str, float]) -> None:
 # SVG rendering
 
 
-_SVG_HEAD = '<?xml version="1.0" encoding="UTF-8"?>\n<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{w}" height="{h}" viewBox="0 0 {w} {h}">\n'
-
 _TERRITORY_COLORS = ["#666666", "#c03030", "#3060c0", "#c08020", "#7030a0", "#208060"]
+
+
+def _save_svg(path: str | Path, w: int, h: int, parts: list[str]) -> None:
+    """The one SVG document of every plot: header, white background, the parts, end tag."""
+    head = (
+        f'<?xml version="1.0" encoding="UTF-8"?>\n<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{w}" height="{h}" viewBox="0 0 {w} {h}">\n'
+        f'<rect x="0" y="0" width="{w}" height="{h}" fill="white"/>\n'
+    )
+    Path(path).write_text(head + "".join(parts) + "</svg>\n", encoding="utf-8")
 
 
 def _density_fill(value: float, peak: float) -> str:
@@ -147,8 +164,7 @@ def render_map_svg(
     rows, cols = config.grid_rows, config.grid_cols
     w, h = cols * px + 20, rows * px + 20
     peak = float(np.max(density)) if density.size else 0.0
-    parts = [_SVG_HEAD.format(w=w, h=h)]
-    parts.append(f'<rect x="0" y="0" width="{w}" height="{h}" fill="white"/>\n')
+    parts = []
 
     def cell_xy(cell: int) -> tuple[float, float]:
         r, c = divmod(cell, cols)
@@ -180,12 +196,19 @@ def render_map_svg(
         x, y = 10 + (c + 0.5) * px, 10 + (r + 0.5) * px
         color = _TERRITORY_COLORS[i % len(_TERRITORY_COLORS)]
         parts.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="5" fill="{color}" stroke="black"/>\n')
-    parts.append("</svg>\n")
-    Path(path).write_text("".join(parts), encoding="utf-8")
+    _save_svg(path, w, h, parts)
+
+
+def _padded(values: list[float]) -> tuple[float, float]:
+    """An axis range over the values, padded by 8% of their span, or 5% of their size if they coincide."""
+    lo, hi = min(values), max(values)
+    pad = (hi - lo) * 0.08 or max(abs(hi), 1.0) * 0.05
+    return lo - pad, hi + pad
 
 
 def _frame(parts: list[str], x0: float, y0: float, x1: float, y1: float,
-           xlabel: str, ylabel: str, xrange: tuple[float, float], yrange: tuple[float, float]) -> None:
+           xlabel: str, ylabel: str, xrange: tuple[float, float], yrange: tuple[float, float]):
+    """Draw the plot frame, axis labels and range ends; return the data-to-pixel maps (sx, sy)."""
     parts.append(f'<rect x="{x0}" y="{y0}" width="{x1 - x0}" height="{y1 - y0}" fill="none" stroke="black"/>\n')
     parts.append(f'<text x="{(x0 + x1) / 2:.1f}" y="{y1 + 32:.1f}" font-size="12" text-anchor="middle">{xlabel}</text>\n')
     parts.append(
@@ -197,45 +220,37 @@ def _frame(parts: list[str], x0: float, y0: float, x1: float, y1: float,
     parts.append(f'<text x="{x0 - 4:.1f}" y="{y1}" font-size="10" text-anchor="end">{yrange[0]:.4g}</text>\n')
     parts.append(f'<text x="{x0 - 4:.1f}" y="{y0 + 10:.1f}" font-size="10" text-anchor="end">{yrange[1]:.4g}</text>\n')
 
-
-def _axis_range(centre: float, span: float) -> tuple[float, float]:
-    """(centre - span, centre + span), or the floats next to centre if both round to one value."""
-    lo, hi = centre - span, centre + span
-    if lo == hi:
-        lo, hi = math.nextafter(centre, -math.inf), math.nextafter(centre, math.inf)
-    return lo, hi
-
-
-def render_ellipse_svg(path: str | Path, stats: ReplicationStats) -> None:
-    """Mean point and 1-sigma variation ellipse in accessibility/time axes."""
-    w, h = 480, 360
-    x0, y0, x1, y1 = 70, 20, w - 20, h - 50
-    span = max(float(stats.axis_lengths[0]), 1e-9) * 3
-    cx, cy = float(stats.mean[0]), float(stats.mean[1])
-    xrange = _axis_range(cx, span)
-    yrange = _axis_range(cy, span)
-
     def sx(x: float) -> float:
         return x0 + (x - xrange[0]) / (xrange[1] - xrange[0]) * (x1 - x0)
 
     def sy(y: float) -> float:
         return y1 - (y - yrange[0]) / (yrange[1] - yrange[0]) * (y1 - y0)
 
-    parts = [_SVG_HEAD.format(w=w, h=h)]
-    parts.append(f'<rect x="0" y="0" width="{w}" height="{h}" fill="white"/>\n')
-    _frame(parts, x0, y0, x1, y1, "total accessibility", "total travel time (h)", xrange, yrange)
-    for ax, ay in stats.finals:
-        parts.append(f'<circle cx="{sx(float(ax)):.2f}" cy="{sy(float(ay)):.2f}" r="2" fill="#9090d0"/>\n')
-    rx = float(stats.axis_lengths[0]) / (xrange[1] - xrange[0]) * (x1 - x0)
-    ry = float(stats.axis_lengths[1]) / (yrange[1] - yrange[0]) * (y1 - y0)
-    angle_deg = -math.degrees(stats.angle_rad)  # SVG y grows downward
-    parts.append(
-        f'<ellipse cx="0" cy="0" rx="{max(rx, 1.0):.2f}" ry="{max(ry, 1.0):.2f}" fill="none" stroke="#c03030" '
-        f'stroke-width="1.5" transform="translate({sx(cx):.2f} {sy(cy):.2f}) rotate({angle_deg:.2f})"/>\n'
-    )
+    return sx, sy
+
+
+def render_ellipse_svg(path: str | Path, stats: ReplicationStats) -> None:
+    """Replicates, their mean and the 1-sigma ellipse (a 64-gon in data coordinates), on axes padded over all."""
+    w, h = 480, 360
+    x0, y0, x1, y1 = 70, 20, w - 20, h - 50
+    cx, cy = stats.mean.tolist()
+    a, b = stats.axis_lengths.tolist()
+    cos, sin = math.cos(stats.angle_rad), math.sin(stats.angle_rad)
+    t = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+    u, v = a * np.cos(t), b * np.sin(t)
+    ex, ey = cx + u * cos - v * sin, cy + u * sin + v * cos
+    finals = stats.finals.tolist()
+    xrange = _padded([x for x, _ in finals] + ex.tolist())
+    yrange = _padded([y for _, y in finals] + ey.tolist())
+
+    parts = []
+    sx, sy = _frame(parts, x0, y0, x1, y1, "total accessibility", "total travel time (h)", xrange, yrange)
+    for ax, ay in finals:
+        parts.append(f'<circle cx="{sx(ax):.2f}" cy="{sy(ay):.2f}" r="2" fill="#9090d0"/>\n')
+    points = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(ex.tolist(), ey.tolist()))
+    parts.append(f'<polygon points="{points}" fill="none" stroke="#c03030" stroke-width="1.5"/>\n')
     parts.append(f'<circle cx="{sx(cx):.2f}" cy="{sy(cy):.2f}" r="3.5" fill="#c03030"/>\n')
-    parts.append("</svg>\n")
-    Path(path).write_text("".join(parts), encoding="utf-8")
+    _save_svg(path, w, h, parts)
 
 
 def render_sweep_svg(path: str | Path, curves: dict[str, tuple[list[float], list[float]]]) -> None:
@@ -243,20 +258,9 @@ def render_sweep_svg(path: str | Path, curves: dict[str, tuple[list[float], list
     w, h = 520, 380
     x0, y0, x1, y1 = 80, 20, w - 150, h - 50
     all_y = [y for _, ys in curves.values() for y in ys]
-    lo, hi = (min(all_y), max(all_y)) if all_y else (0.0, 1.0)
-    pad = (hi - lo) * 0.08 or max(abs(hi), 1.0) * 0.05
-    yrange = (lo - pad, hi + pad)
-    xrange = (0.0, 1.0)
-
-    def sx(x: float) -> float:
-        return x0 + (x - xrange[0]) / (xrange[1] - xrange[0]) * (x1 - x0)
-
-    def sy(y: float) -> float:
-        return y1 - (y - yrange[0]) / (yrange[1] - yrange[0]) * (y1 - y0)
-
-    parts = [_SVG_HEAD.format(w=w, h=h)]
-    parts.append(f'<rect x="0" y="0" width="{w}" height="{h}" fill="white"/>\n')
-    _frame(parts, x0, y0, x1, y1, "share of local decisions", "mean total accessibility", xrange, yrange)
+    parts = []
+    sx, sy = _frame(parts, x0, y0, x1, y1, "share of local decisions", "mean total accessibility",
+                    (0.0, 1.0), _padded(all_y or [0.0, 1.0]))
     for i, name in enumerate(sorted(curves)):
         xs, ys = curves[name]
         color = _TERRITORY_COLORS[i % len(_TERRITORY_COLORS)]
@@ -267,5 +271,4 @@ def render_sweep_svg(path: str | Path, curves: dict[str, tuple[list[float], list
         ly = y0 + 16 + i * 16
         parts.append(f'<line x1="{x1 + 10}" y1="{ly - 4}" x2="{x1 + 30}" y2="{ly - 4}" stroke="{color}" stroke-width="2"/>\n')
         parts.append(f'<text x="{x1 + 34}" y="{ly}" font-size="11">{name}</text>\n')
-    parts.append("</svg>\n")
-    Path(path).write_text("".join(parts), encoding="utf-8")
+    _save_svg(path, w, h, parts)

@@ -14,7 +14,7 @@ import pytest
 import metrosim
 from metrosim.cli import cmd_run, main, spearman_trend, sweep_configurations
 from metrosim.config import config_to_dict, two_city_config
-from metrosim.engine import run
+from metrosim.engine import replicate, run
 from metrosim.landuse import accessibility
 from metrosim.output import _json_matrix, write_final_state_json
 from metrosim.world import Metropolis
@@ -195,6 +195,42 @@ class TestReplicate:
         assert float(read_csv(out / "replicate_summary.csv")[0]["mean_accessibility"]) > 2.0**25
         svg = (out / "ellipse.svg").read_text(encoding="utf-8")
         assert "nan" not in svg and "inf" not in svg
+
+    def test_finals_csv_holds_each_replicate_in_seed_order(self, tmp_path):
+        cfg_path = write_config(tmp_path, steps=2, xi=1.0)
+        out = tmp_path / "out"
+        assert main(["replicate", "--config", str(cfg_path), "--replications", "4", "--base-seed", "7",
+                     "--out", str(out)]) == 0
+        rows = read_csv(out / "replicate_finals.csv")
+        stats = replicate(two_city_config(steps=2, xi=1.0), 4, 7)
+        assert [int(r["seed"]) for r in rows] == [7, 8, 9, 10]
+        assert [[r["total_accessibility"], r["total_travel_time"]] for r in rows] == [
+            [repr(acc), repr(time)] for acc, time in stats.finals.tolist()]
+
+    def test_ellipse_plot_frames_the_replicates_and_the_ellipse(self, tmp_path):
+        import xml.etree.ElementTree as ET
+
+        cfg_path = write_config(tmp_path, steps=4, xi=1.0)
+        out = tmp_path / "out"
+        assert main(["replicate", "--config", str(cfg_path), "--replications", "20", "--base-seed", "0",
+                     "--out", str(out)]) == 0
+        root = ET.parse(out / "ellipse.svg").getroot()
+        ns = "{http://www.w3.org/2000/svg}"
+        frame = next(r for r in root.iter(ns + "rect") if r.get("fill") == "none")
+        fx, fy = float(frame.get("x")), float(frame.get("y"))
+        fw, fh = float(frame.get("width")), float(frame.get("height"))
+        points = [(float(c.get("cx")), float(c.get("cy"))) for c in root.iter(ns + "circle")]
+        (polygon,) = root.iter(ns + "polygon")
+        vertices = [tuple(map(float, p.split(","))) for p in polygon.get("points").split()]
+        assert len(points) == 21 and len(vertices) == 64
+        for x, y in points + vertices:
+            assert fx <= x <= fx + fw and fy <= y <= fy + fh, (x, y)
+
+        times = [float(r["total_travel_time"]) for r in read_csv(out / "replicate_finals.csv")]
+        assert min(times) < max(times)
+        y_lo, y_hi = sorted(float(t.text) for t in root.iter(ns + "text") if t.get("text-anchor") == "end")
+        assert y_lo <= min(times) and max(times) <= y_hi
+        assert y_hi - y_lo < 10 * (max(times) - min(times))
 
 
 class TestSweep:

@@ -475,9 +475,9 @@ class TestReplicate:
     def test_aggregation_is_permutation_invariant(self):
         rng = np.random.default_rng(0)
         finals = rng.uniform(0.0, 10.0, size=(12, 2))
-        base = summarize_finals(finals)
+        base = summarize_finals(list(range(12)), finals)
         perm = rng.permutation(12)
-        shuffled = summarize_finals(finals[perm])
+        shuffled = summarize_finals(perm.tolist(), finals[perm])
         assert np.allclose(base.mean, shuffled.mean, rtol=1e-12)
         assert np.allclose(base.covariance, shuffled.covariance, rtol=1e-12)
 
