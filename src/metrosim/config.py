@@ -191,7 +191,8 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
 
 def validate(config: ScenarioConfig) -> None:
     """Range rules on type-checked fields; raise ConfigError naming the first violated one."""
-    # Candidate enumeration holds row and column indices as int16.
+    # Candidate enumeration keys a cell pair (a, b) as a * N + b in int64;
+    # sides up to the int16 maximum keep N**2 below 2**63.
     max_side = int(np.iinfo(np.int16).max)
     for name in ("grid_rows", "grid_cols"):
         if not (1 <= getattr(config, name) <= max_side):

@@ -160,7 +160,8 @@ def advance(state: SimState) -> Advanced:
     cfg = metropolis.config
     od = distribute(metropolis, state.travel_times)
     network, d = assign_traffic(od.flows, state.network, metropolis, cfg.assignment_iterations)
-    kernel = np.exp(-cfg.nu * d)
+    kernel = np.multiply(d, -cfg.nu)
+    np.exp(kernel, out=kernel)
     if cfg.landuse_enabled:
         metropolis = relocate(metropolis, cell_scores(metropolis, kernel))
     row = _indicators(metropolis, d, kernel, od.flows, len(network), len(state.decisions) + 1)

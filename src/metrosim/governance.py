@@ -102,26 +102,41 @@ def enumerate_candidates(network: Network, metropolis: Metropolis) -> tuple[np.n
 
     A pair qualifies when the cells are grid-adjacent (8-neighbourhood), or
     when both already touch the network and lie within the configured
-    extension radius of each other. Existing links are excluded.
+    extension radius of each other. Existing links are excluded. The
+    neighbour pairs come from grid offsets and the extension pairs from a
+    (t, t) check over the t touched cells, so no (N, N) array is formed.
     """
     cfg = metropolis.config
-    n = metropolis.n_cells
-    # int16 keeps the (N, N) temporaries small. config.validate caps
-    # grid_rows and grid_cols at the int16 maximum, so every index fits.
-    cells = np.arange(n)
-    row = (cells // cfg.grid_cols).astype(np.int16)
-    col = (cells % cfg.grid_cols).astype(np.int16)
-    chebyshev = np.maximum(np.abs(row[:, None] - row[None, :]), np.abs(col[:, None] - col[None, :]))
-    touched = np.zeros(n, dtype=bool)
-    touched[network.a] = touched[network.b] = True
-    ok = (chebyshev == 1) | (touched[:, None] & touched[None, :] & (chebyshev <= cfg.network_extension_radius))
-    ok[network.a, network.b] = ok[network.b, network.a] = False
-    return np.nonzero(np.triu(ok, 1))
+    n, cols = metropolis.n_cells, cfg.grid_cols
+    # Pairs are keyed a * n + b: ascending keys are ascending (a, b) pairs.
+    # config.validate caps grid_rows and grid_cols at the int16 maximum, so
+    # every key fits in int64.
+    grid = np.arange(n, dtype=np.int64).reshape(cfg.grid_rows, cols)
+    # Each cell's 8-neighbours after it: right, down-left, down, down-right.
+    keys = [a.ravel() * n + b.ravel() for a, b in (
+        (grid[:, :-1], grid[:, 1:]), (grid[:-1, 1:], grid[1:, :-1]),
+        (grid[:-1], grid[1:]), (grid[:-1, :-1], grid[1:, 1:]),
+    )]
+    # Touched pairs farther apart than the neighbours, from a (t, t) check.
+    touched = network.endpoints()
+    tr, tc = touched // cols, touched % cols
+    chebyshev = np.maximum(np.abs(tr[:, None] - tr[None, :]), np.abs(tc[:, None] - tc[None, :]))
+    i, j = np.nonzero(np.triu((chebyshev > 1) & (chebyshev <= cfg.network_extension_radius), 1))
+    keys.append(touched[i] * n + touched[j])
+    keys = np.sort(np.concatenate(keys))
+    built = np.minimum(network.a, network.b) * n + np.maximum(network.a, network.b)
+    at = np.searchsorted(keys, built)
+    found = at < len(keys)
+    found[found] = keys[at[found]] == built[found]
+    keys = np.delete(keys, at[found])
+    return keys // n, keys % n
 
 
 def _territory_accessibility(metropolis: Metropolis, d: np.ndarray, cells: np.ndarray) -> float:
     """Sum of worker-weighted accessibility over a territory on the given times."""
-    kernel = np.exp(-metropolis.config.nu * d[cells])
+    kernel = d[cells]  # a copy: cells is an index array
+    kernel *= -metropolis.config.nu
+    np.exp(kernel, out=kernel)
     reachable_jobs = kernel @ metropolis.jobs            # (|T|, S)
     return float((metropolis.workers[cells] * reachable_jobs).sum())
 
@@ -131,12 +146,15 @@ def _candidate_times(d: np.ndarray, a: int, b: int, t_link: float, floor: float)
 
     Exact single-edge update: any new route crosses the link once, so the new
     time is min(old, via a-b, via b-a). The intra-cell floor is stripped
-    before the relaxation and reapplied after.
+    before the relaxation and reapplied after. Two (N, N) buffers: the copy
+    of d, relaxed in place, and the via a-b times, whose transpose gives via
+    b-a; min is exact, so the grouping changes no bit.
     """
-    base = d.copy()
-    np.fill_diagonal(base, 0.0)
-    via = base[:, a][:, None] + (t_link + base[b, :])[None, :]
-    out = np.minimum(base, np.minimum(via, via.T))
+    out = d.copy()
+    np.fill_diagonal(out, 0.0)
+    via = np.add.outer(out[:, a], t_link + out[b, :])
+    np.minimum(out, via, out=out)
+    np.minimum(out, via.T, out=out)
     np.fill_diagonal(out, floor)
     return out
 

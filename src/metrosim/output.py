@@ -14,6 +14,7 @@ import json
 import math
 from collections.abc import Iterable
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -54,15 +55,28 @@ def write_decisions_csv(path: str | Path, decisions: tuple[DecisionRecord, ...])
     ))
 
 
-def _json_matrix(m: np.ndarray) -> str:
-    """json.dumps(m.tolist()) of a 2-D float array, formatting each distinct value once.
+def _write_json_matrix(f: TextIO, m: np.ndarray) -> None:
+    """Write json.dumps(m.tolist()) of a 2-D float array, one row at a time.
 
-    Values are told apart by bit pattern, so -0.0 and 0.0 each keep their text.
+    Each distinct value is formatted once. Values are told apart by bit
+    pattern, so -0.0 and 0.0 each keep their text: the distinct patterns
+    come from one sorted copy and an adjacent-difference mask, and each row
+    finds its texts by np.searchsorted. np.unique is not used: with
+    return_inverse it allocates several int64 arrays of m's size, and the
+    plain call imports numpy.ma the first time it runs.
     """
-    bits, inverse = np.unique(m.ravel().view(np.int64), return_inverse=True)
+    bits = np.sort(m.view(np.int64), axis=None)
+    first = np.empty(bits.shape, dtype=bool)
+    first[:1] = True
+    np.not_equal(bits[1:], bits[:-1], out=first[1:])
+    bits = bits[first]
     texts = np.array([json.dumps(x) for x in bits.view(np.float64).tolist()], dtype=object)
-    rows = texts[inverse].reshape(m.shape)
-    return "[" + ", ".join("[" + ", ".join(row) + "]" for row in rows.tolist()) + "]"
+    f.write("[")
+    for i, row in enumerate(m):
+        if i:
+            f.write(", ")
+        f.write("[" + ", ".join(texts[np.searchsorted(bits, row.view(np.int64))].tolist()) + "]")
+    f.write("]")
 
 
 def write_final_state_json(path: str | Path, state: SimState) -> None:
@@ -70,28 +84,31 @@ def write_final_state_json(path: str | Path, state: SimState) -> None:
 
     Each link record spells out its length (the cell-centre distance), speed
     and capacity, which the metropolis and the config hold once for all links.
-    The text is what json.dumps writes for the whole document; the (N, N)
-    travel times, mostly repeated grid values, are formatted by _json_matrix.
+    The text is what json.dumps writes for the whole document, followed by a
+    newline. It is streamed into the file one field at a time, and the (N, N)
+    travel times one row at a time (_write_json_matrix), so the whole text is
+    never held in memory.
     """
-    net, cfg = state.network, state.metropolis.config
-    fields = {
-        "config": json.dumps(config_to_dict(cfg)),
-        "step": json.dumps(len(state.decisions)),
-        "workers": json.dumps(state.metropolis.workers.tolist()),
-        "jobs": json.dumps(state.metropolis.jobs.tolist()),
-        "territory": json.dumps(state.metropolis.territory.tolist()),
-        "links": json.dumps([
-            {"from": a, "to": b, "length_km": length, "v_link": cfg.v_link, "capacity": cfg.capacity,
-             "flow": flow, "congested_time": time}
-            for a, b, length, flow, time in zip(
-                net.a.tolist(), net.b.tolist(), state.metropolis.distance_km[net.a, net.b].tolist(),
-                net.flow.tolist(), net.congested_time.tolist())
-        ]),
-        "travel_times": _json_matrix(state.travel_times),
-        "worker_density_history": json.dumps([dens.tolist() for dens in state.density_history]),
-    }
-    text = "{" + ", ".join(f"{json.dumps(key)}: {value}" for key, value in fields.items()) + "}"
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    net, metropolis = state.network, state.metropolis
+    cfg = metropolis.config
+    links = [
+        {"from": a, "to": b, "length_km": length, "v_link": cfg.v_link, "capacity": cfg.capacity,
+         "flow": flow, "congested_time": time}
+        for a, b, length, flow, time in zip(
+            net.a.tolist(), net.b.tolist(), metropolis.distance_km[net.a, net.b].tolist(),
+            net.flow.tolist(), net.congested_time.tolist())
+    ]
+    with open(path, "w", encoding="utf-8") as f:
+        f.write('{"config": ' + json.dumps(config_to_dict(cfg)))
+        f.write(', "step": ' + json.dumps(len(state.decisions)))
+        f.write(', "workers": ' + json.dumps(metropolis.workers.tolist()))
+        f.write(', "jobs": ' + json.dumps(metropolis.jobs.tolist()))
+        f.write(', "territory": ' + json.dumps(metropolis.territory.tolist()))
+        f.write(', "links": ' + json.dumps(links))
+        f.write(', "travel_times": ')
+        _write_json_matrix(f, state.travel_times)
+        f.write(', "worker_density_history": ' + json.dumps([dens.tolist() for dens in state.density_history]))
+        f.write("}\n")
 
 
 def write_replicate_summary_csv(path: str | Path, stats: ReplicationStats) -> None:

@@ -208,7 +208,10 @@ def furness_balance(a: np.ndarray, e: np.ndarray, kernel: np.ndarray, tol: float
     are ones the updates compute anyway (K qe is the next denom_p). Each
     iteration tests this cheap residual and forms the (N, N) flows, to take
     the exact residual from their sums, only when the cheap one is within
-    `guard` of tol, or at max_iter; the exact one decides.
+    `guard` of tol, or at max_iter; the exact one decides. The flows are
+    formed in place, as the outer product pa qe times K, in the one (N, N)
+    buffer a call allocates, which it returns; so a call holds K and that
+    buffer, and no other (N, N) array.
 
     The guard: a row sum sums the N nonnegative terms t_j = pa qe_j K_j. The
     flows form rounds each term twice and sums them, the vector form rounds
@@ -234,7 +237,7 @@ def furness_balance(a: np.ndarray, e: np.ndarray, kernel: np.ndarray, tol: float
     e = e * (total_a / total_e)
 
     guard = 4.0 * (n + 4) * np.finfo(float).eps * (1.0 + tol)
-    flows = np.zeros((n, n))
+    flows = np.empty((n, n))
     residual = np.inf
     iterations = 0
     denom_p = kernel @ e  # q starts at ones
@@ -247,7 +250,8 @@ def furness_balance(a: np.ndarray, e: np.ndarray, kernel: np.ndarray, tol: float
         denom_p = kernel @ qe
         if _marginal_error(pa * denom_p, qe * denom_q, a, e) >= tol + guard and iterations < max_iter:
             continue
-        flows = pa[:, None] * qe[None, :] * kernel
+        np.multiply.outer(pa, qe, out=flows)
+        flows *= kernel
         residual = _marginal_error(flows.sum(axis=1), flows.sum(axis=0), a, e)
         if residual < tol:
             return FurnessResult(flows, e, residual, iterations, True)
@@ -273,19 +277,24 @@ def distribute(metropolis: Metropolis, d: np.ndarray) -> ODMatrix:
     cap taken from the config; the category matrices are added in category
     order. A category with workers but no jobs, or jobs but no workers,
     contributes no trips (engine.initial_state logs it once per run). The
-    kernel exp(-lam d) is computed once for all categories.
+    kernel exp(-lam d) is computed once for all categories, in place, and
+    the categories are added into the first one's matrix.
     """
     cfg = metropolis.config
     n, s = metropolis.workers.shape
-    kernel = np.exp(-cfg.lam * d)
-    flows = np.zeros((n, n))
+    kernel = np.multiply(d, -cfg.lam)
+    np.exp(kernel, out=kernel)
+    flows = None
     residuals = np.zeros(s)
     converged = np.ones(s, dtype=bool)
     iterations = np.zeros(s, dtype=int)
     for cat in range(s):
         result = furness_balance(metropolis.workers[:, cat], metropolis.jobs[:, cat], kernel,
                                  cfg.furness_tolerance, cfg.furness_max_iter)
-        flows += result.flows
+        if flows is None:
+            flows = result.flows
+        else:
+            flows += result.flows
         residuals[cat] = result.residual
         converged[cat] = result.converged
         iterations[cat] = result.iterations

@@ -53,8 +53,9 @@ def grid_centroids(config: ScenarioConfig) -> np.ndarray:
 def grid_distances(config: ScenarioConfig) -> np.ndarray:
     """Straight-line distances between cell centres in km, shape (N, N)."""
     pts = grid_centroids(config)
-    diff = pts[:, None, :] - pts[None, :, :]
-    return np.hypot(diff[..., 0], diff[..., 1])
+    dx = np.subtract.outer(pts[:, 0], pts[:, 0])
+    dy = np.subtract.outer(pts[:, 1], pts[:, 1])
+    return np.hypot(dx, dy, out=dx)
 
 
 def _center_fields(config: ScenarioConfig) -> np.ndarray:

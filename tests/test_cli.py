@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,9 +16,10 @@ import pytest
 import metrosim
 from metrosim.cli import cmd_run, main, spearman_trend, sweep_configurations
 from metrosim.config import config_to_dict, two_city_config
+from metrosim import engine, governance, transport
 from metrosim.engine import replicate, run
 from metrosim.landuse import accessibility
-from metrosim.output import _json_matrix, write_final_state_json
+from metrosim.output import _write_json_matrix, write_final_state_json
 from metrosim.world import Metropolis
 
 
@@ -421,13 +424,40 @@ def test_cli_imports_without_scipy():
     assert proc.stdout.strip() == "False"
 
 
+def test_cli_commands_import_nothing_after_the_cli(tmp_path):
+    # A module that a command imports lazily costs every fresh process that
+    # runs it; the hash path of np.unique, for one, imports numpy.ma on its
+    # first call.
+    code = """
+import sys
+from pathlib import Path
+from metrosim import cli
+from metrosim.config import two_city_config
+before = set(sys.modules)
+out = Path(sys.argv[1])
+config = two_city_config(steps=2)
+cli.cmd_run(config, 0, out / "run")
+cli.cmd_replicate(config, 2, 0, out / "replicate")
+presets = cli.sweep_configurations(config)
+cli.cmd_sweep(cli.SweepSpec(configurations={"unequal_far": presets["unequal_far"]}, xi_values=(0.0, 1.0),
+                            replications=1, base_seed=0, out_dir=out / "sweep", workers=1))
+print(sorted(set(sys.modules) - before))
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(metrosim.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 def test_json_matrix_matches_json_dumps():
     m = np.array([
         [0.0, -0.0, 5e-324, np.inf],
         [-np.inf, np.nan, 1.5, 1.5],
         [0.1, 0.1, -0.0, 0.0],
     ])
-    assert _json_matrix(m) == json.dumps(m.tolist())
+    f = io.StringIO()
+    _write_json_matrix(f, m)
+    assert f.getvalue() == json.dumps(m.tolist())
 
 
 def test_final_state_json_matches_json_dumps_of_the_document(tmp_path):
@@ -455,6 +485,37 @@ def test_final_state_json_matches_json_dumps_of_the_document(tmp_path):
         "worker_density_history": [dens.tolist() for dens in state.density_history],
     }
     assert path.read_text(encoding="utf-8") == json.dumps(doc) + "\n"
+
+
+def test_step_working_set_stays_within_a_few_n_by_n_arrays(tmp_path):
+    # Peaks measured on this run, in (N, N) float64 arrays; each call may
+    # reach half an array more. Stages that formed their temporaries out of
+    # place, and a writer that built the whole text, peaked at 6.1, 5.1, 6.1
+    # and 9.3 arrays.
+    measured = {"decide_and_build": 4.20, "distribute": 3.12, "advance": 5.26, "write_final_state_json": 2.14}
+    cfg = two_city_config(grid_rows=20, grid_cols=20, minor_position=(16, 16), dominant_position=(2, 2),
+                          landuse_enabled=True, xi=0.0, steps=2)
+    state = run(cfg, 0)
+    metropolis = state.metropolis
+    d = state.travel_times
+    calls = {
+        "decide_and_build": lambda: governance.decide_and_build(
+            metropolis, state.assigned, governance.Stakeholder(kind="governor")),
+        "distribute": lambda: transport.distribute(metropolis, d),
+        "advance": lambda: engine.advance(state),
+        "write_final_state_json": lambda: write_final_state_json(tmp_path / "final_state.json", state),
+    }
+    array_bytes = metropolis.n_cells**2 * 8
+    peaks = {}
+    for name, call in calls.items():
+        call()  # first-call set-up is not part of the working set
+        tracemalloc.start()
+        try:
+            call()
+            peaks[name] = tracemalloc.get_traced_memory()[1] / array_bytes
+        finally:
+            tracemalloc.stop()
+    assert all(peaks[name] <= measured[name] + 0.5 for name in calls), peaks
 
 
 def test_svgs_are_valid_xml(tmp_path):
