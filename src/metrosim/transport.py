@@ -16,14 +16,20 @@ exactly by closing the small endpoint subgraph and joining AFC access legs.
 The AFC times are the metropolis's fixed cell-centre distances over the
 local-road speed.
 
-Both callers share only the endpoint graph (_terminal_graph). shortest_times
-closes it with plain min-plus reductions and keeps times only; the
-all-or-nothing loader inside assign_traffic closes it again with successor
-tracking and keeps each route's entry and exit terminals, which it needs to
-walk paths, and no times matrix. Both join the access and egress legs one
-terminal at a time into a running minimum, so no temporary is larger than
-(N, N) however many terminals there are; on ties the loader keeps the first
-terminal.
+shortest_times and the all-or-nothing loader inside assign_traffic fold
+routes one way. Each takes d, the AFC times, builds the endpoint graph
+(_terminal_graph) and the access legs from d, and closes the graph with
+min-plus reductions. It then folds the access legs into a running minimum
+over entry terminals and the egress legs into d itself, one terminal at a
+time, so no temporary is larger than (N, N) however many terminals there
+are. shortest_times keeps the times only. The loader returns no times but
+keeps the routing: each endpoint path's successor and each route's entry
+and exit terminal, the first on ties, and no exit terminal where the
+direct AFC leg is no slower. They stay two functions because that bookkeeping costs:
+run for shortest_times it made a call 1.1-1.8x slower on a 10x10 grid with
+1-16 links, and at 28 terminals the tracked closure took 419 us against
+99 us and the tracked entry fold 565 us against 214 us (best of 5 x 200
+calls, 2 vCPU, one BLAS thread, numpy 2.4).
 """
 from __future__ import annotations
 
@@ -145,22 +151,20 @@ def shortest_times(network: Network, metropolis: Metropolis, *, free_flow: bool 
 
     Link edges are taken at their congested times unless free_flow is set;
     access and egress to the link network ride local roads at v_local. The
-    diagonal carries the intra-cell time floor. Times only: a min-plus
-    closure of the terminal graph joined with the AFC access and egress legs,
-    with no routing kept (the loader, _load_all_or_nothing, does its own).
-    The join runs one terminal at a time, so no temporary is larger than
-    (N, N).
+    diagonal carries the intra-cell time floor. Times only: the module's
+    fold with no routing kept (the loader, _load_all_or_nothing, keeps it),
+    so the closure and the entry fold are plain minima.
     """
-    afc = metropolis.distance_km / metropolis.config.v_local
-    d = afc
+    d = metropolis.distance_km / metropolis.config.v_local
     if len(network):
         times = network.free_flow_time if free_flow else network.congested_time
-        terminals, dist, _ = _terminal_graph(afc, network, times)
+        terminals, dist, _ = _terminal_graph(d, network, times)
         t = len(terminals)
         for k in range(t):
             dist = np.minimum(dist, dist[:, k : k + 1] + dist[k : k + 1, :])
-        # d[i, j] = min(afc[i, j], min over terminals (a, b) of afc[i, a] + dist[a, b] + afc[b, j]).
-        access = afc[:, terminals]                                   # (N, t)
+        # With w the AFC times d starts as, d ends as
+        # min(w[i, j], min over terminals (a, b) of w[i, a] + dist[a, b] + w[b, j]).
+        access = d[:, terminals]                                     # (N, t)
         best_via = access[:, :1] + dist[:1]                          # (N, t_b)
         for a in range(1, t):
             np.minimum(best_via, access[:, a : a + 1] + dist[a : a + 1], out=best_via)
@@ -315,20 +319,23 @@ def bpr_time(t0: np.ndarray, flow: np.ndarray, capacity: float, alpha: float, be
     return t0 * (1.0 + alpha * np.float_power(flow / capacity, beta))
 
 
-def _load_all_or_nothing(od: np.ndarray, afc: np.ndarray, network: Network) -> np.ndarray:
+def _load_all_or_nothing(od: np.ndarray, network: Network, metropolis: Metropolis) -> np.ndarray:
     """Route every OD flow on its current least-time path; return per-link loads.
 
-    Closes the terminal graph at the congested link times, tracking each
-    endpoint path's successor, and joins the AFC access and egress legs one
-    terminal at a time, keeping each route's entry and exit terminal. Ties
-    keep the first (smallest) terminal. Flows whose best route is the direct
-    AFC leg stay off the network. Network routes are grouped by their
-    (entry, exit) terminal pair so each endpoint path is walked once.
+    Folds the congested times as shortest_times does and keeps the routing:
+    the closure tracks each endpoint path's successor, the entry fold keeps
+    each route's entry terminal and the exit fold each pair's exit terminal.
+    A strict < keeps the first (smallest) terminal on ties. The exit fold
+    starts from the direct AFC leg with no exit terminal (-1), so a flow
+    whose best network route is no faster than that leg stays on local
+    roads. Network routes are grouped by their (entry, exit) terminal pair
+    so each endpoint path is walked once.
     """
     loads = np.zeros(len(network))
     if not len(network):
         return loads
-    terminals, dist, edge_link = _terminal_graph(afc, network, network.congested_time)
+    d = metropolis.distance_km / metropolis.config.v_local
+    terminals, dist, edge_link = _terminal_graph(d, network, network.congested_time)
     t = len(terminals)
 
     # Floyd-Warshall with successor tracking on the small endpoint graph.
@@ -340,9 +347,7 @@ def _load_all_or_nothing(od: np.ndarray, afc: np.ndarray, network: Network) -> n
             dist = np.where(better, cand, dist)
             succ = np.where(better, np.broadcast_to(succ[:, k : k + 1], succ.shape), succ)
 
-    # The same join as shortest_times, keeping the entry and exit terminals;
-    # a strict < keeps the first terminal on ties.
-    access = afc[:, terminals]                                   # (N, t)
+    access = d[:, terminals]                                     # (N, t)
     best_via = access[:, :1] + dist[:1]                          # (N, t_b)
     entry_for_exit = np.zeros(best_via.shape, dtype=np.intp)
     for a in range(1, t):
@@ -350,19 +355,16 @@ def _load_all_or_nothing(od: np.ndarray, afc: np.ndarray, network: Network) -> n
         better = via < best_via
         np.copyto(best_via, via, where=better)
         np.copyto(entry_for_exit, a, where=better)
-    d_net = best_via[:, :1] + access[:, 0]                       # (N, N)
-    exit_term = np.zeros(d_net.shape, dtype=np.intp)
-    leg = np.empty_like(d_net)
-    better = np.empty(d_net.shape, dtype=bool)
-    for b in range(1, t):
+    exit_term = np.full(d.shape, -1, dtype=np.intp)
+    leg = np.empty_like(d)
+    better = np.empty(d.shape, dtype=bool)
+    for b in range(t):
         np.add(best_via[:, b : b + 1], access[:, b], out=leg)
-        np.less(leg, d_net, out=better)
-        np.copyto(d_net, leg, where=better)
+        np.less(leg, d, out=better)
+        np.copyto(d, leg, where=better)
         np.copyto(exit_term, b, where=better)
 
-    rows, cols = np.nonzero((d_net < afc) & (od > 0.0))
-    if not rows.size:
-        return loads
+    rows, cols = np.nonzero((exit_term >= 0) & (od > 0.0))
     exits = exit_term[rows, cols]
     pair = entry_for_exit[rows, exits] * t + exits
     grouped = np.bincount(pair, weights=od[rows, cols], minlength=t * t).reshape(t, t)
@@ -390,9 +392,8 @@ def assign_traffic(od: np.ndarray, network: Network, metropolis: Metropolis, ite
     """
     cfg = metropolis.config
     net = network
-    afc = metropolis.distance_km / cfg.v_local
     for k in range(1, iterations + 1):
-        loads = _load_all_or_nothing(od, afc, net)
+        loads = _load_all_or_nothing(od, net, metropolis)
         w = 1.0 / k
         flow = (1.0 - w) * net.flow + w * loads
         net = replace(net, flow=flow,

@@ -402,7 +402,7 @@ def test_loader_equals_the_whole_join_bit_for_bit():
                 expected, n_entry, n_exit = load_all_or_nothing_oracle(od, afc, net)
                 entry_ties += n_entry
                 exit_ties += n_exit
-                assert np.array_equal(_load_all_or_nothing(od, afc, net), expected), \
+                assert np.array_equal(_load_all_or_nothing(od, net, metropolis), expected), \
                     f"{rows}x{cols}, {n_links} links, mirrored={mirrored}"
     # Ties must occur on routed pairs, or the first-terminal rule goes untested.
     assert entry_ties > 0 and exit_ties > 0
@@ -419,11 +419,13 @@ def test_join_memory_stays_within_n_by_n_temporaries():
         a, b = (int(c) for c in rng.choice(n, size=2, replace=False))
         if not net.has_link(a, b):
             net = net.with_link(a, b, metropolis.distance_km[a, b] / metropolis.config.v_link)
-    afc = metropolis.distance_km / metropolis.config.v_local
     od = rng.uniform(0.0, 10.0, (n, n))
     peaks = {}
-    for name, call, bound_mb in (("loader", lambda: _load_all_or_nothing(od, afc, net), 64),
-                                 ("shortest_times", lambda: shortest_times(net, metropolis), 32)):
+    # assign_traffic peaks in its loader at 45.3 MB; a second AFC matrix
+    # held across its MSA iterations took it to 51.8 MB.
+    for name, call, bound_mb in (("loader", lambda: _load_all_or_nothing(od, net, metropolis), 64),
+                                 ("shortest_times", lambda: shortest_times(net, metropolis), 32),
+                                 ("assign_traffic", lambda: assign_traffic(od, net, metropolis, 4), 48)):
         tracemalloc.start()
         try:
             call()
