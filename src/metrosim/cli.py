@@ -218,12 +218,9 @@ def cmd_sweep(spec: SweepSpec) -> int:
 
 def _parse_xi_list(text: str) -> tuple[float, ...]:
     try:
-        values = tuple(float(x) for x in text.split(",") if x.strip() != "")
+        return tuple(float(x) for x in text.split(",") if x.strip() != "")
     except ValueError:
         raise ConfigError(f"xi: could not parse list {text!r}") from None
-    if not values:
-        raise ConfigError("xi: empty list")
-    return values
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -14,7 +14,8 @@ shortest path alternates AFC legs with regional links and its intermediate
 stops can only be link endpoints. Shortest times are therefore computed
 exactly by closing the small endpoint subgraph and joining AFC access legs.
 The AFC times are the metropolis's fixed cell-centre distances over the
-local-road speed.
+local-road speed, and a link's free-flow time (link_time) its distance over
+the link speed, derived from its endpoints wherever it is read.
 
 shortest_times and the all-or-nothing loader inside assign_traffic fold
 routes one way. Each takes d, the AFC times, builds the endpoint graph
@@ -25,11 +26,11 @@ time, so no temporary is larger than (N, N) however many terminals there
 are. shortest_times keeps the times only. The loader returns no times but
 keeps the routing: each endpoint path's successor and each route's entry
 and exit terminal, the first on ties, and no exit terminal where the
-direct AFC leg is no slower. They stay two functions because that bookkeeping costs:
-run for shortest_times it made a call 1.1-1.8x slower on a 10x10 grid with
-1-16 links, and at 28 terminals the tracked closure took 419 us against
-99 us and the tracked entry fold 565 us against 214 us (best of 5 x 200
-calls, 2 vCPU, one BLAS thread, numpy 2.4).
+direct AFC leg is no slower. They stay two functions because that
+bookkeeping costs: run for shortest_times it made a call 1.1-1.8x slower
+on a 10x10 grid with 1-16 links, and at 28 terminals the tracked closure
+took 419 us against 99 us and the tracked entry fold 565 us against
+214 us (best of 5 x 200 calls, 2 vCPU, one BLAS thread, numpy 2.4).
 """
 from __future__ import annotations
 
@@ -52,48 +53,40 @@ class Network:
     """Regional road graph over cell centroids as parallel per-link arrays in build order.
 
     Link i runs between cells a[i] and b[i]; each link is stored once and
-    traversed both ways. Length, speed and capacity are scenario constants
-    (the cell-centre distance, config.v_link and config.capacity), so a link
-    keeps only its endpoints and its flow state: the free-flow time it was
-    built with, the current flow and the congested time.
+    traversed both ways. Length, speed, capacity and so the free-flow time
+    are scenario constants (the cell-centre distance, config.v_link,
+    config.capacity and link_time), so a link keeps only its endpoints and
+    its flow state: the current flow and the congested time.
+
+    Links are checked where they enter the program: the ScenarioConfig
+    constructor checks initial_links, and governance.enumerate_candidates
+    returns only new in-grid pairs. with_link appends without a check.
 
     A network is a value: with_link and assign_traffic return a new one and
-    never rebind the fields of the one they were given. `Network(n)` is the
-    empty network over n cells.
+    never rebind the fields of the one they were given. `Network()` is the
+    empty network.
     """
 
-    n_cells: int
     a: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
     b: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
-    free_flow_time: np.ndarray = field(default_factory=lambda: np.empty(0))
     flow: np.ndarray = field(default_factory=lambda: np.empty(0))
     congested_time: np.ndarray = field(default_factory=lambda: np.empty(0))
 
-    def has_link(self, a: int, b: int) -> bool:
-        return bool(((self.a == a) & (self.b == b) | (self.a == b) & (self.b == a)).any())
+    def with_link(self, a: int, b: int, time: float) -> "Network":
+        """This network plus link a-b with no flow at congested time `time`, appended last.
 
-    def with_link(self, a: int, b: int, free_flow_time: float) -> "Network":
-        """This network plus link a-b at free-flow time with no flow, appended last."""
-        if a == b:
-            raise ValueError(f"link endpoints must differ, got ({a}, {b})")
-        if not (0 <= a < self.n_cells and 0 <= b < self.n_cells):
-            raise ValueError(f"link endpoint outside the grid: ({a}, {b})")
-        if free_flow_time <= 0.0:
-            raise ValueError("link free-flow time must be positive")
-        if self.has_link(a, b):
-            raise ValueError(f"duplicate link {(min(a, b), max(a, b))}")
+        A built link starts at its free-flow time, link_time(metropolis, a, b).
+        """
         return Network(
-            self.n_cells,
             a=np.append(self.a, a),
             b=np.append(self.b, b),
-            free_flow_time=np.append(self.free_flow_time, free_flow_time),
             flow=np.append(self.flow, 0.0),
-            congested_time=np.append(self.congested_time, free_flow_time),
+            congested_time=np.append(self.congested_time, time),
         )
 
     def endpoints(self) -> np.ndarray:
         """Sorted cells touched by at least one link."""
-        return np.flatnonzero(np.bincount(np.concatenate((self.a, self.b)), minlength=self.n_cells))
+        return np.flatnonzero(np.bincount(np.concatenate((self.a, self.b))))
 
     def __len__(self) -> int:
         return len(self.a)
@@ -109,7 +102,7 @@ def link_time(metropolis: Metropolis, a, b):
 
 def build_network(metropolis: Metropolis, pairs: tuple[tuple[int, int], ...]) -> Network:
     """Network from (a, b) cell pairs, each link at its link_time."""
-    net = Network(metropolis.n_cells)
+    net = Network()
     for a, b in pairs:
         net = net.with_link(a, b, link_time(metropolis, a, b))
     return net
@@ -157,7 +150,7 @@ def shortest_times(network: Network, metropolis: Metropolis, *, free_flow: bool 
     """
     d = metropolis.distance_km / metropolis.config.v_local
     if len(network):
-        times = network.free_flow_time if free_flow else network.congested_time
+        times = link_time(metropolis, network.a, network.b) if free_flow else network.congested_time
         terminals, dist, _ = _terminal_graph(d, network, times)
         t = len(terminals)
         for k in range(t):
@@ -391,13 +384,14 @@ def assign_traffic(od: np.ndarray, network: Network, metropolis: Metropolis, ite
     matrix at those congested times.
     """
     cfg = metropolis.config
+    t0 = link_time(metropolis, network.a, network.b)
     net = network
     for k in range(1, iterations + 1):
         loads = _load_all_or_nothing(od, net, metropolis)
         w = 1.0 / k
         flow = (1.0 - w) * net.flow + w * loads
         net = replace(net, flow=flow,
-                      congested_time=bpr_time(net.free_flow_time, flow, cfg.capacity, cfg.bpr_alpha, cfg.bpr_beta))
+                      congested_time=bpr_time(t0, flow, cfg.capacity, cfg.bpr_alpha, cfg.bpr_beta))
     return net, shortest_times(net, metropolis)
 
 

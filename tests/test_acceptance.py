@@ -86,15 +86,15 @@ def test_criterion_2_shortest_path_oracle():
         metropolis = init_metropolis(cfg, 100.0, 100.0)
         n = metropolis.n_cells
         pts = grid_centroids(cfg)
-        net = Network(n)
+        net, seen = Network(), set()
         for _ in range(rng.randint(0, 40)):
             a, b = rng.sample(range(n), 2)
-            if net.has_link(a, b):
+            if (min(a, b), max(a, b)) in seen:
                 continue
+            seen.add((min(a, b), max(a, b)))
             length = float(np.hypot(*(pts[a] - pts[b])))
-            net = net.with_link(a, b, length / rng.uniform(10.0, 130.0))
-            li = len(net) - 1
-            net.congested_time[li] = net.free_flow_time[li] * rng.uniform(1.0, 3.0)
+            # A random speed, then a congestion factor.
+            net = net.with_link(a, b, length / rng.uniform(10.0, 130.0) * rng.uniform(1.0, 3.0))
 
         d = shortest_times(net, metropolis)
 

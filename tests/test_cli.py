@@ -263,7 +263,7 @@ class TestSweep:
 
     def test_bad_xi_list_exits_2(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, steps=1)
-        for xi in ("0,2.0", "0,0,1"):
+        for xi in ("0,2.0", "0,0,1", ",", "a,b"):
             assert main(["sweep", "--config", str(cfg_path), "--xi", xi,
                          "--out", str(tmp_path / "o")]) == 2
             assert "xi" in capsys.readouterr().err

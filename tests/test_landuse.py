@@ -30,7 +30,7 @@ def make_metropolis(**cfg_kwargs):
 
 def afc_times(metropolis):
     """Travel times on an empty network: local roads only, intra-cell floor on the diagonal."""
-    return shortest_times(Network(metropolis.n_cells), metropolis)
+    return shortest_times(Network(), metropolis)
 
 
 def afc_kernel(metropolis):

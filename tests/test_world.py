@@ -254,6 +254,26 @@ class TestConfigJson:
         with pytest.raises(ConfigError, match=f"^{field}: "):
             load_config(path)
 
+    @pytest.mark.parametrize(("index", "links"), [
+        (0, ((3, 3),)),
+        (1, ((0, 1), (2, -1))),
+        (1, ((0, 1), (2, 100))),
+        (1, ((0, 1), (0, 1))),
+        (1, ((0, 1), (1, 0))),
+    ], ids=["self_loop", "negative_cell", "cell_past_grid", "duplicate", "reversed_duplicate"])
+    def test_bad_initial_link_names_index(self, tmp_path, index, links):
+        # The constructor is the only check of the links a network is built
+        # from (Network.with_link appends without one), from Python and from
+        # JSON alike. The default grid has 100 cells.
+        with pytest.raises(ConfigError, match=rf"^initial_links\[{index}\]: "):
+            two_city_config(initial_links=links)
+        doc = config_to_dict(two_city_config())
+        doc["initial_links"] = [list(link) for link in links]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ConfigError, match=rf"^initial_links\[{index}\]: "):
+            load_config(path)
+
     def test_bad_mix_names_center(self, two_city):
         for mix in ([0.7, 0.7], 1.0, None, True):
             doc = config_to_dict(two_city)
