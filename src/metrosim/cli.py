@@ -1,10 +1,12 @@
 """Batch front door: single runs, replication batches, and the xi sensitivity sweep.
 
 Exit codes: 0 success, 2 invalid configuration (the message names the field),
-3 I/O failure. Sweep cells that crash are recorded as empty rows and make the
-command exit nonzero without aborting the rest of the grid. A sweep runs each
-preset, or with spare workers each group of a preset's xi values, as one task
-whose xi x seed lanes share one engine memo, a dict.
+3 I/O failure. Batch inputs are checked before any run: `engine.replicate`
+checks the replication count, and a `SweepSpec` checks itself when built.
+Sweep cells that crash are recorded as empty rows and make the command exit
+nonzero without aborting the rest of the grid. A sweep runs each preset, or
+with spare workers each group of a preset's xi values, as one task whose xi x
+seed lanes share one engine memo, a dict.
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ DEFAULT_XI_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One sensitivity experiment: xi grid x named scenario configurations."""
+    """One sensitivity experiment: xi grid x named scenario configurations; checks itself when built."""
 
     configurations: dict[str, ScenarioConfig]
     xi_values: tuple[float, ...]
@@ -34,7 +36,7 @@ class SweepSpec:
     out_dir: Path
     workers: int = 1
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.configurations:
             raise ConfigError("configurations: must be nonempty")
         if not self.xi_values:
@@ -173,7 +175,6 @@ def _average_ranks(values: list[float]) -> np.ndarray:
 
 
 def cmd_sweep(spec: SweepSpec) -> int:
-    spec.validate()
     seeds = [spec.base_seed + i for i in range(spec.replications)]
     names = sorted(spec.configurations)
     # Workers beyond one per preset split each preset's xi values into
@@ -272,8 +273,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             return cmd_run(config, args.seed, Path(args.out))
         if args.command == "replicate":
-            if args.replications < 1:
-                raise ConfigError("replications: must be >= 1")
             return cmd_replicate(config, args.replications, args.base_seed, Path(args.out))
         configurations = sweep_configurations(config)
         if args.configurations:

@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import ScenarioConfig, config_to_dict
+from .config import ConfigError, ScenarioConfig, config_to_dict
 from .governance import DecisionRecord, decide_and_build, select_stakeholder
 from .landuse import accessibility, cell_scores, relocate
 from .transport import Network, assign_traffic, build_network, distribute, shortest_times, total_travel_time
@@ -267,10 +267,10 @@ def replicate(config: ScenarioConfig, n: int, base_seed: int, *, swap_mayor_weig
     """Run seeds base_seed .. base_seed + n - 1 and aggregate their final indicators.
 
     The n runs share one memo, so a step two seeds reach with the same links
-    built is computed once.
+    built is computed once. n < 1 raises `ConfigError`, before any run.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ConfigError("replications: must be >= 1")
     memo = {}
     seeds = list(range(base_seed, base_seed + n))
     finals = np.empty((n, 2))

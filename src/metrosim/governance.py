@@ -18,9 +18,6 @@ from .world import Metropolis
 
 log = logging.getLogger(__name__)
 
-LOCAL = "local"
-METROPOLITAN = "metropolitan"
-
 # Slack of the bound-pruned search, relative to the larger of the objectives
 # before the build on the evaluation mode's and on free-flow times. Bounds
 # and block gains differ from the exhaustive per-candidate objective only by
@@ -48,10 +45,6 @@ class Stakeholder:
             return np.arange(metropolis.n_cells)
         return np.nonzero(metropolis.territory == self.mayor)[0]
 
-    @property
-    def level(self) -> str:
-        return METROPOLITAN if self.kind == "governor" else LOCAL
-
 
 @dataclass(frozen=True)
 class DecisionRecord:
@@ -62,16 +55,21 @@ class DecisionRecord:
     Both evaluation modes pick those candidates by the same bound-pruned
     search, and each lists its own exact objective: on the one-link
     relaxation of the free-flow times, or after a congested assignment.
+
+    `mayor` is None for the governor, whose `level` is "metropolitan"; a mayor's is "local".
     """
 
     step: int
-    level: str
     mayor: int | None
     n_candidates: int
     chosen: tuple[int, int] | None
     objective_before: float
     objective_after: float
     evaluations: tuple[tuple[int, int, float], ...]
+
+    @property
+    def level(self) -> str:
+        return "metropolitan" if self.mayor is None else "local"
 
 
 def select_stakeholder(xi: float, weights: np.ndarray, rng: random.Random) -> tuple[Stakeholder, tuple[float, ...]]:
@@ -369,7 +367,7 @@ def decide_and_build(
     log.debug("step %d: n_candidates %d, scored %d, %s", step, len(a), len(scores), gap)
     chosen = None if best is None else (int(a[best]), int(b[best]))
     record = DecisionRecord(
-        step=step, level=stakeholder.level, mayor=stakeholder.mayor,
+        step=step, mayor=stakeholder.mayor,
         n_candidates=len(a), chosen=chosen,
         objective_before=before, objective_after=before if best is None else scores[best],
         evaluations=tuple((int(a[k]), int(b[k]), scores[k]) for k in ordered),

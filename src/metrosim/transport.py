@@ -175,11 +175,13 @@ def shortest_times(network: Network, metropolis: Metropolis, *, free_flow: bool 
 
 @dataclass(frozen=True)
 class FurnessResult:
-    """Doubly-constrained gravity matrix with its balancing state."""
+    """Doubly-constrained gravity matrix with its balancing state.
 
-    flows: np.ndarray               # (N, N)
-    destinations_scaled: np.ndarray  # (N,) destination marginals after rescaling
-    residual: float                 # max marginal relative error at exit
+    Column sums match the destinations rescaled to the origin total, e * (a.sum() / e.sum()).
+    """
+
+    flows: np.ndarray  # (N, N)
+    residual: float    # max marginal relative error at exit
     iterations: int
     converged: bool
 
@@ -230,7 +232,7 @@ def furness_balance(a: np.ndarray, e: np.ndarray, kernel: np.ndarray, tol: float
     total_a, total_e = a.sum(), e.sum()
     if total_a <= 0.0 or total_e <= 0.0:
         zeros = np.zeros((n, n))
-        return FurnessResult(zeros, e * 0.0, 0.0, 0, True)
+        return FurnessResult(zeros, 0.0, 0, True)
     e = e * (total_a / total_e)
 
     guard = 4.0 * (n + 4) * np.finfo(float).eps * (1.0 + tol)
@@ -251,9 +253,9 @@ def furness_balance(a: np.ndarray, e: np.ndarray, kernel: np.ndarray, tol: float
         flows *= kernel
         residual = _marginal_error(flows.sum(axis=1), flows.sum(axis=0), a, e)
         if residual < tol:
-            return FurnessResult(flows, e, residual, iterations, True)
+            return FurnessResult(flows, residual, iterations, True)
     log.warning("gravity balancing stopped at max_iter=%d with residual %.3e", max_iter, residual)
-    return FurnessResult(flows, e, residual, iterations, False)
+    return FurnessResult(flows, residual, iterations, False)
 
 
 @dataclass(frozen=True)

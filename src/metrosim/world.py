@@ -109,9 +109,9 @@ def init_metropolis(config: ScenarioConfig, total_workers: float, total_jobs: fl
     workers = worker_cat * (total_workers / worker_sum)
 
     job_sum = job_cat.sum()
-    if total_jobs > 0.0 and job_sum <= 0.0:
+    if job_sum <= 0.0:
         raise ConfigError("centers: zero total job density, cannot place jobs")
-    jobs = job_cat * (total_jobs / job_sum) if job_sum > 0.0 else np.zeros_like(job_cat)
+    jobs = job_cat * (total_jobs / job_sum)
 
     distance_km = grid_distances(config)
     centre_cells = [c.position[0] * config.grid_cols + c.position[1] for c in config.centers]

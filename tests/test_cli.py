@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 import metrosim
-from metrosim.cli import cmd_run, main, spearman_trend, sweep_configurations
-from metrosim.config import config_to_dict, two_city_config
+from metrosim.cli import SweepSpec, cmd_run, main, spearman_trend, sweep_configurations
+from metrosim.config import ConfigError, config_to_dict, two_city_config
 from metrosim import engine, governance, transport
 from metrosim.engine import replicate, run
 from metrosim.landuse import accessibility
@@ -65,6 +65,13 @@ class TestRun:
         assert rows[0]["level"] == "metropolitan"
         assert rows[0]["mayor_id"] == ""
         assert float(rows[0]["obj_after"]) >= float(rows[0]["obj_before"])
+        # The level column derives from the mayor: at xi = 0.5 seed 0 draws both.
+        mixed = tmp_path / "mixed"
+        main(["run", "--config", str(write_config(tmp_path, steps=4, xi=0.5)), "--out", str(mixed)])
+        rows = read_csv(mixed / "decisions.csv")
+        assert {r["level"] for r in rows} == {"metropolitan", "local"}
+        for r in rows:
+            assert (r["level"] == "metropolitan") == (r["mayor_id"] == "")
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg_path = write_config(tmp_path, steps=2, landuse_enabled=True)
@@ -263,24 +270,42 @@ class TestSweep:
 
     def test_bad_xi_list_exits_2(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, steps=1)
-        for xi in ("0,2.0", "0,0,1", ",", "a,b"):
+        for xi, message in (("0,2.0", "xi: value 2.0 outside [0, 1]"), ("0,0,1", "xi: duplicate value 0.0"),
+                            (",", "xi: must be nonempty"), ("a,b", "xi: could not parse list 'a,b'")):
             assert main(["sweep", "--config", str(cfg_path), "--xi", xi,
                          "--out", str(tmp_path / "o")]) == 2
-            assert "xi" in capsys.readouterr().err
+            assert f"configuration error: {message}\n" in capsys.readouterr().err
 
     def test_unknown_configuration_exits_2(self, tmp_path):
         cfg_path = write_config(tmp_path, steps=1)
         assert main(["sweep", "--config", str(cfg_path), "--configurations", "nonsense",
                      "--out", str(tmp_path / "o")]) == 2
 
-    @pytest.mark.parametrize("workers", ["0", "-1"])
-    def test_nonpositive_workers_exit_2(self, tmp_path, capsys, workers):
+    @pytest.mark.parametrize("command, flags, message", [
+        pytest.param("sweep", ["--workers", "0"], "workers: must be >= 1", id="0"),
+        pytest.param("sweep", ["--workers", "-1"], "workers: must be >= 1", id="-1"),
+        pytest.param("sweep", ["--replications", "0"], "replications: must be >= 1", id="sweep-replications-0"),
+        pytest.param("replicate", ["--replications", "0"], "replications: must be >= 1",
+                     id="replicate-replications-0"),
+    ])
+    def test_nonpositive_workers_exit_2(self, tmp_path, capsys, command, flags, message):
         cfg_path = write_config(tmp_path, steps=1)
         out = tmp_path / "o"
-        assert main(["sweep", "--config", str(cfg_path), "--xi", "0", "--replications", "1",
-                     "--configurations", "equal_far", "--workers", workers, "--out", str(out)]) == 2
-        assert "workers: must be >= 1" in capsys.readouterr().err
+        if command == "sweep":
+            flags = ["--xi", "0", "--replications", "1", "--configurations", "equal_far", *flags]
+        assert main([command, "--config", str(cfg_path), *flags, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_batch_inputs_are_checked_when_built(self, tmp_path):
+        config = two_city_config(steps=1)
+        spec = dict(configurations={"equal_far": config}, xi_values=(0.0,), replications=1, base_seed=0,
+                    out_dir=tmp_path / "o")
+        for field, value in (("configurations", {}), ("replications", 0)):
+            with pytest.raises(ConfigError, match=f"^{field}: "):
+                SweepSpec(**(spec | {field: value}))
+        with pytest.raises(ConfigError, match="^replications: "):
+            replicate(config, 0, 0)
 
     def test_worker_pool_matches_sequential(self, tmp_path):
         cfg_path = write_config(tmp_path, steps=1)
