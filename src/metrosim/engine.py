@@ -78,7 +78,7 @@ class SimState:
 
     @property
     def travel_times(self) -> np.ndarray:
-        """The last assignment's all-pairs times (free-flow at step 0), read-only and never cached."""
+        """The last assignment's all-pairs times (at zero flow at step 0), read-only and never cached."""
         d = shortest_times(self.assigned, self.metropolis)
         d.flags.writeable = False
         return d
@@ -87,8 +87,8 @@ class SimState:
 class Advanced(NamedTuple):
     """A step's decider-independent half: the world after transport and land use.
 
-    `network` carries this step's assigned flows and congested times. `row`
-    holds the step's indicators; `step` sets its link count after the build.
+    `network` carries this step's assigned flows. `row` holds the step's
+    indicators; `step` sets its link count after the build.
     """
 
     metropolis: Metropolis
@@ -134,7 +134,7 @@ def initial_state(config: ScenarioConfig) -> SimState:
     for cat in np.nonzero(has_origins != has_destinations)[0]:
         log.warning("category %d skipped: one-sided demand (origins=%s, destinations=%s)",
                     cat, has_origins[cat], has_destinations[cat])
-    network = build_network(metropolis, config.initial_links)
+    network = build_network(config.initial_links)
     d = shortest_times(network, metropolis, free_flow=True)
     od = distribute(metropolis, d)
     return SimState(
@@ -230,13 +230,16 @@ def run(config: ScenarioConfig, seed: int, *, swap_mayor_weights: bool = False,
 class ReplicationStats:
     """Cross-replication statistics of the final-step indicator pair."""
 
-    n: int
     seeds: list[int]          # (n,): the seed of each row of finals
     finals: np.ndarray        # (n, 2): total accessibility, total travel time
     mean: np.ndarray          # (2,)
     covariance: np.ndarray    # (2, 2)
     axis_lengths: np.ndarray  # (2,) 1-sigma ellipse semi-axes, descending
     angle_rad: float          # orientation of the major axis
+
+    @property
+    def n(self) -> int:
+        return len(self.seeds)
 
 
 def summarize_finals(seeds: list[int], finals: np.ndarray) -> ReplicationStats:
@@ -253,7 +256,6 @@ def summarize_finals(seeds: list[int], finals: np.ndarray) -> ReplicationStats:
     eigvals = np.clip(eigvals[order], 0.0, None)
     major = eigvecs[:, order[0]]
     return ReplicationStats(
-        n=n,
         seeds=list(seeds),
         finals=finals,
         mean=mean,

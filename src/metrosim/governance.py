@@ -35,13 +35,16 @@ _BOUND_ENTRIES = 1 << 13
 
 @dataclass(frozen=True)
 class Stakeholder:
-    """A mayor (one territory) or the governor (the whole metropolis)."""
+    """Mayor `mayor` (one territory), or the governor (the whole metropolis) when mayor is None."""
 
-    kind: str                # "mayor" | "governor"
     mayor: int | None = None
 
+    @property
+    def kind(self) -> str:
+        return "governor" if self.mayor is None else "mayor"
+
     def territory_cells(self, metropolis: Metropolis) -> np.ndarray:
-        if self.kind == "governor":
+        if self.mayor is None:
             return np.arange(metropolis.n_cells)
         return np.nonzero(metropolis.territory == self.mayor)[0]
 
@@ -81,7 +84,7 @@ def select_stakeholder(xi: float, weights: np.ndarray, rng: random.Random) -> tu
     """
     level_draw = rng.random()
     if level_draw >= xi:
-        return Stakeholder(kind="governor"), (level_draw,)
+        return Stakeholder(), (level_draw,)
     weights = np.asarray(weights, dtype=float)
     total = weights.sum()
     if total <= 0.0:
@@ -92,7 +95,7 @@ def select_stakeholder(xi: float, weights: np.ndarray, rng: random.Random) -> tu
     mayor_draw = rng.random()
     cumulative = np.cumsum(probs)
     mayor = int(min(np.searchsorted(cumulative, mayor_draw, side="right"), len(weights) - 1))
-    return Stakeholder(kind="mayor", mayor=mayor), (level_draw, mayor_draw)
+    return Stakeholder(mayor), (level_draw, mayor_draw)
 
 
 def enumerate_candidates(network: Network, metropolis: Metropolis) -> tuple[np.ndarray, np.ndarray]:
@@ -339,7 +342,7 @@ def decide_and_build(
         before = _territory_accessibility(metropolis, d_base, cells)
 
         def exact(k: int) -> float:
-            trial = network.with_link(a[k], b[k], link_time(metropolis, a[k], b[k]))
+            trial = network.with_link(a[k], b[k])
             d = assign_traffic(od, trial, metropolis, cfg.assignment_iterations)[1]
             return _territory_accessibility(metropolis, d, cells)
     else:
@@ -375,4 +378,4 @@ def decide_and_build(
     if chosen is None:
         log.info("step %d: network saturated, no candidate links", step)
         return network, record
-    return network.with_link(*chosen, link_time(metropolis, *chosen)), record
+    return network.with_link(*chosen), record

@@ -21,6 +21,7 @@ import numpy as np
 from .config import ScenarioConfig, config_to_dict
 from .engine import IndicatorRow, ReplicationStats, SimState
 from .governance import DecisionRecord
+from .transport import congested_times
 
 
 def _fmt(value) -> str:
@@ -96,7 +97,7 @@ def write_final_state_json(path: str | Path, state: SimState) -> None:
          "flow": flow, "congested_time": time}
         for a, b, length, flow, time in zip(
             net.a.tolist(), net.b.tolist(), metropolis.distance_km[net.a, net.b].tolist(),
-            net.flow.tolist(), net.congested_time.tolist())
+            net.flow.tolist(), congested_times(net, metropolis).tolist())
     ]
     with open(path, "w", encoding="utf-8") as f:
         f.write('{"config": ' + json.dumps(config_to_dict(cfg)))

@@ -14,8 +14,9 @@ shortest path alternates AFC legs with regional links and its intermediate
 stops can only be link endpoints. Shortest times are therefore computed
 exactly by closing the small endpoint subgraph and joining AFC access legs.
 The AFC times are the metropolis's fixed cell-centre distances over the
-local-road speed, and a link's free-flow time (link_time) its distance over
-the link speed, derived from its endpoints wherever it is read.
+local-road speed. A link's free-flow time (link_time) is its distance over
+the link speed and its congested time (congested_times) the BPR time of its
+flow, both derived wherever they are read.
 
 shortest_times and the all-or-nothing loader inside assign_traffic fold
 routes one way. Each takes d, the AFC times, builds the endpoint graph
@@ -56,7 +57,7 @@ class Network:
     traversed both ways. Length, speed, capacity and so the free-flow time
     are scenario constants (the cell-centre distance, config.v_link,
     config.capacity and link_time), so a link keeps only its endpoints and
-    its flow state: the current flow and the congested time.
+    its flow, from which congested_times derives its congested time.
 
     Links are checked where they enter the program: the ScenarioConfig
     constructor checks initial_links, and governance.enumerate_candidates
@@ -70,19 +71,10 @@ class Network:
     a: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
     b: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
     flow: np.ndarray = field(default_factory=lambda: np.empty(0))
-    congested_time: np.ndarray = field(default_factory=lambda: np.empty(0))
 
-    def with_link(self, a: int, b: int, time: float) -> "Network":
-        """This network plus link a-b with no flow at congested time `time`, appended last.
-
-        A built link starts at its free-flow time, link_time(metropolis, a, b).
-        """
-        return Network(
-            a=np.append(self.a, a),
-            b=np.append(self.b, b),
-            flow=np.append(self.flow, 0.0),
-            congested_time=np.append(self.congested_time, time),
-        )
+    def with_link(self, a: int, b: int) -> "Network":
+        """This network plus link a-b with no flow, appended last."""
+        return Network(a=np.append(self.a, a), b=np.append(self.b, b), flow=np.append(self.flow, 0.0))
 
     def endpoints(self) -> np.ndarray:
         """Sorted cells touched by at least one link."""
@@ -100,11 +92,21 @@ def link_time(metropolis: Metropolis, a, b):
     return metropolis.distance_km[a, b] / metropolis.config.v_link
 
 
-def build_network(metropolis: Metropolis, pairs: tuple[tuple[int, int], ...]) -> Network:
-    """Network from (a, b) cell pairs, each link at its link_time."""
+def congested_times(network: Network, metropolis: Metropolis) -> np.ndarray:
+    """Each link's time at its flow, hours: bpr_time of its link_time and flow.
+
+    At bpr_beta = 0 the curve is flat: a link with no flow runs at link_time * (1 + bpr_alpha).
+    """
+    cfg = metropolis.config
+    return bpr_time(link_time(metropolis, network.a, network.b), network.flow,
+                    cfg.capacity, cfg.bpr_alpha, cfg.bpr_beta)
+
+
+def build_network(pairs: tuple[tuple[int, int], ...]) -> Network:
+    """Network from (a, b) cell pairs, each link with no flow."""
     net = Network()
     for a, b in pairs:
-        net = net.with_link(a, b, link_time(metropolis, a, b))
+        net = net.with_link(a, b)
     return net
 
 
@@ -150,7 +152,7 @@ def shortest_times(network: Network, metropolis: Metropolis, *, free_flow: bool 
     """
     d = metropolis.distance_km / metropolis.config.v_local
     if len(network):
-        times = link_time(metropolis, network.a, network.b) if free_flow else network.congested_time
+        times = link_time(metropolis, network.a, network.b) if free_flow else congested_times(network, metropolis)
         terminals, dist, _ = _terminal_graph(d, network, times)
         t = len(terminals)
         for k in range(t):
@@ -330,7 +332,7 @@ def _load_all_or_nothing(od: np.ndarray, network: Network, metropolis: Metropoli
     if not len(network):
         return loads
     d = metropolis.distance_km / metropolis.config.v_local
-    terminals, dist, edge_link = _terminal_graph(d, network, network.congested_time)
+    terminals, dist, edge_link = _terminal_graph(d, network, congested_times(network, metropolis))
     t = len(terminals)
 
     # Floyd-Warshall with successor tracking on the small endpoint graph.
@@ -378,23 +380,18 @@ def _load_all_or_nothing(od: np.ndarray, network: Network, metropolis: Metropoli
 def assign_traffic(od: np.ndarray, network: Network, metropolis: Metropolis, iterations: int) -> tuple[Network, np.ndarray]:
     """Stage 4: capacity-restrained assignment by the method of successive averages.
 
-    Each iteration routes the whole OD matrix all-or-nothing on current
-    congested times, averages the loads into the link flows with weight 1/k,
-    and refreshes the volume-delay times. Local-road (AFC) traffic never
-    congests anything. Returns a new network with the resulting flows and
-    congested times, leaving the input as it was, and the final travel-time
-    matrix at those congested times.
+    Each iteration routes the whole OD matrix all-or-nothing on the
+    congested times of the current flows (congested_times) and averages the
+    loads into the link flows with weight 1/k. Local-road (AFC) traffic
+    never congests anything. Returns a new network with the resulting flows,
+    leaving the input as it was, and the final travel-time matrix at their
+    congested times.
     """
-    cfg = metropolis.config
-    t0 = link_time(metropolis, network.a, network.b)
-    net = network
     for k in range(1, iterations + 1):
-        loads = _load_all_or_nothing(od, net, metropolis)
+        loads = _load_all_or_nothing(od, network, metropolis)
         w = 1.0 / k
-        flow = (1.0 - w) * net.flow + w * loads
-        net = replace(net, flow=flow,
-                      congested_time=bpr_time(t0, flow, cfg.capacity, cfg.bpr_alpha, cfg.bpr_beta))
-    return net, shortest_times(net, metropolis)
+        network = replace(network, flow=(1.0 - w) * network.flow + w * loads)
+    return network, shortest_times(network, metropolis)
 
 
 def total_travel_time(flows: np.ndarray, d: np.ndarray) -> float:

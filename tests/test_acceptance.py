@@ -20,7 +20,7 @@ from metrosim.config import two_city_config
 from metrosim.engine import replicate, run
 from metrosim.governance import select_stakeholder
 from metrosim.landuse import choice_probabilities
-from metrosim.transport import Network, furness_balance, intra_cell_time, shortest_times
+from metrosim.transport import Network, congested_times, furness_balance, intra_cell_time, shortest_times
 from metrosim.world import grid_centroids, init_metropolis, natural_totals
 
 
@@ -81,7 +81,7 @@ def test_criterion_2_shortest_path_oracle():
     for _ in range(100):
         rows = rng.randint(2, 5)
         cols = rng.randint(2, 5)
-        cfg = two_city_config(grid_rows=rows, grid_cols=cols,
+        cfg = two_city_config(grid_rows=rows, grid_cols=cols, v_link=130.0,
                               minor_position=(rows - 1, cols - 1), dominant_position=(0, 0))
         metropolis = init_metropolis(cfg, 100.0, 100.0)
         n = metropolis.n_cells
@@ -92,15 +92,16 @@ def test_criterion_2_shortest_path_oracle():
             if (min(a, b), max(a, b)) in seen:
                 continue
             seen.add((min(a, b), max(a, b)))
-            length = float(np.hypot(*(pts[a] - pts[b])))
-            # A random speed, then a congestion factor.
-            net = net.with_link(a, b, length / rng.uniform(10.0, 130.0) * rng.uniform(1.0, 3.0))
+            net = net.with_link(a, b)
+        # Random flows put each link at 1 to 39 times its free-flow time,
+        # some slower than local roads.
+        net = replace(net, flow=np.array([rng.uniform(0.0, 4.0) * cfg.capacity for _ in range(len(net))]))
 
         d = shortest_times(net, metropolis)
 
         diff = pts[:, None, :] - pts[None, :, :]
         weights = np.hypot(diff[..., 0], diff[..., 1]) / cfg.v_local
-        for a, b, t in zip(net.a.tolist(), net.b.tolist(), net.congested_time.tolist()):
+        for a, b, t in zip(net.a.tolist(), net.b.tolist(), congested_times(net, metropolis).tolist()):
             if t < weights[a, b]:
                 weights[a, b] = weights[b, a] = t
         oracle = _floyd_warshall(weights)

@@ -174,6 +174,23 @@ class TestRun:
         assert [(link["from"], link["to"]) for link in json.loads(text)["links"]] == [(0, 11), (11, 22)]
         assert text.count('"v_link": 75.0, "capacity": 1500.0,') == 3
 
+    @pytest.mark.parametrize("bpr_beta", [4.0, 0.0])
+    def test_final_state_link_times_are_bpr_of_their_flows(self, tmp_path, bpr_beta):
+        # Recomputed from final_state.json alone: each link's congested_time
+        # is the config's BPR curve at its flow, over its length at v_link.
+        # The link built last carries no flow yet.
+        cfg_path = write_config(tmp_path, steps=2, capacity=60.0, bpr_beta=bpr_beta,
+                                initial_links=((0, 11), (11, 22), (22, 33)))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        dump = json.loads((out / "final_state.json").read_text())
+        length, v_link, capacity, flow, time = (
+            np.array([link[key] for link in dump["links"]])
+            for key in ("length_km", "v_link", "capacity", "flow", "congested_time"))
+        alpha, beta = dump["config"]["bpr_alpha"], dump["config"]["bpr_beta"]
+        assert len(flow) == 5 and (flow > 0.0).any() and flow[-1] == 0.0
+        assert np.array_equal(time, length / v_link * (1.0 + alpha * np.float_power(flow / capacity, beta)))
+
 
 class TestReplicate:
     def test_outputs(self, tmp_path):
@@ -504,7 +521,7 @@ def test_final_state_json_matches_json_dumps_of_the_document(tmp_path):
              "flow": flow, "congested_time": time}
             for a, b, length, flow, time in zip(
                 net.a.tolist(), net.b.tolist(), metropolis.distance_km[net.a, net.b].tolist(),
-                net.flow.tolist(), net.congested_time.tolist())
+                net.flow.tolist(), transport.congested_times(net, metropolis).tolist())
         ],
         "travel_times": state.travel_times.tolist(),
         "worker_density_history": [dens.tolist() for dens in state.density_history],
@@ -526,7 +543,7 @@ def test_step_working_set_stays_within_a_few_n_by_n_arrays(tmp_path):
     d = state.travel_times
     calls = {
         "decide_and_build": lambda: governance.decide_and_build(
-            metropolis, state.assigned, governance.Stakeholder(kind="governor")),
+            metropolis, state.assigned, governance.Stakeholder()),
         "distribute": lambda: transport.distribute(metropolis, d),
         "advance": lambda: engine.advance(state),
         "write_final_state_json": lambda: write_final_state_json(tmp_path / "final_state.json", state),

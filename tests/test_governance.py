@@ -74,7 +74,7 @@ def trial_times_oracle(metropolis, network, a, b):
     on the extended network.
     """
     cfg = metropolis.config
-    trial = network.with_link(a, b, metropolis.distance_km[a, b] / cfg.v_link)
+    trial = network.with_link(a, b)
     if cfg.congestion_in_evaluation:
         od = distribute(metropolis, shortest_times(network, metropolis))
         return assign_traffic(od.flows, trial, metropolis, cfg.assignment_iterations)[1]
@@ -87,8 +87,7 @@ def evaluate_candidate_oracle(metropolis, network, a, b, stakeholder):
     return _territory_accessibility(metropolis, d, stakeholder.territory_cells(metropolis))
 
 
-STAKEHOLDERS = (Stakeholder(kind="governor"), Stakeholder(kind="mayor", mayor=0),
-                Stakeholder(kind="mayor", mayor=1))
+STAKEHOLDERS = (Stakeholder(), Stakeholder(mayor=0), Stakeholder(mayor=1))
 
 
 def random_case(n: int, seed: int):
@@ -102,7 +101,7 @@ def random_case(n: int, seed: int):
     net = Network()
     for _ in range(rng.randint(1, n)):
         a, b = rng.choice(candidate_pairs(net, metropolis))
-        net = net.with_link(a, b, metropolis.distance_km[a, b] / metropolis.config.v_link)
+        net = net.with_link(a, b)
     return metropolis, net
 
 
@@ -136,7 +135,7 @@ def test_xi_one_with_degenerate_weights():
     rng = random.Random(1)
     for _ in range(200):
         stakeholder, draws = select_stakeholder(1.0, np.array([5.0, 0.0]), rng)
-        assert stakeholder == Stakeholder(kind="mayor", mayor=0)
+        assert stakeholder == Stakeholder(mayor=0)
         assert len(draws) == 2
 
 
@@ -184,13 +183,13 @@ def test_two_by_two_grid_has_six_candidates():
 def test_saturated_network_has_no_candidates():
     metropolis = make_metropolis(grid_rows=2, grid_cols=2,
                                  minor_position=(1, 1), dominant_position=(0, 0))
-    net = build_network(metropolis, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
+    net = build_network(((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
     assert candidate_pairs(net, metropolis) == []
 
 
 def test_candidates_are_unique_and_sorted():
     metropolis = make_metropolis()
-    net = build_network(metropolis, ((0, 1), (6, 12)))
+    net = build_network(((0, 1), (6, 12)))
     pairs = candidate_pairs(net, metropolis)
     assert len(pairs) == len(set(pairs))
     assert pairs == sorted(pairs)
@@ -200,7 +199,7 @@ def test_candidates_are_unique_and_sorted():
 
 def test_extension_candidates_respect_radius():
     metropolis = make_metropolis()  # 5x5, extension radius 3
-    net = build_network(metropolis, ((0, 1), (3, 4)))  # touched cells: 0, 1, 3, 4
+    net = build_network(((0, 1), (3, 4)))  # touched cells: 0, 1, 3, 4
     candidates = set(candidate_pairs(net, metropolis))
     assert (1, 4) in candidates       # both touched, Chebyshev 3
     assert (0, 3) in candidates       # both touched, Chebyshev 3
@@ -212,7 +211,7 @@ def test_enumeration_matches_loop_oracle():
     for n, seed in ((5, 0), (5, 1), (5, 2), (10, 0), (10, 1), (10, 2)):
         metropolis, net = random_case(n, seed)
         # The same links stored with their endpoints swapped (b < a).
-        flipped = build_network(metropolis, tuple(zip(net.b.tolist(), net.a.tolist())))
+        flipped = build_network(tuple(zip(net.b.tolist(), net.a.tolist())))
         for radius in (1, 3, n):
             case = replace(metropolis, config=replace(metropolis.config, network_extension_radius=radius))
             for network in (net, flipped):
@@ -233,8 +232,8 @@ def test_candidate_lengths_are_centroid_distances():
 def test_governor_objective_sums_mayor_objectives():
     metropolis = make_metropolis()
     d = shortest_times(Network(), metropolis)
-    total = _territory_accessibility(metropolis, d, Stakeholder(kind="governor").territory_cells(metropolis))
-    mayors = sum(_territory_accessibility(metropolis, d, Stakeholder(kind="mayor", mayor=i).territory_cells(metropolis))
+    total = _territory_accessibility(metropolis, d, Stakeholder().territory_cells(metropolis))
+    mayors = sum(_territory_accessibility(metropolis, d, Stakeholder(mayor=i).territory_cells(metropolis))
                  for i in range(2))
     assert total == pytest.approx(mayors, rel=1e-12)
 
@@ -243,7 +242,7 @@ def test_empty_territory_objective_is_zero():
     metropolis = make_metropolis()
     metropolis.territory[:] = 0  # mayor 1 owns nothing
     d = shortest_times(Network(), metropolis)
-    mayor = Stakeholder(kind="mayor", mayor=1)
+    mayor = Stakeholder(mayor=1)
     assert _territory_accessibility(metropolis, d, mayor.territory_cells(metropolis)) == 0.0
 
 
@@ -255,7 +254,7 @@ def test_single_cell_territory_objective():
     from metrosim.landuse import accessibility
 
     _, _, total_access = accessibility(metropolis, np.exp(-metropolis.config.nu * d))
-    mayor = Stakeholder(kind="mayor", mayor=1)
+    mayor = Stakeholder(mayor=1)
     assert _territory_accessibility(metropolis, d, mayor.territory_cells(metropolis)) == pytest.approx(
         float(total_access[13]), rel=1e-12
     )
@@ -269,8 +268,8 @@ def test_collinear_candidate_changes_nothing():
     # Links 0-1 and 1-2 run along the top row; the direct 0-2 candidate rides
     # the same straight line at the same speed, so no shortest path improves.
     metropolis = make_metropolis()
-    net = build_network(metropolis, ((0, 1), (1, 2)))
-    governor = Stakeholder(kind="governor")
+    net = build_network(((0, 1), (1, 2)))
+    governor = Stakeholder()
     base = _territory_accessibility(metropolis, shortest_times(net, metropolis, free_flow=True),
                                     governor.territory_cells(metropolis))
     value = evaluate_candidate_oracle(metropolis, net, 0, 2, governor)
@@ -280,7 +279,7 @@ def test_collinear_candidate_changes_nothing():
 def test_new_fast_link_strictly_improves_objective():
     metropolis = make_metropolis()
     net = Network()
-    governor = Stakeholder(kind="governor")
+    governor = Stakeholder()
     base = _territory_accessibility(metropolis, shortest_times(net, metropolis, free_flow=True),
                                     governor.territory_cells(metropolis))
     improved = evaluate_candidate_oracle(metropolis, net, 0, 6, governor)
@@ -290,15 +289,14 @@ def test_new_fast_link_strictly_improves_objective():
 def test_evaluation_leaves_network_untouched():
     # Neither the trial networks nor the built network may change the
     # input network's arrays, in either evaluation mode.
-    names = ("a", "b", "flow", "congested_time")
+    names = ("a", "b", "flow")
     for congested in (False, True):
         metropolis = make_metropolis(grid_rows=3, grid_cols=3, minor_position=(2, 2),
                                      congestion_in_evaluation=congested)
-        net = build_network(metropolis, ((0, 4),))
+        net = build_network(((0, 4),))
         net.flow[0] = 42.0
-        net.congested_time[0] = 0.5
         before = {name: getattr(net, name).copy() for name in names}
-        built, _ = decide_and_build(metropolis, net, Stakeholder(kind="governor"))
+        built, _ = decide_and_build(metropolis, net, Stakeholder())
         assert len(built) == 2
         for name in names:
             assert np.array_equal(getattr(net, name), before[name])
@@ -525,8 +523,8 @@ def test_single_candidate_is_built():
     for congested in (False, True):
         metropolis = make_metropolis(grid_rows=2, grid_cols=2, minor_position=(1, 1), dominant_position=(0, 0),
                                      congestion_in_evaluation=congested)
-        net = build_network(metropolis, ((0, 1), (0, 2), (0, 3), (1, 2), (2, 3)))
-        built, record = decide_and_build(metropolis, net, Stakeholder(kind="governor"))
+        net = build_network(((0, 1), (0, 2), (0, 3), (1, 2), (2, 3)))
+        built, record = decide_and_build(metropolis, net, Stakeholder())
         assert record.chosen == (1, 3)
         assert [(a, b) for a, b, _ in record.evaluations] == [(1, 3)]
         assert len(built) == len(net) + 1
@@ -537,8 +535,8 @@ def test_no_candidates_records_no_build():
     for congested in (False, True):
         metropolis = make_metropolis(grid_rows=2, grid_cols=2, minor_position=(1, 1), dominant_position=(0, 0),
                                      congestion_in_evaluation=congested)
-        net = build_network(metropolis, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
-        built, record = decide_and_build(metropolis, net, Stakeholder(kind="governor"))
+        net = build_network(((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
+        built, record = decide_and_build(metropolis, net, Stakeholder())
         assert record.chosen is None
         assert record.n_candidates == 0
         assert record.evaluations == ()
@@ -551,7 +549,7 @@ def test_equal_objectives_break_to_first_pair():
     # value-equal mirrored pairs, so the winner must be the enumeration-first
     # of its pair. On 1 x 5 the two middle links tie for the maximum, and
     # the search must score both of them exactly.
-    stakeholder = Stakeholder(kind="governor")
+    stakeholder = Stakeholder()
     for cols in (4, 5):
         cfg = two_city_config(grid_rows=1, grid_cols=cols, minor_position=(0, cols - 1),
                               dominant_position=(0, 0), minor_amplitude=100.0, dominant_amplitude=100.0,
@@ -571,11 +569,10 @@ def test_equal_objectives_break_to_first_pair():
 
 def test_chosen_link_dominates_all_candidates():
     metropolis = make_metropolis()
-    net = build_network(metropolis, ((0, 6),))
+    net = build_network(((0, 6),))
     rng = random.Random(11)
     for mayor in (None, 0, 1):
-        stakeholder = (Stakeholder(kind="governor") if mayor is None
-                       else Stakeholder(kind="mayor", mayor=mayor))
+        stakeholder = Stakeholder(mayor=mayor)
         built, record = decide_and_build(metropolis, net, stakeholder)
         assert record.objective_after >= record.objective_before
         for _, _, value in record.evaluations:
@@ -614,7 +611,7 @@ def test_congested_evaluation_mode_runs():
                           congestion_in_evaluation=True)
     metropolis = init_metropolis(cfg, 300.0, 300.0)
     net = Network()
-    built, record = decide_and_build(metropolis, net, Stakeholder(kind="governor"))
+    built, record = decide_and_build(metropolis, net, Stakeholder())
     assert record.chosen is not None
     assert len(built) == 1
     assert np.isfinite(record.objective_after)

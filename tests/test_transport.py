@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from metrosim.config import two_city_config
+from metrosim.governance import Stakeholder, decide_and_build
 from metrosim.transport import (
     FurnessResult,
     Network,
@@ -17,6 +18,7 @@ from metrosim.transport import (
     assign_traffic,
     bpr_time,
     build_network,
+    congested_times,
     distribute,
     furness_balance,
     intra_cell_time,
@@ -71,7 +73,7 @@ def closure_times_oracle(metropolis, network, free_flow):
     afc = metropolis.distance_km / metropolis.config.v_local
     d = afc.copy()
     if len(network):
-        link_times = link_time(metropolis, network.a, network.b) if free_flow else network.congested_time
+        link_times = link_time(metropolis, network.a, network.b) if free_flow else congested_times(network, metropolis)
         terminals = np.array(sorted(set(network.a.tolist()) | set(network.b.tolist())))
         t = len(terminals)
         dist = afc[np.ix_(terminals, terminals)]
@@ -98,7 +100,7 @@ def closure_times_oracle(metropolis, network, free_flow):
     return d
 
 
-def load_all_or_nothing_oracle(od, afc, network):
+def load_all_or_nothing_oracle(od, metropolis, network):
     """The loader with the whole join at once, and how many routed pairs tie.
 
     Builds the (N, t, t) and (N, N, t) join arrays, takes argmin and
@@ -109,15 +111,17 @@ def load_all_or_nothing_oracle(od, afc, network):
     loads = np.zeros(len(network))
     if not len(network):
         return loads, 0, 0
+    afc = metropolis.distance_km / metropolis.config.v_local
+    times = congested_times(network, metropolis)
     terminals = np.array(network.endpoints())
     t = len(terminals)
     dist = afc[np.ix_(terminals, terminals)]
     edge_link = np.full((t, t), -1, dtype=int)
     ia = np.searchsorted(terminals, network.a)
     ib = np.searchsorted(terminals, network.b)
-    li = np.nonzero(network.congested_time < dist[ia, ib])[0]
+    li = np.nonzero(times < dist[ia, ib])[0]
     ia, ib = ia[li], ib[li]
-    dist[ia, ib] = dist[ib, ia] = network.congested_time[li]
+    dist[ia, ib] = dist[ib, ia] = times[li]
     edge_link[ia, ib] = edge_link[ib, ia] = li
 
     succ = np.tile(np.arange(t), (t, 1))
@@ -245,7 +249,7 @@ def dijkstra_load_oracle(metropolis, network, od):
     n = metropolis.n_cells
     afc = afc_oracle(metropolis)
     link_at = {}
-    for li, (a, b, t) in enumerate(zip(network.a.tolist(), network.b.tolist(), network.congested_time.tolist())):
+    for li, (a, b, t) in enumerate(zip(network.a.tolist(), network.b.tolist(), congested_times(network, metropolis).tolist())):
         link_at[(a, b)] = link_at[(b, a)] = (t, li)
     w = afc.copy()
     for (a, b), (t, _li) in link_at.items():
@@ -301,14 +305,14 @@ def test_fast_link_on_segment_dominates():
     metropolis = make_metropolis()
     # Cells 0 and 4 share a row; the link runs straight along the segment.
     length = 4.0 * metropolis.config.cell_size_km
-    net = Network().with_link(0, 4, length / 75.0)
+    net = Network().with_link(0, 4)  # at the default v_link, 75 km/h
     d = shortest_times(net, metropolis)
     assert d[0, 4] == pytest.approx(length / 75.0, rel=1e-12)
 
 
 def test_slow_link_is_ignored():
-    metropolis = make_metropolis()
-    net = Network().with_link(0, 1, 1.0 / 5.0)  # slower than local roads
+    metropolis = make_metropolis(v_link=5.0)
+    net = Network().with_link(0, 1)  # slower than local roads
     d = shortest_times(net, metropolis)
     assert d[0, 1] == pytest.approx(1.0 / metropolis.config.v_local, rel=1e-12)
 
@@ -325,54 +329,55 @@ def test_shortest_times_match_floyd_warshall_on_random_networks():
     for trial in range(25):
         rows = rng.randint(2, 5)
         cols = rng.randint(2, 5)
-        metropolis = make_metropolis(rows=rows, cols=cols)
+        metropolis = make_metropolis(rows=rows, cols=cols, v_link=120.0)
         n = metropolis.n_cells
-        pts = grid_centroids(metropolis.config)
         net = Network()
-        pairs, times = [], []
+        pairs = []
         for _ in range(rng.randint(0, 12)):
             a, b = rng.sample(range(n), 2)
             if (a, b) in pairs or (b, a) in pairs:
                 continue
-            length = float(np.hypot(*(pts[a] - pts[b])))
-            # A random speed, then a congestion factor.
-            time = length / rng.uniform(10.0, 120.0) * rng.uniform(1.0, 2.5)
-            net = net.with_link(a, b, time)
+            net = net.with_link(a, b)
             pairs.append((a, b))
-            times.append(time)
+        # Random flows put each link at 1 to 39 times its free-flow time.
+        net = replace(net, flow=np.array([rng.uniform(0.0, 4.0) * metropolis.config.capacity for _ in pairs]))
         d = shortest_times(net, metropolis)
-        oracle = floyd_warshall_oracle(metropolis, pairs, times)
+        oracle = floyd_warshall_oracle(metropolis, pairs, congested_times(net, metropolis))
         assert np.max(np.abs(d - oracle)) < 1e-9, f"trial {trial}"
 
 
 def test_shortest_times_equal_the_routing_closure_bit_for_bit():
     rng = np.random.default_rng(2024)
     for rows, cols in ((3, 4), (5, 5), (8, 8)):
-        metropolis = make_metropolis(rows=rows, cols=cols)
-        n = metropolis.n_cells
-        for n_links in (0, 1, 3, 8, 15, 25, 40):
-            net, seen = Network(), set()
-            while len(net) < n_links:
-                a, b = (int(c) for c in rng.choice(n, size=2, replace=False))
-                if (min(a, b), max(a, b)) not in seen:
-                    seen.add((min(a, b), max(a, b)))
-                    speed = rng.uniform(10.0, 130.0)  # some links are slower than local roads
-                    net = net.with_link(a, b, metropolis.distance_km[a, b] / speed)
-            net = replace(net, congested_time=net.congested_time * rng.uniform(1.0, 3.0, len(net)))
-            for ff in (False, True):
-                oracle = closure_times_oracle(metropolis, net, ff)
-                assert np.array_equal(shortest_times(net, metropolis, free_flow=ff), oracle), \
-                    f"{rows}x{cols}, {n_links} links, free_flow={ff}"
+        # At free flow every link is slower than local roads at 20 km/h and
+        # none is at 130 km/h; random flows put each link at 1 to 39 times its
+        # free-flow time, so some congested links are slower.
+        for v_link in (20.0, 130.0):
+            metropolis = make_metropolis(rows=rows, cols=cols, v_link=v_link)
+            n = metropolis.n_cells
+            for n_links in (0, 1, 3, 8, 15, 25, 40):
+                net, seen = Network(), set()
+                while len(net) < n_links:
+                    a, b = (int(c) for c in rng.choice(n, size=2, replace=False))
+                    if (min(a, b), max(a, b)) not in seen:
+                        seen.add((min(a, b), max(a, b)))
+                        net = net.with_link(a, b)
+                net = replace(net, flow=rng.uniform(0.0, 4.0, len(net)) * metropolis.config.capacity)
+                for ff in (False, True):
+                    oracle = closure_times_oracle(metropolis, net, ff)
+                    assert np.array_equal(shortest_times(net, metropolis, free_flow=ff), oracle), \
+                        f"{rows}x{cols}, v_link {v_link}, {n_links} links, free_flow={ff}"
 
 
 def seeded_network(metropolis, rng, n_links, *, mirrored=False):
-    """n_links distinct links at random speeds and congestion factors.
+    """n_links distinct links at random flows, 1 to 39 times their free-flow time.
 
     mirrored adds each link's reflection about the grid diagonal at the same
-    time, so routes through mirrored links tie exactly.
+    flow; the two have the same length and so the same time, and routes
+    through mirrored links tie exactly.
     """
     cols = metropolis.config.grid_cols
-    net, seen = Network(), set()
+    net, seen, flows = Network(), set(), []
     while len(net) < n_links:
         a, b = (int(c) for c in rng.choice(metropolis.n_cells, size=2, replace=False))
         pairs = [(a, b)]
@@ -383,24 +388,24 @@ def seeded_network(metropolis, rng, n_links, *, mirrored=False):
         if len(net) + len(pairs) > n_links or keys & seen:
             continue
         seen |= keys
-        time = metropolis.distance_km[a, b] / rng.uniform(10.0, 130.0) * rng.uniform(1.0, 3.0)
+        flow = rng.uniform(0.0, 4.0) * metropolis.config.capacity
         for p in pairs:
-            net = net.with_link(*p, time)
-    return net
+            net = net.with_link(*p)
+            flows.append(flow)
+    return replace(net, flow=np.array(flows))
 
 
 def test_loader_equals_the_whole_join_bit_for_bit():
     rng = np.random.default_rng(515)
     entry_ties = exit_ties = 0
     for rows, cols in ((3, 4), (5, 5), (8, 8)):
-        metropolis = make_metropolis(rows=rows, cols=cols)
+        metropolis = make_metropolis(rows=rows, cols=cols, v_link=130.0)
         n = metropolis.n_cells
-        afc = metropolis.distance_km / metropolis.config.v_local
         for n_links in (1, 2, 5, 12, 25):
             for mirrored in ((False, True) if rows == cols else (False,)):
                 net = seeded_network(metropolis, rng, n_links, mirrored=mirrored)
                 od = rng.uniform(0.0, 10.0, (n, n)) * (rng.random((n, n)) < 0.7)
-                expected, n_entry, n_exit = load_all_or_nothing_oracle(od, afc, net)
+                expected, n_entry, n_exit = load_all_or_nothing_oracle(od, metropolis, net)
                 entry_ties += n_entry
                 exit_ties += n_exit
                 assert np.array_equal(_load_all_or_nothing(od, net, metropolis), expected), \
@@ -420,7 +425,7 @@ def test_join_memory_stays_within_n_by_n_temporaries():
         a, b = (int(c) for c in rng.choice(n, size=2, replace=False))
         if (min(a, b), max(a, b)) not in seen:
             seen.add((min(a, b), max(a, b)))
-            net = net.with_link(a, b, link_time(metropolis, a, b))
+            net = net.with_link(a, b)
     od = rng.uniform(0.0, 10.0, (n, n))
     peaks = {}
     # assign_traffic peaks in its loader at 45.3 MB; a second AFC matrix
@@ -439,7 +444,7 @@ def test_join_memory_stays_within_n_by_n_temporaries():
 
 def test_triangle_consistency():
     metropolis = make_metropolis(rows=4, cols=4)
-    net = build_network(metropolis, ((0, 5), (5, 10), (10, 15)))
+    net = build_network(((0, 5), (5, 10), (10, 15)))
     d = shortest_times(net, metropolis)
     floor = intra_cell_time(metropolis)
     n = metropolis.n_cells
@@ -451,16 +456,38 @@ def test_triangle_consistency():
 
 def test_adding_link_never_increases_free_flow_times():
     metropolis = make_metropolis()
-    net = build_network(metropolis, ((0, 6), (6, 12)))
+    net = build_network(((0, 6), (6, 12)))
     before = shortest_times(net, metropolis, free_flow=True)
-    bigger = net.with_link(12, 18, link_time(metropolis, 12, 18))
+    bigger = net.with_link(12, 18)
     after = shortest_times(bigger, metropolis, free_flow=True)
     assert (after <= before + 1e-15).all()
 
 
+@pytest.mark.parametrize("bpr_beta", [4.0, 0.0])
+def test_link_times_are_bpr_of_flow(bpr_beta):
+    # A link's time at flow is always bpr_time(link_time, flow): on a built
+    # network, on a link decide_and_build appends and on an assigned network.
+    # At bpr_beta = 0 the curve is flat, so a link with no flow is already
+    # at link_time * (1 + bpr_alpha). Routing reads those times.
+    metropolis = make_metropolis(rows=4, cols=4, capacity=60.0, bpr_beta=bpr_beta)
+    cfg = metropolis.config
+    net = build_network(((0, 5), (5, 10), (10, 15)))
+    od = distribute(metropolis, shortest_times(net, metropolis)).flows
+    assigned, _ = assign_traffic(od, net, metropolis, cfg.assignment_iterations)
+    built, _ = decide_and_build(metropolis, assigned, Stakeholder())
+    assert len(built) == 4 and (assigned.flow > 0.0).all() and built.flow[-1] == 0.0
+    for network in (net, assigned, built):
+        expected = bpr_time(link_time(metropolis, network.a, network.b), network.flow,
+                            cfg.capacity, cfg.bpr_alpha, cfg.bpr_beta)
+        assert congested_times(network, metropolis).tobytes() == expected.tobytes()
+        pairs = list(zip(network.a.tolist(), network.b.tolist()))
+        oracle = floyd_warshall_oracle(metropolis, pairs, expected.tolist())
+        assert np.max(np.abs(shortest_times(network, metropolis) - oracle)) < 1e-9
+
+
 def test_network_is_a_value():
     net = Network()
-    bigger = net.with_link(0, 1, 1.0 / 60.0)
+    bigger = net.with_link(0, 1)
     assert len(net) == 0 and len(bigger) == 1
     with pytest.raises(FrozenInstanceError):
         bigger.flow = np.ones(1)
@@ -568,7 +595,7 @@ def test_distribute_with_a_one_sided_category_matches_the_oracle():
     jobs[-5:] = 0.0
     jobs[:, 0] = 0.0
     metropolis = replace(metropolis, workers=workers, jobs=jobs)
-    d = shortest_times(build_network(metropolis, ((0, 35), (5, 30))), metropolis)
+    d = shortest_times(build_network(((0, 35), (5, 30))), metropolis)
     cfg = metropolis.config
     od = distribute(metropolis, d)
     flows = np.zeros_like(d)
@@ -683,8 +710,8 @@ def test_bpr_strictly_increasing_in_flow():
 
 
 def test_bpr_on_arrays_matches_one_link_at_a_time():
-    # assign_traffic updates all link times as one array; each must equal the
-    # scalar call bit for bit, or outputs would depend on the update form.
+    # congested_times computes all link times as one array; each must equal
+    # the scalar call bit for bit, or outputs would depend on the update form.
     rng = np.random.default_rng(5)
     t0 = rng.uniform(0.01, 0.1, 2000)
     flows = rng.uniform(0.0, 1000.0, 2000)
@@ -694,20 +721,20 @@ def test_bpr_on_arrays_matches_one_link_at_a_time():
 
 def test_zero_od_leaves_network_free_flow():
     metropolis = make_metropolis()
-    net = build_network(metropolis, ((0, 1), (1, 2)))
+    net = build_network(((0, 1), (1, 2)))
     od = np.zeros((metropolis.n_cells, metropolis.n_cells))
     loaded, d = assign_traffic(od, net, metropolis, iterations=3)
     assert (loaded.flow == 0.0).all()
-    assert loaded.congested_time.tobytes() == link_time(metropolis, loaded.a, loaded.b).tobytes()
+    assert congested_times(loaded, metropolis).tobytes() == link_time(metropolis, loaded.a, loaded.b).tobytes()
     assert np.array_equal(d, shortest_times(net, metropolis, free_flow=True))
 
 
 def test_assignment_leaves_input_network_untouched():
     metropolis = make_metropolis()
-    net = build_network(metropolis, ((0, 12),))
+    net = build_network(((0, 12),))
     od = np.zeros((metropolis.n_cells, metropolis.n_cells))
     od[0, 12] = 50.0
-    names = ("a", "b", "flow", "congested_time")
+    names = ("a", "b", "flow")
     before = {name: getattr(net, name).copy() for name in names}
     loaded, _ = assign_traffic(od, net, metropolis, iterations=2)
     assert loaded.flow[0] > 0.0
@@ -720,7 +747,7 @@ def test_parallel_routes_balance_after_even_iterations():
     # via 6: the all-or-nothing loads alternate, and successive averaging
     # equalises them at every even iteration.
     metropolis = make_metropolis(rows=3, cols=3)
-    net = build_network(metropolis, ((0, 2), (2, 8), (0, 6), (6, 8)))
+    net = build_network(((0, 2), (2, 8), (0, 6), (6, 8)))
     n = metropolis.n_cells
     od = np.zeros((n, n))
     od[0, 8] = od[8, 0] = 120.0
@@ -739,7 +766,7 @@ def test_single_link_congests_or_migrates_to_local_roads():
                                  capacity=capacity)
     cfg = metropolis.config
     length = 3.0 * cfg.cell_size_km
-    net = Network().with_link(0, 3, length / 75.0)
+    net = Network().with_link(0, 3)
     n = metropolis.n_cells
     od = np.zeros((n, n))
     od[0, 3] = 2.0 * capacity
@@ -758,17 +785,17 @@ def test_single_link_congests_or_migrates_to_local_roads():
 def test_loads_match_path_walk_oracle():
     rng = random.Random(99)
     for trial in range(8):
-        metropolis = make_metropolis(rows=3, cols=4)
+        metropolis = make_metropolis(rows=3, cols=4, v_link=110.0)
         n = metropolis.n_cells
-        pts = grid_centroids(metropolis.config)
         net, seen = Network(), set()
         for _ in range(rng.randint(2, 7)):
             a, b = rng.sample(range(n), 2)
             if (min(a, b), max(a, b)) in seen:
                 continue
             seen.add((min(a, b), max(a, b)))
-            length = float(np.hypot(*(pts[a] - pts[b])))
-            net = net.with_link(a, b, length / rng.uniform(50.0, 110.0))
+            net = net.with_link(a, b)
+        # Random flows put each link at 1 to 2.2 times its free-flow time: 50 to 110 km/h.
+        net = replace(net, flow=np.array([rng.uniform(0.0, 1.68) * metropolis.config.capacity for _ in range(len(net))]))
         od = np.zeros((n, n))
         for _ in range(12):
             i, j = rng.sample(range(n), 2)
