@@ -104,7 +104,7 @@ def _apply_overrides(config: ScenarioConfig, args: argparse.Namespace) -> Scenar
 def cmd_run(config: ScenarioConfig, seed: int, out_dir: Path) -> int:
     state = engine.run(config, seed)
     out_dir.mkdir(parents=True, exist_ok=True)
-    output.write_history_csv(out_dir / "history.csv", state.history, state.metropolis.n_mayors)
+    output.write_history_csv(out_dir / "history.csv", state.history)
     output.write_decisions_csv(out_dir / "decisions.csv", state.decisions)
     output.write_final_state_json(out_dir / "final_state.json", state)
     # Links are stored in build order, so step k's network is the first link_count links.

@@ -125,7 +125,7 @@ def _memoised(memo: dict, key: object, compute: Callable):
 
 
 def initial_state(config: ScenarioConfig) -> SimState:
-    """World at step 0: initial densities, the pre-seeded network, free-flow times."""
+    """World at step 0: initial densities, the pre-seeded network at zero flow, and its times."""
     workers, jobs = natural_totals(config)
     metropolis = init_metropolis(config, workers, jobs)
     # relocate conserves each category's totals, so whether a category is
@@ -135,7 +135,7 @@ def initial_state(config: ScenarioConfig) -> SimState:
         log.warning("category %d skipped: one-sided demand (origins=%s, destinations=%s)",
                     cat, has_origins[cat], has_destinations[cat])
     network = build_network(config.initial_links)
-    d = shortest_times(network, metropolis, free_flow=True)
+    d = shortest_times(network, metropolis)
     od = distribute(metropolis, d)
     return SimState(
         metropolis=metropolis,

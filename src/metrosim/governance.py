@@ -9,11 +9,11 @@ from __future__ import annotations
 import logging
 import random
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .transport import Network, assign_traffic, distribute, intra_cell_time, link_time, shortest_times
+from .transport import Network, assign_traffic, congested_times, distribute, intra_cell_time, shortest_times
 from .world import Metropolis
 
 log = logging.getLogger(__name__)
@@ -57,7 +57,7 @@ class DecisionRecord:
     only, in enumeration order; `n_candidates` still counts every candidate.
     Both evaluation modes pick those candidates by the same bound-pruned
     search, and each lists its own exact objective: on the one-link
-    relaxation of the free-flow times, or after a congested assignment.
+    relaxation of the zero-flow times, or after a congested assignment.
 
     `mayor` is None for the governor, whose `level` is "metropolitan"; a mayor's is "local".
     """
@@ -161,7 +161,7 @@ def _candidate_times(d: np.ndarray, a: int, b: int, t_link: float, floor: float)
 
 
 class _LinkGains:
-    """One-link accessibility gains on fixed free-flow times: exact values and upper bounds.
+    """One-link accessibility gains on fixed zero-flow times: exact values and upper bounds.
 
     With K = exp(-nu * d) (d with a zero diagonal), c = exp(-nu * t_ab) and
     pair weights W = workers_T jobs^T, building a-b raises K_ij to
@@ -180,7 +180,8 @@ class _LinkGains:
     """
 
     def __init__(self, metropolis: Metropolis, d_base: np.ndarray, cells: np.ndarray,
-                 a: np.ndarray, b: np.ndarray):
+                 a: np.ndarray, b: np.ndarray, t: np.ndarray):
+        # d_base: the all-pairs times at zero flow; t: each candidate a-b's time at zero flow.
         cfg = metropolis.config
         K = d_base.copy()
         np.fill_diagonal(K, 0.0)
@@ -196,7 +197,7 @@ class _LinkGains:
         self.V[cells, :s] = self.workers
         self.V[:, s:] = self.jobs
         self.a, self.b = a, b
-        self.c = np.exp(-cfg.nu * link_time(metropolis, a, b))
+        self.c = np.exp(-cfg.nu * t)
 
     def _block(self, kx: np.ndarray, ky: np.ndarray, m_xy: np.ndarray, m_yx: np.ndarray, c: float) -> float:
         """Exact gain of the pairs whose new best route runs x -> y over the link.
@@ -314,10 +315,10 @@ def decide_and_build(
     """Score the candidates for the stakeholder and build the best one.
 
     Both evaluation modes run one bound-pruned best-first search
-    (_bound_search). A candidate's objective under either mode is at most
-    the free-flow objective of the network plus that link, before_ff +
-    _LinkGains.gain(k), because congested times are never below free-flow
-    times and accessibility is monotone in them. Every candidate whose
+    (_bound_search) on zero-flow times, each candidate priced once. A
+    candidate's objective under either mode is at most the free-flow
+    objective of the network plus that link, before_ff + _LinkGains.gain(k),
+    because BPR times never decrease with flow. Every candidate whose
     free-flow value can still reach the best score is scored exactly: under
     free-flow evaluation on the one-link relaxation of the base all-pairs
     times, under congested evaluation by assigning the demand distributed
@@ -333,8 +334,9 @@ def decide_and_build(
     cfg = metropolis.config
     a, b = enumerate_candidates(network, metropolis)
     cells = stakeholder.territory_cells(metropolis)
-    d_ff = shortest_times(network, metropolis, free_flow=True)
+    d_ff = shortest_times(replace(network, flow=np.zeros(len(network))), metropolis)
     before_ff = _territory_accessibility(metropolis, d_ff, cells)
+    t_link = congested_times(Network(a, b, np.zeros(len(a))), metropolis)
 
     if cfg.congestion_in_evaluation:
         od = distribute(metropolis, shortest_times(network, metropolis)).flows
@@ -350,11 +352,11 @@ def decide_and_build(
         floor = intra_cell_time(metropolis)
 
         def exact(k: int) -> float:
-            d = _candidate_times(d_ff, a[k], b[k], link_time(metropolis, a[k], b[k]), floor)
+            d = _candidate_times(d_ff, a[k], b[k], t_link[k], floor)
             return _territory_accessibility(metropolis, d, cells)
 
     margin = PRUNE_MARGIN * max(abs(before), abs(before_ff))
-    scores, ceiling = _bound_search(_LinkGains(metropolis, d_ff, cells, a, b), before_ff, margin, exact)
+    scores, ceiling = _bound_search(_LinkGains(metropolis, d_ff, cells, a, b, t_link), before_ff, margin, exact)
     ordered = sorted(scores)
     best = max(ordered, key=scores.__getitem__, default=None)
 

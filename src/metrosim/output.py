@@ -36,9 +36,9 @@ def _save_csv(path: str | Path, header: list[str], records: Iterable[list]) -> N
         writer.writerows(records)
 
 
-def write_history_csv(path: str | Path, history: tuple[IndicatorRow, ...], n_mayors: int) -> None:
+def write_history_csv(path: str | Path, history: tuple[IndicatorRow, ...]) -> None:
     header = ["step", "total_accessibility", "total_travel_time", "link_count"]
-    header += [f"mayor_{i}_objective" for i in range(n_mayors)]
+    header += [f"mayor_{i}_objective" for i in range(len(history[0].mayor_objectives))]
     _save_csv(path, header, (
         [row.step, _fmt(row.total_accessibility), _fmt(row.total_travel_time), row.link_count]
         + [_fmt(x) for x in row.mayor_objectives]

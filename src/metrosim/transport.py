@@ -14,9 +14,8 @@ shortest path alternates AFC legs with regional links and its intermediate
 stops can only be link endpoints. Shortest times are therefore computed
 exactly by closing the small endpoint subgraph and joining AFC access legs.
 The AFC times are the metropolis's fixed cell-centre distances over the
-local-road speed. A link's free-flow time (link_time) is its distance over
-the link speed and its congested time (congested_times) the BPR time of its
-flow, both derived wherever they are read.
+local-road speed. A link's time is congested_times, the BPR time of its
+flow from t0 = link_time; free-flow times are the times at zero flow.
 
 shortest_times and the all-or-nothing loader inside assign_traffic fold
 routes one way. Each takes d, the AFC times, builds the endpoint graph
@@ -54,10 +53,10 @@ class Network:
     """Regional road graph over cell centroids as parallel per-link arrays in build order.
 
     Link i runs between cells a[i] and b[i]; each link is stored once and
-    traversed both ways. Length, speed, capacity and so the free-flow time
-    are scenario constants (the cell-centre distance, config.v_link,
-    config.capacity and link_time), so a link keeps only its endpoints and
-    its flow, from which congested_times derives its congested time.
+    traversed both ways. Length, speed and capacity are scenario constants
+    (the cell-centre distance, config.v_link and config.capacity), so a link
+    keeps only its endpoints and its flow, from which congested_times
+    derives its time.
 
     Links are checked where they enter the program: the ScenarioConfig
     constructor checks initial_links, and governance.enumerate_candidates
@@ -85,9 +84,9 @@ class Network:
 
 
 def link_time(metropolis: Metropolis, a, b):
-    """Free-flow time of link a-b, hours: the cell-centre distance at config.v_link.
+    """The BPR curve's t0 for link a-b, hours (not its time, which congested_times gives).
 
-    a and b may be cell indices or index arrays.
+    t0 is the cell-centre distance at config.v_link; a and b may be cell indices or index arrays.
     """
     return metropolis.distance_km[a, b] / metropolis.config.v_link
 
@@ -95,7 +94,8 @@ def link_time(metropolis: Metropolis, a, b):
 def congested_times(network: Network, metropolis: Metropolis) -> np.ndarray:
     """Each link's time at its flow, hours: bpr_time of its link_time and flow.
 
-    At bpr_beta = 0 the curve is flat: a link with no flow runs at link_time * (1 + bpr_alpha).
+    The one rule for a link's time. At bpr_beta = 0 the curve is flat: a
+    link with no flow runs at link_time * (1 + bpr_alpha).
     """
     cfg = metropolis.config
     return bpr_time(link_time(metropolis, network.a, network.b), network.flow,
@@ -141,19 +141,18 @@ def _terminal_graph(afc: np.ndarray, network: Network, link_times: np.ndarray) -
     return terminals, dist, edge_link
 
 
-def shortest_times(network: Network, metropolis: Metropolis, *, free_flow: bool = False) -> np.ndarray:
+def shortest_times(network: Network, metropolis: Metropolis) -> np.ndarray:
     """All-pairs least travel times: min(direct AFC, best route via regional links).
 
-    Link edges are taken at their congested times unless free_flow is set;
-    access and egress to the link network ride local roads at v_local. The
+    Link edges are taken at congested_times (a network at zero flow gives
+    free-flow times); access and egress ride local roads at v_local. The
     diagonal carries the intra-cell time floor. Times only: the module's
     fold with no routing kept (the loader, _load_all_or_nothing, keeps it),
     so the closure and the entry fold are plain minima.
     """
     d = metropolis.distance_km / metropolis.config.v_local
     if len(network):
-        times = link_time(metropolis, network.a, network.b) if free_flow else congested_times(network, metropolis)
-        terminals, dist, _ = _terminal_graph(d, network, times)
+        terminals, dist, _ = _terminal_graph(d, network, congested_times(network, metropolis))
         t = len(terminals)
         for k in range(t):
             dist = np.minimum(dist, dist[:, k : k + 1] + dist[k : k + 1, :])

@@ -24,9 +24,9 @@ def test_tracer_counts_a_congested_run(monkeypatch):
     summary = tracer.summary()
     assert summary["layers"]["engine.step"]["calls"] == 2
     assert summary["layers"]["governance.decide_and_build"]["calls"] == 2
-    # One free-flow all-pairs pass at step 0; per step one to derive the
+    # One zero-flow all-pairs pass at step 0; per step one to derive the
     # state's travel times for the demand, and two per decision: its
-    # free-flow times and, under congested evaluation, the assigned times.
+    # zero-flow times and, under congested evaluation, the assigned times.
     assert summary["layers"]["transport.shortest_times"]["calls"] == 7
     assert summary["distinct_decider_prefixes"] == 2
 

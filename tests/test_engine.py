@@ -187,13 +187,16 @@ def test_advance_shares_one_accessibility_kernel(monkeypatch):
     assert advanced.row.total_accessibility == float(total_access.sum())
 
 
-def test_step_zero_indicators_recompute_from_free_flow_times():
-    # Row 0 is measured on the pre-seeded network's free-flow times d, with
-    # the kernel initial_state builds itself. Equal reprs are equal bits.
-    cfg = two_city_config(initial_links=((0, 11), (11, 22)))
+@pytest.mark.parametrize("bpr_beta", [4.0, 0.0])
+def test_step_zero_indicators_recompute_from_zero_flow_times(bpr_beta):
+    # Row 0 is measured, and step-0 demand distributed, on the pre-seeded
+    # network's zero-flow times d, the state's travel_times at step 0, with
+    # the kernel initial_state builds itself. At bpr_beta = 0 those times run
+    # each link at link_time * (1 + bpr_alpha). Equal reprs are equal bits.
+    cfg = two_city_config(initial_links=((0, 11), (11, 22)), bpr_beta=bpr_beta)
     state = initial_state(cfg)
     metropolis = state.metropolis
-    d = shortest_times(state.network, metropolis, free_flow=True)
+    d = state.travel_times
     _, _, total_access = accessibility(metropolis, np.exp(-cfg.nu * d))
     expected = IndicatorRow(
         step=0,
@@ -416,7 +419,7 @@ def test_derived_travel_times_equal_the_assigned_ones(monkeypatch, cfg):
     # A state keeps the network its last assignment returned (the pre-seeded
     # one at step 0) and derives its travel times from it; each step's must
     # equal, bit for bit, the matrix that step's assignment returned, and
-    # the initial state's the free-flow times of the pre-seeded network.
+    # the initial state's the zero-flow times of the pre-seeded network.
     assigned = []
 
     def assign_recording(*args):
@@ -427,7 +430,7 @@ def test_derived_travel_times_equal_the_assigned_ones(monkeypatch, cfg):
     monkeypatch.setattr(engine, "assign_traffic", assign_recording)
     state = initial_state(cfg)
     assert state.assigned is state.network
-    assert state.travel_times.tobytes() == shortest_times(state.network, state.metropolis, free_flow=True).tobytes()
+    assert state.travel_times.tobytes() == shortest_times(state.network, state.metropolis).tobytes()
     rng = random.Random(0)
     for k in range(1, cfg.steps + 1):
         state = step(state, rng, xi=cfg.xi, memo={}, scenario="")

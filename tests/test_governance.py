@@ -22,6 +22,7 @@ from metrosim.transport import (
     Network,
     assign_traffic,
     build_network,
+    congested_times,
     distribute,
     intra_cell_time,
     shortest_times,
@@ -66,10 +67,20 @@ def enumerate_candidates_oracle(network, metropolis):
     return sorted(pairs - links)
 
 
+def zero_flow(network):
+    """The network with its flows set to zero: its shortest times are the free-flow times."""
+    return replace(network, flow=np.zeros(len(network)))
+
+
+def zero_flow_link_times(metropolis, a, b):
+    """Each candidate a-b's time at zero flow, the link times _LinkGains prices."""
+    return congested_times(Network(a, b, np.zeros(len(a))), metropolis)
+
+
 def trial_times_oracle(metropolis, network, a, b):
     """Travel times after building a-b, recomputed from scratch on a copy of the network.
 
-    Free-flow shortest times by default; with congestion_in_evaluation set,
+    Free-flow (zero-flow) shortest times by default; with congestion_in_evaluation set,
     the current demand is re-distributed on the current times and assigned
     on the extended network.
     """
@@ -78,7 +89,7 @@ def trial_times_oracle(metropolis, network, a, b):
     if cfg.congestion_in_evaluation:
         od = distribute(metropolis, shortest_times(network, metropolis))
         return assign_traffic(od.flows, trial, metropolis, cfg.assignment_iterations)[1]
-    return shortest_times(trial, metropolis, free_flow=True)
+    return shortest_times(zero_flow(trial), metropolis)
 
 
 def evaluate_candidate_oracle(metropolis, network, a, b, stakeholder):
@@ -270,7 +281,7 @@ def test_collinear_candidate_changes_nothing():
     metropolis = make_metropolis()
     net = build_network(((0, 1), (1, 2)))
     governor = Stakeholder()
-    base = _territory_accessibility(metropolis, shortest_times(net, metropolis, free_flow=True),
+    base = _territory_accessibility(metropolis, shortest_times(zero_flow(net), metropolis),
                                     governor.territory_cells(metropolis))
     value = evaluate_candidate_oracle(metropolis, net, 0, 2, governor)
     assert value == pytest.approx(base, rel=1e-12)
@@ -280,7 +291,7 @@ def test_new_fast_link_strictly_improves_objective():
     metropolis = make_metropolis()
     net = Network()
     governor = Stakeholder()
-    base = _territory_accessibility(metropolis, shortest_times(net, metropolis, free_flow=True),
+    base = _territory_accessibility(metropolis, shortest_times(zero_flow(net), metropolis),
                                     governor.territory_cells(metropolis))
     improved = evaluate_candidate_oracle(metropolis, net, 0, 6, governor)
     assert improved > base
@@ -311,7 +322,7 @@ def test_incremental_evaluation_matches_full_recompute():
     for n, seed in ((5, 0), (5, 1), (5, 2), (10, 0), (10, 1), (10, 2)):
         metropolis, net = random_case(n, seed)
         candidates = candidate_pairs(net, metropolis)
-        d_base = shortest_times(net, metropolis, free_flow=True)
+        d_base = shortest_times(zero_flow(net), metropolis)
         floor = intra_cell_time(metropolis)
         v_link = metropolis.config.v_link
         for stakeholder in STAKEHOLDERS:
@@ -346,7 +357,7 @@ def test_debug_margin_never_exceeds_the_true_margin(caplog):
     one_scored = 0
     for n, seed in ((5, 0), (5, 1), (10, 0), (10, 1)):
         metropolis, net = random_case(n, seed)
-        d_base = shortest_times(net, metropolis, free_flow=True)
+        d_base = shortest_times(zero_flow(net), metropolis)
         floor = intra_cell_time(metropolis)
         for stakeholder in STAKEHOLDERS:
             caplog.clear()
@@ -370,10 +381,11 @@ def test_gain_bound_holds_for_every_candidate():
     for n, seed in ((5, 3), (5, 4), (10, 5)):
         metropolis, net = random_case(n, seed)
         a, b = enumerate_candidates(net, metropolis)
-        d_base = shortest_times(net, metropolis, free_flow=True)
+        d_base = shortest_times(zero_flow(net), metropolis)
         for stakeholder in STAKEHOLDERS:
             before = _territory_accessibility(metropolis, d_base, stakeholder.territory_cells(metropolis))
-            gains = _LinkGains(metropolis, d_base, stakeholder.territory_cells(metropolis), a, b)
+            gains = _LinkGains(metropolis, d_base, stakeholder.territory_cells(metropolis), a, b,
+                               zero_flow_link_times(metropolis, a, b))
             bounds = gains.bounds()
             for k in range(len(a)):
                 exact = evaluate_candidate_oracle(metropolis, net, a[k], b[k], stakeholder) - before
@@ -423,12 +435,12 @@ def test_box_bound_matches_oracle_on_either_reading_of_the_kernel():
     for n, seed in ((5, 3), (5, 4), (10, 5), (10, 0), (15, 1)):
         metropolis, net = random_case(n, seed)
         a, b = enumerate_candidates(net, metropolis)
-        d_base = shortest_times(net, metropolis, free_flow=True)
+        d_base = shortest_times(zero_flow(net), metropolis)
         asymmetric += not np.array_equal(d_base, d_base.T)
         for stakeholder in STAKEHOLDERS:
             cells = stakeholder.territory_cells(metropolis)
             tol = 1e-12 * abs(_territory_accessibility(metropolis, d_base, cells))
-            gains = _LinkGains(metropolis, d_base, cells, a, b)
+            gains = _LinkGains(metropolis, d_base, cells, a, b, zero_flow_link_times(metropolis, a, b))
             K, bounds = gains.K, gains.bounds()
             rows = box_bound_oracle(gains, np.ascontiguousarray(K[:, cells]))
             transposed = box_bound_oracle(gains, np.ascontiguousarray(K.T[:, cells]))
@@ -455,11 +467,11 @@ def test_box_bound_is_no_looser_than_row_column_bound():
     for n, seed in ((5, 3), (5, 4), (10, 5)):
         metropolis, net = random_case(n, seed)
         a, b = enumerate_candidates(net, metropolis)
-        d_base = shortest_times(net, metropolis, free_flow=True)
+        d_base = shortest_times(zero_flow(net), metropolis)
         for stakeholder in STAKEHOLDERS:
             cells = stakeholder.territory_cells(metropolis)
             tol = 1e-12 * abs(_territory_accessibility(metropolis, d_base, cells))
-            gains = _LinkGains(metropolis, d_base, cells, a, b)
+            gains = _LinkGains(metropolis, d_base, cells, a, b, zero_flow_link_times(metropolis, a, b))
             bounds, oracle = gains.bounds(), row_column_bound_oracle(gains)
             for k in range(len(a)):
                 assert gains.gain(k) <= bounds[k] + tol
@@ -473,7 +485,7 @@ def test_free_flow_times_obey_triangle_inequality():
     # block split of a link's gain and its pruning bound both rest on it.
     for n, seed in ((5, 6), (10, 7), (10, 8)):
         metropolis, net = random_case(n, seed)
-        d = shortest_times(net, metropolis, free_flow=True)
+        d = shortest_times(zero_flow(net), metropolis)
         np.fill_diagonal(d, 0.0)
         tol = 1e-12 * d.max()
         for k in range(metropolis.n_cells):
@@ -487,7 +499,7 @@ def test_free_flow_times_are_symmetric_to_rounding():
     asymmetric = 0
     for n, seed in ((5, 6), (10, 7), (10, 8), (15, 1)):
         metropolis, net = random_case(n, seed)
-        d = shortest_times(net, metropolis, free_flow=True)
+        d = shortest_times(zero_flow(net), metropolis)
         assert (np.abs(d - d.T) <= 4 * np.finfo(float).eps * np.maximum(d, d.T)).all()
         asymmetric += not np.array_equal(d, d.T)
     assert asymmetric > 0
@@ -501,18 +513,38 @@ def test_congested_objective_is_bounded_by_free_flow_gain():
     for n, seed, capacity in ((5, 0, 1500.0), (5, 1, 20.0), (10, 2, 1500.0), (10, 3, 20.0)):
         metropolis, net = loaded_congested_case(n, seed, capacity)
         a, b = enumerate_candidates(net, metropolis)
-        d_ff = shortest_times(net, metropolis, free_flow=True)
+        d_ff = shortest_times(zero_flow(net), metropolis)
         trial = [trial_times_oracle(metropolis, net, a[k], b[k]) for k in range(len(a))]
         for stakeholder in STAKEHOLDERS:
             cells = stakeholder.territory_cells(metropolis)
             before_ff = _territory_accessibility(metropolis, d_ff, cells)
             margin = PRUNE_MARGIN * abs(before_ff)
-            gains = _LinkGains(metropolis, d_ff, cells, a, b)
+            gains = _LinkGains(metropolis, d_ff, cells, a, b, zero_flow_link_times(metropolis, a, b))
             bounds = gains.bounds()
             for k, d in enumerate(trial):
                 congested = _territory_accessibility(metropolis, d, cells)
                 assert congested <= before_ff + gains.gain(k) + margin
                 assert congested <= before_ff + bounds[k] + margin
+
+
+def test_free_flow_scoring_prices_links_at_their_zero_flow_times():
+    # At bpr_beta = 0 the BPR curve is flat, so a link with no flow runs at
+    # link_time * (1 + bpr_alpha), not at link_time. Free-flow scoring must
+    # read the network at zero flow, whatever flows it carries, and price
+    # each candidate as the run then drives it: every reported objective is
+    # that of shortest_times on the zero-flow network plus that link.
+    metropolis = init_metropolis(two_city_config(bpr_beta=0.0, capacity=60.0), 1000.0, 1000.0)
+    net = replace(build_network(((0, 11), (11, 22))), flow=np.array([30.0, 90.0]))
+    base = zero_flow(net)
+    for stakeholder in STAKEHOLDERS:
+        cells = stakeholder.territory_cells(metropolis)
+        _, record = decide_and_build(metropolis, net, stakeholder)
+        assert record.objective_before == pytest.approx(
+            _territory_accessibility(metropolis, shortest_times(base, metropolis), cells), rel=1e-12)
+        assert record.evaluations
+        for a, b, value in record.evaluations:
+            d = shortest_times(base.with_link(a, b), metropolis)
+            assert value == pytest.approx(_territory_accessibility(metropolis, d, cells), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -66,14 +66,15 @@ def floyd_warshall_oracle(metropolis, links, times):
     return d
 
 
-def closure_times_oracle(metropolis, network, free_flow):
+def closure_times_oracle(metropolis, network):
     """Times of the unsplit closure that also routed: Floyd-Warshall with successors,
-    the argmin/take_along_axis join and np.where against the AFC times.
+    the argmin/take_along_axis join and np.where against the AFC times, on the
+    network's link times at its flows.
     """
     afc = metropolis.distance_km / metropolis.config.v_local
     d = afc.copy()
     if len(network):
-        link_times = link_time(metropolis, network.a, network.b) if free_flow else congested_times(network, metropolis)
+        link_times = congested_times(network, metropolis)
         terminals = np.array(sorted(set(network.a.tolist()) | set(network.b.tolist())))
         t = len(terminals)
         dist = afc[np.ix_(terminals, terminals)]
@@ -363,10 +364,10 @@ def test_shortest_times_equal_the_routing_closure_bit_for_bit():
                         seen.add((min(a, b), max(a, b)))
                         net = net.with_link(a, b)
                 net = replace(net, flow=rng.uniform(0.0, 4.0, len(net)) * metropolis.config.capacity)
-                for ff in (False, True):
-                    oracle = closure_times_oracle(metropolis, net, ff)
-                    assert np.array_equal(shortest_times(net, metropolis, free_flow=ff), oracle), \
-                        f"{rows}x{cols}, v_link {v_link}, {n_links} links, free_flow={ff}"
+                for flows, case in (("random", net), ("zero", replace(net, flow=np.zeros(len(net))))):
+                    oracle = closure_times_oracle(metropolis, case)
+                    assert np.array_equal(shortest_times(case, metropolis), oracle), \
+                        f"{rows}x{cols}, v_link {v_link}, {n_links} links, {flows} flows"
 
 
 def seeded_network(metropolis, rng, n_links, *, mirrored=False):
@@ -457,9 +458,9 @@ def test_triangle_consistency():
 def test_adding_link_never_increases_free_flow_times():
     metropolis = make_metropolis()
     net = build_network(((0, 6), (6, 12)))
-    before = shortest_times(net, metropolis, free_flow=True)
+    before = shortest_times(net, metropolis)
     bigger = net.with_link(12, 18)
-    after = shortest_times(bigger, metropolis, free_flow=True)
+    after = shortest_times(bigger, metropolis)
     assert (after <= before + 1e-15).all()
 
 
@@ -726,7 +727,7 @@ def test_zero_od_leaves_network_free_flow():
     loaded, d = assign_traffic(od, net, metropolis, iterations=3)
     assert (loaded.flow == 0.0).all()
     assert congested_times(loaded, metropolis).tobytes() == link_time(metropolis, loaded.a, loaded.b).tobytes()
-    assert np.array_equal(d, shortest_times(net, metropolis, free_flow=True))
+    assert np.array_equal(d, shortest_times(net, metropolis))
 
 
 def test_assignment_leaves_input_network_untouched():
