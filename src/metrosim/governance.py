@@ -282,7 +282,8 @@ def _bound_search(
     Candidates are visited in descending bound order until before_ff +
     bounds()[k] falls below the best exact score minus margin. A visited
     candidate is scored with exact(k) only if before_ff + gain(k) can still
-    reach the best minus margin. Returns the exact scores by candidate index,
+    reach the best minus margin; until one is scored nothing can fall below
+    that, so gain(k) is not taken. Returns the exact scores by candidate index,
     among which is every candidate that ties the maximum within the margin,
     and the ceiling of the unscored candidates (-inf if none was left): the
     highest of before_ff + gain(k) over the visited ones and before_ff +
@@ -296,10 +297,11 @@ def _bound_search(
         if before_ff + bounds[k] < best - margin:
             ceiling = max(ceiling, before_ff + bounds[k])
             break
-        tight = before_ff + link_gains.gain(k)
-        if tight < best - margin:
-            ceiling = max(ceiling, tight)
-            continue
+        if best > -np.inf:
+            tight = before_ff + link_gains.gain(k)
+            if tight < best - margin:
+                ceiling = max(ceiling, tight)
+                continue
         scores[k] = exact(k)
         best = max(best, scores[k])
     return scores, ceiling

@@ -18,19 +18,28 @@ local-road speed. A link's time is congested_times, the BPR time of its
 flow from t0 = link_time; free-flow times are the times at zero flow.
 
 shortest_times and the all-or-nothing loader inside assign_traffic fold
-routes one way. Each takes d, the AFC times, builds the endpoint graph
-(_terminal_graph) and the access legs from d, and closes the graph with
-min-plus reductions. It then folds the access legs into a running minimum
-over entry terminals and the egress legs into d itself, one terminal at a
-time, so no temporary is larger than (N, N) however many terminals there
-are. shortest_times keeps the times only. The loader returns no times but
-keeps the routing: each endpoint path's successor and each route's entry
-and exit terminal, the first on ties, and no exit terminal where the
-direct AFC leg is no slower. They stay two functions because that
-bookkeeping costs: run for shortest_times it made a call 1.1-1.8x slower
-on a 10x10 grid with 1-16 links, and at 28 terminals the tracked closure
-took 419 us against 99 us and the tracked entry fold 565 us against
-214 us (best of 5 x 200 calls, 2 vCPU, one BLAS thread, numpy 2.4).
+routes one way, from one setup (_Routing) built once per call: the sorted
+link endpoints (terminals), each link's endpoint indices among them, the
+AFC block between terminals, the AFC legs from each terminal to every cell
+and the (N, N) work arrays. Only link flows change within a call, so an
+assign_traffic call holds one set of work arrays for all its MSA passes and
+its final times fold. Each fold refills the time buffer d with the AFC
+times, so no second AFC matrix is held. A fold builds the endpoint graph at
+the current link times and closes it with min-plus reductions, then folds
+the access legs into a running minimum over entry terminals and the egress
+legs into d itself, one terminal at a time, so no temporary is larger than
+(N, N) however many terminals there are. Every such minimum is np.minimum
+in place: min is exact, so it keeps the same bits as copying the smaller
+value under a mask. shortest_times keeps the times only. The loader returns
+no times but keeps the routing: each endpoint path's successor and each
+route's entry and exit terminal, from strict < masks taken before each
+minimum, so ties go to the first terminal and no exit is kept where the
+direct AFC leg is no slower. It then walks every (entry, exit) route group
+at once, one hop per pass. The folds stay two because that bookkeeping
+costs: run for shortest_times it made a call 1.1-1.8x slower on a 10x10
+grid with 1-16 links, and at 28 terminals the tracked closure took 419 us
+against 99 us and the tracked entry fold 565 us against 214 us (best of 5 x
+200 calls, 2 vCPU, one BLAS thread, numpy 2.4).
 """
 from __future__ import annotations
 
@@ -120,25 +129,168 @@ def intra_cell_time(metropolis: Metropolis) -> float:
     return (cfg.cell_size_km / 2.0) / cfg.v_local
 
 
-def _terminal_graph(afc: np.ndarray, network: Network, link_times: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The link-endpoint graph: sorted terminals, edge times and the link riding each edge.
+class _Routing:
+    """The routing setup of one network's links, built once and shared by every fold of a call.
 
-    Edge times start as a copy of the AFC times between terminals (fancy
-    indexing copies) and take a link's time where the link is faster. Links
-    are unique per endpoint pair, so each edge is written at most once;
-    edge_link holds that link's index, or -1 where the edge is the AFC leg.
+    Links do not change within shortest_times or assign_traffic, only their
+    flows do, so the sorted terminals, each link's endpoint indices among
+    them, the AFC block between terminals and the AFC legs between each
+    terminal and every cell, a (t, N) array with one contiguous row per
+    terminal, are built once. So are the (N, N) time buffer d, which each
+    fold refills with the AFC times, and the leg buffer. The loader's route
+    group and mask buffers are allocated by its first pass and reused by
+    the next ones.
     """
-    terminals = network.endpoints()
-    t = len(terminals)
-    dist = afc[terminals[:, None], terminals]
-    edge_link = np.full((t, t), -1, dtype=int)
-    ia = np.searchsorted(terminals, network.a)
-    ib = np.searchsorted(terminals, network.b)
-    li = np.nonzero(link_times < dist[ia, ib])[0]
-    ia, ib = ia[li], ib[li]
-    dist[ia, ib] = dist[ib, ia] = link_times[li]
-    edge_link[ia, ib] = edge_link[ib, ia] = li
-    return terminals, dist, edge_link
+
+    def __init__(self, network: Network, metropolis: Metropolis):
+        self.metropolis = metropolis
+        self.n_links = len(network)
+        self.terminals = terminals = network.endpoints()
+        self.ia = np.searchsorted(terminals, network.a)
+        self.ib = np.searchsorted(terminals, network.b)
+        # Fancy indexing copies, so the AFC block and legs divide in place.
+        v_local = metropolis.config.v_local
+        self.afc = metropolis.distance_km[terminals[:, None], terminals]            # (t, t)
+        self.afc /= v_local
+        self.legs = np.ascontiguousarray(metropolis.distance_km[:, terminals].T)   # (t, N)
+        self.legs /= v_local
+        n = metropolis.n_cells
+        self.d = np.empty((n, n))
+        self.leg = np.empty((n, n)) if len(terminals) else None
+        self.group = self.mask = None
+
+    def _afc_times(self) -> np.ndarray:
+        """The time buffer refilled with the AFC times."""
+        return np.divide(self.metropolis.distance_km, self.metropolis.config.v_local, out=self.d)
+
+    def _via(self) -> np.ndarray:
+        """The entry fold's (t, N) sums buffer: the first t N entries of the leg buffer.
+
+        An entry fold ends before its exit fold writes the legs.
+        """
+        return self.leg.reshape(-1)[: self.legs.size].reshape(self.legs.shape)
+
+    def _graph(self, link_times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The link-endpoint graph at link_times: edge times and the link riding each edge.
+
+        Edge times start as a copy of the AFC block and take a link's time
+        where the link is faster. Links are unique per endpoint pair, so
+        each edge is written at most once; edge_link holds that link's
+        index, or -1 where the edge is the AFC leg.
+        """
+        t = len(self.terminals)
+        dist = self.afc.copy()
+        edge_link = np.full((t, t), -1, dtype=int)
+        li = np.nonzero(link_times < dist[self.ia, self.ib])[0]
+        ia, ib = self.ia[li], self.ib[li]
+        dist[ia, ib] = dist[ib, ia] = link_times[li]
+        edge_link[ia, ib] = edge_link[ib, ia] = li
+        return dist, edge_link
+
+    def times(self, link_times: np.ndarray) -> np.ndarray:
+        """All-pairs least times at link_times, in the time buffer, which is returned.
+
+        With w the AFC times d starts as, d ends as
+        min(w[i, j], min over terminals (a, b) of w[i, a] + dist[a, b] + w[b, j]),
+        then takes the intra-cell floor on its diagonal. best_via[b, i] is
+        the best time from cell i to terminal b through the endpoint graph.
+        """
+        d = self._afc_times()
+        t = len(self.terminals)
+        if t:
+            dist, _ = self._graph(link_times)
+            for k in range(t):
+                np.minimum(dist, dist[:, k : k + 1] + dist[k : k + 1, :], out=dist)
+            legs, leg, via = self.legs, self.leg, self._via()
+            best_via = dist[0][:, None] + legs[0]                    # (t_b, N)
+            for a in range(1, t):
+                np.add(dist[a][:, None], legs[a], out=via)
+                np.minimum(best_via, via, out=best_via)
+            for b in range(t):
+                np.add(best_via[b][:, None], legs[b], out=leg)
+                np.minimum(d, leg, out=d)
+        np.fill_diagonal(d, intra_cell_time(self.metropolis))
+        return d
+
+    def loads(self, od: np.ndarray, link_times: np.ndarray) -> np.ndarray:
+        """Route every OD flow on its least-time path at link_times; return per-link loads.
+
+        Folds the times as times() does and keeps the routing: the closure
+        tracks each endpoint path's successor, the entry fold each route's
+        entry terminal and the exit fold each pair's route group, entry * t
+        + exit + 1. A strict < keeps the first (smallest) terminal on ties;
+        min is exact, so np.minimum then keeps the times that copying under
+        that mask would. The exit fold starts from the direct AFC leg with
+        group 0, so a flow whose best network route is no faster than that
+        leg stays on local roads. Each pair's flow is summed into its group,
+        and every group's endpoint path is walked at once, one hop per pass.
+        """
+        if not self.n_links:
+            return np.zeros(0)
+        n, t = self.metropolis.n_cells, len(self.terminals)
+        if self.group is None:
+            self.group = np.empty((n, n), dtype=np.intp)
+            self.mask = np.empty((n, n), dtype=bool)
+        dist, edge_link = self._graph(link_times)
+
+        # Floyd-Warshall with successor tracking on the small endpoint graph.
+        succ = np.tile(np.arange(t), (t, 1))
+        for k in range(t):
+            cand = dist[:, k : k + 1] + dist[k : k + 1, :]
+            better = cand < dist
+            np.copyto(succ, succ[:, k : k + 1], where=better)
+            np.minimum(dist, cand, out=dist)
+
+        legs = self.legs
+        best_via = dist[0][:, None] + legs[0]                        # (t_b, N)
+        entry_for_exit = np.zeros(best_via.shape, dtype=np.intp)
+        via, better = self._via(), np.empty(best_via.shape, dtype=bool)
+        for a in range(1, t):
+            np.add(dist[a][:, None], legs[a], out=via)
+            np.less(via, best_via, out=better)
+            np.copyto(entry_for_exit, a, where=better)
+            np.minimum(best_via, via, out=best_via)
+        group_of_exit = entry_for_exit * t + np.arange(1, t + 1)[:, None]  # (t_b, N)
+
+        d, leg, group, mask = self._afc_times(), self.leg, self.group, self.mask
+        group.fill(0)
+        for b in range(t):
+            np.add(best_via[b][:, None], legs[b], out=leg)
+            np.less(leg, d, out=mask)
+            np.copyto(group, group_of_exit[b][:, None], where=mask)
+            np.minimum(d, leg, out=d)
+
+        # Most pairs stay on local roads, and summing their flows into one
+        # bin is a chain of dependent additions: gather the routed ones.
+        np.greater(group, 0, out=mask)
+        flow = np.bincount(group[mask], weights=od[mask], minlength=t * t + 1)[1:]
+        return _walk_groups(flow, succ, edge_link, self.n_links)
+
+
+def _walk_groups(flow: np.ndarray, succ: np.ndarray, edge_link: np.ndarray, n_links: int) -> np.ndarray:
+    """Per-link loads of every route group's flow, walked along its endpoint path.
+
+    flow[entry * t + exit] is the group's flow, and succ[u, exit] the
+    terminal after u on the path to exit. Every group with flow is walked at
+    once, one hop per pass, until all have reached their exit; a group that
+    has stays there, as succ[x, x] = x, on the diagonal edge that no link
+    rides (-1). Laid out group by group, each group's hops in path order,
+    the hops' links are summed by bincount, which adds in input order
+    starting from zero: every link's float additions are those of walking
+    the groups one by one.
+    """
+    t = len(succ)
+    groups = np.flatnonzero(flow)
+    u, x = np.divmod(groups, t)
+    hops = []
+    while (u != x).any():
+        v = succ[u, x]
+        hops.append(edge_link[u, v])
+        u = v
+    links = np.stack(hops, axis=1).ravel() if hops else np.empty(0, dtype=int)
+    weights = np.repeat(flow[groups], len(hops))
+    ridden = links >= 0
+    return np.bincount(links[ridden], weights=weights[ridden], minlength=n_links)
 
 
 def shortest_times(network: Network, metropolis: Metropolis) -> np.ndarray:
@@ -146,28 +298,9 @@ def shortest_times(network: Network, metropolis: Metropolis) -> np.ndarray:
 
     Link edges are taken at congested_times (a network at zero flow gives
     free-flow times); access and egress ride local roads at v_local. The
-    diagonal carries the intra-cell time floor. Times only: the module's
-    fold with no routing kept (the loader, _load_all_or_nothing, keeps it),
-    so the closure and the entry fold are plain minima.
+    diagonal carries the intra-cell time floor.
     """
-    d = metropolis.distance_km / metropolis.config.v_local
-    if len(network):
-        terminals, dist, _ = _terminal_graph(d, network, congested_times(network, metropolis))
-        t = len(terminals)
-        for k in range(t):
-            dist = np.minimum(dist, dist[:, k : k + 1] + dist[k : k + 1, :])
-        # With w the AFC times d starts as, d ends as
-        # min(w[i, j], min over terminals (a, b) of w[i, a] + dist[a, b] + w[b, j]).
-        access = d[:, terminals]                                     # (N, t)
-        best_via = access[:, :1] + dist[:1]                          # (N, t_b)
-        for a in range(1, t):
-            np.minimum(best_via, access[:, a : a + 1] + dist[a : a + 1], out=best_via)
-        leg = np.empty_like(d)
-        for b in range(t):
-            np.add(best_via[:, b : b + 1], access[:, b], out=leg)
-            np.minimum(d, leg, out=d)
-    np.fill_diagonal(d, intra_cell_time(metropolis))
-    return d
+    return _Routing(network, metropolis).times(congested_times(network, metropolis))
 
 
 # ---------------------------------------------------------------------------
@@ -315,67 +448,6 @@ def bpr_time(t0: np.ndarray, flow: np.ndarray, capacity: float, alpha: float, be
     return t0 * (1.0 + alpha * np.float_power(flow / capacity, beta))
 
 
-def _load_all_or_nothing(od: np.ndarray, network: Network, metropolis: Metropolis) -> np.ndarray:
-    """Route every OD flow on its current least-time path; return per-link loads.
-
-    Folds the congested times as shortest_times does and keeps the routing:
-    the closure tracks each endpoint path's successor, the entry fold keeps
-    each route's entry terminal and the exit fold each pair's exit terminal.
-    A strict < keeps the first (smallest) terminal on ties. The exit fold
-    starts from the direct AFC leg with no exit terminal (-1), so a flow
-    whose best network route is no faster than that leg stays on local
-    roads. Network routes are grouped by their (entry, exit) terminal pair
-    so each endpoint path is walked once.
-    """
-    loads = np.zeros(len(network))
-    if not len(network):
-        return loads
-    d = metropolis.distance_km / metropolis.config.v_local
-    terminals, dist, edge_link = _terminal_graph(d, network, congested_times(network, metropolis))
-    t = len(terminals)
-
-    # Floyd-Warshall with successor tracking on the small endpoint graph.
-    succ = np.tile(np.arange(t), (t, 1))
-    for k in range(t):
-        cand = dist[:, k : k + 1] + dist[k : k + 1, :]
-        better = cand < dist
-        if better.any():
-            dist = np.where(better, cand, dist)
-            succ = np.where(better, np.broadcast_to(succ[:, k : k + 1], succ.shape), succ)
-
-    access = d[:, terminals]                                     # (N, t)
-    best_via = access[:, :1] + dist[:1]                          # (N, t_b)
-    entry_for_exit = np.zeros(best_via.shape, dtype=np.intp)
-    for a in range(1, t):
-        via = access[:, a : a + 1] + dist[a : a + 1]
-        better = via < best_via
-        np.copyto(best_via, via, where=better)
-        np.copyto(entry_for_exit, a, where=better)
-    exit_term = np.full(d.shape, -1, dtype=np.intp)
-    leg = np.empty_like(d)
-    better = np.empty(d.shape, dtype=bool)
-    for b in range(t):
-        np.add(best_via[:, b : b + 1], access[:, b], out=leg)
-        np.less(leg, d, out=better)
-        np.copyto(d, leg, where=better)
-        np.copyto(exit_term, b, where=better)
-
-    rows, cols = np.nonzero((exit_term >= 0) & (od > 0.0))
-    exits = exit_term[rows, cols]
-    pair = entry_for_exit[rows, exits] * t + exits
-    grouped = np.bincount(pair, weights=od[rows, cols], minlength=t * t).reshape(t, t)
-    for ei, xi in zip(*np.nonzero(grouped)):
-        flow = grouped[ei, xi]
-        u = ei
-        while u != xi:
-            v = succ[u, xi]
-            li = edge_link[u, v]
-            if li >= 0:
-                loads[li] += flow
-            u = v
-    return loads
-
-
 def assign_traffic(od: np.ndarray, network: Network, metropolis: Metropolis, iterations: int) -> tuple[Network, np.ndarray]:
     """Stage 4: capacity-restrained assignment by the method of successive averages.
 
@@ -386,11 +458,12 @@ def assign_traffic(od: np.ndarray, network: Network, metropolis: Metropolis, ite
     leaving the input as it was, and the final travel-time matrix at their
     congested times.
     """
+    routing = _Routing(network, metropolis)
     for k in range(1, iterations + 1):
-        loads = _load_all_or_nothing(od, network, metropolis)
+        loads = routing.loads(od, congested_times(network, metropolis))
         w = 1.0 / k
         network = replace(network, flow=(1.0 - w) * network.flow + w * loads)
-    return network, shortest_times(network, metropolis)
+    return network, routing.times(congested_times(network, metropolis))
 
 
 def total_travel_time(flows: np.ndarray, d: np.ndarray) -> float:

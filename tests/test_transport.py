@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 from metrosim.config import two_city_config
-from metrosim.governance import Stakeholder, decide_and_build
+from metrosim.governance import Stakeholder, decide_and_build, enumerate_candidates
 from metrosim.transport import (
     FurnessResult,
     Network,
     ODMatrix,
-    _load_all_or_nothing,
+    _Routing,
     assign_traffic,
     bpr_time,
     build_network,
@@ -161,6 +161,74 @@ def load_all_or_nothing_oracle(od, metropolis, network):
                 loads[li] += flow
             u = v
     return loads, n_entry_ties, n_exit_ties
+
+
+def per_group_walk_oracle(od, metropolis, network):
+    """The loader that walks one (entry, exit) group at a time in a Python loop.
+
+    Folds the network's congested times with np.where and masked copies,
+    takes the routed pairs from two (N, N) masks, sums their flows per group
+    with bincount and walks each group's endpoint path hop by hop, adding
+    its flow to every link it rides.
+    """
+    loads = np.zeros(len(network))
+    if not len(network):
+        return loads
+    d = metropolis.distance_km / metropolis.config.v_local
+    times = congested_times(network, metropolis)
+    terminals = network.endpoints()
+    t = len(terminals)
+    dist = d[terminals[:, None], terminals]
+    edge_link = np.full((t, t), -1, dtype=int)
+    ia = np.searchsorted(terminals, network.a)
+    ib = np.searchsorted(terminals, network.b)
+    li = np.nonzero(times < dist[ia, ib])[0]
+    ia, ib = ia[li], ib[li]
+    dist[ia, ib] = dist[ib, ia] = times[li]
+    edge_link[ia, ib] = edge_link[ib, ia] = li
+
+    succ = np.tile(np.arange(t), (t, 1))
+    for k in range(t):
+        cand = dist[:, k : k + 1] + dist[k : k + 1, :]
+        better = cand < dist
+        if better.any():
+            dist = np.where(better, cand, dist)
+            succ = np.where(better, np.broadcast_to(succ[:, k : k + 1], succ.shape), succ)
+
+    access = d[:, terminals]
+    best_via = access[:, :1] + dist[:1]
+    entry_for_exit = np.zeros(best_via.shape, dtype=np.intp)
+    for a in range(1, t):
+        via = access[:, a : a + 1] + dist[a : a + 1]
+        better = via < best_via
+        np.copyto(best_via, via, where=better)
+        np.copyto(entry_for_exit, a, where=better)
+    exit_term = np.full(d.shape, -1, dtype=np.intp)
+    for b in range(t):
+        leg = best_via[:, b : b + 1] + access[:, b]
+        better = leg < d
+        np.copyto(d, leg, where=better)
+        np.copyto(exit_term, b, where=better)
+
+    rows, cols = np.nonzero((exit_term >= 0) & (od > 0.0))
+    exits = exit_term[rows, cols]
+    pair = entry_for_exit[rows, exits] * t + exits
+    grouped = np.bincount(pair, weights=od[rows, cols], minlength=t * t).reshape(t, t)
+    for ei, xi in zip(*np.nonzero(grouped)):
+        flow = grouped[ei, xi]
+        u = ei
+        while u != xi:
+            v = succ[u, xi]
+            li = edge_link[u, v]
+            if li >= 0:
+                loads[li] += flow
+            u = v
+    return loads
+
+
+def load_all_or_nothing(od, network, metropolis):
+    """One all-or-nothing pass of assign_traffic's loader at the network's congested times."""
+    return _Routing(network, metropolis).loads(od, congested_times(network, metropolis))
 
 
 def ipf_oracle(origins, destinations, d, lam, sweeps=5000, tol=1e-13):
@@ -409,10 +477,48 @@ def test_loader_equals_the_whole_join_bit_for_bit():
                 expected, n_entry, n_exit = load_all_or_nothing_oracle(od, metropolis, net)
                 entry_ties += n_entry
                 exit_ties += n_exit
-                assert np.array_equal(_load_all_or_nothing(od, net, metropolis), expected), \
+                assert np.array_equal(load_all_or_nothing(od, net, metropolis), expected), \
                     f"{rows}x{cols}, {n_links} links, mirrored={mirrored}"
     # Ties must occur on routed pairs, or the first-terminal rule goes untested.
     assert entry_ties > 0 and exit_ties > 0
+
+
+def saturated_network(metropolis):
+    """The network that holds every link enumerate_candidates offers, added round by round until none is left."""
+    net = Network()
+    while True:
+        a, b = enumerate_candidates(net, metropolis)
+        if not len(a):
+            return net
+        for pair in zip(a.tolist(), b.tolist()):
+            net = net.with_link(*pair)
+
+
+def test_array_walk_equals_the_per_group_walk_bit_for_bit():
+    # Every MSA pass of assign_traffic on the gravity demand of its network:
+    # congested at capacity 20 and 60, on random, initial-link, saturated and
+    # mirrored-tie networks.
+    rng = np.random.default_rng(33)
+    for rows, cols in ((3, 4), (5, 5), (8, 8)):
+        for capacity in (20.0, 60.0):
+            metropolis = make_metropolis(rows=rows, cols=cols, capacity=capacity, v_link=130.0)
+            cases = {
+                "random": seeded_network(metropolis, rng, 12),
+                "initial links": build_network(((0, cols + 1), (cols + 1, 2 * cols + 2))),
+                "saturated": saturated_network(metropolis),
+            }
+            if rows == cols:
+                cases["mirrored"] = seeded_network(metropolis, rng, 12, mirrored=True)
+            for name, net in cases.items():
+                od = distribute(metropolis, shortest_times(net, metropolis)).flows
+                assigned, d = assign_traffic(od, net, metropolis, 4)
+                for k in range(1, 5):
+                    loads = load_all_or_nothing(od, net, metropolis)
+                    assert loads.tobytes() == per_group_walk_oracle(od, metropolis, net).tobytes(), \
+                        f"{rows}x{cols}, capacity {capacity}, {name}, pass {k}"
+                    net = replace(net, flow=(1.0 - 1.0 / k) * net.flow + (1.0 / k) * loads)
+                assert assigned.flow.tobytes() == net.flow.tobytes()
+                assert d.tobytes() == shortest_times(assigned, metropolis).tobytes()
 
 
 def test_join_memory_stays_within_n_by_n_temporaries():
@@ -429,11 +535,14 @@ def test_join_memory_stays_within_n_by_n_temporaries():
             net = net.with_link(a, b)
     od = rng.uniform(0.0, 10.0, (n, n))
     peaks = {}
-    # assign_traffic peaks in its loader at 45.3 MB; a second AFC matrix
-    # held across its MSA iterations took it to 51.8 MB.
-    for name, call, bound_mb in (("loader", lambda: _load_all_or_nothing(od, net, metropolis), 64),
-                                 ("shortest_times", lambda: shortest_times(net, metropolis), 32),
-                                 ("assign_traffic", lambda: assign_traffic(od, net, metropolis, 4), 48)):
+    # The loader and assign_traffic peak at 31.8 MB, while grouping routes,
+    # and shortest_times at 14.3 MB. One more (N, N) float array held, such
+    # as a second AFC matrix beside the time buffer, is 6.5 MB. A loader that
+    # formed its work arrays on every pass and grouped routes through two
+    # (N, N) masks peaked at 45.3 MB.
+    for name, call, bound_mb in (("loader", lambda: load_all_or_nothing(od, net, metropolis), 36),
+                                 ("shortest_times", lambda: shortest_times(net, metropolis), 20),
+                                 ("assign_traffic", lambda: assign_traffic(od, net, metropolis, 4), 36)):
         tracemalloc.start()
         try:
             call()
