@@ -19,7 +19,7 @@ key types, which never compare equal:
   initial state;
 - a build prefix, a tuple of the scenario key and the links chosen so far
   (None for a no-build), to the step's advanced half;
-- (build prefix, stakeholder) to the built network and its record.
+- (build prefix, stakeholder) to the stakeholder's `DecisionRecord`.
 
 Each value is computed only on a miss. A lone run's own memo never hits,
 since each step's prefix is one link longer than the last. Every run
@@ -30,7 +30,8 @@ that share a memo share nothing.
 A memo keeps every entry: a metropolis, a network, a record or row, but no
 (N, N) matrix besides the scenario's shared cell distances, so its memory
 grows as entries x O(N S + links). A state keeps the network its last
-assignment returned, and `SimState.travel_times` derives its times from that.
+assignment returned; `SimState.network` derives the built network from that
+and the last record's link, and `SimState.travel_times` the times.
 Warnings logged while a step is computed (a one-sided category, a Furness
 balance at max_iter) fire once per computed build prefix, not once per run.
 """
@@ -70,11 +71,16 @@ class SimState:
     """The world after some steps and its full history; `step` returns a new one."""
 
     metropolis: Metropolis
-    network: Network
     assigned: Network  # the network the last assignment returned; the initial one at step 0
     history: tuple[IndicatorRow, ...]
     decisions: tuple[DecisionRecord, ...]
     density_history: tuple[np.ndarray, ...]
+
+    @property
+    def network(self) -> Network:
+        """The built network: assigned plus the last decision's link at zero flow, or assigned itself."""
+        chosen = self.decisions[-1].chosen if self.decisions else None
+        return self.assigned if chosen is None else self.assigned.with_link(*chosen)
 
     @property
     def travel_times(self) -> np.ndarray:
@@ -87,12 +93,12 @@ class SimState:
 class Advanced(NamedTuple):
     """A step's decider-independent half: the world after transport and land use.
 
-    `network` carries this step's assigned flows. `row` holds the step's
-    indicators; `step` sets its link count after the build.
+    `assigned` is the network this step's assignment returned. `row` holds
+    the step's indicators; `step` sets its link count after the build.
     """
 
     metropolis: Metropolis
-    network: Network
+    assigned: Network
     row: IndicatorRow
 
 
@@ -139,7 +145,6 @@ def initial_state(config: ScenarioConfig) -> SimState:
     od = distribute(metropolis, d)
     return SimState(
         metropolis=metropolis,
-        network=network,
         assigned=network,
         history=(_indicators(metropolis, d, np.exp(-config.nu * d), od.flows, len(network), 0),),
         decisions=(),
@@ -159,17 +164,16 @@ def advance(state: SimState) -> Advanced:
     metropolis = state.metropolis
     cfg = metropolis.config
     od = distribute(metropolis, state.travel_times)
-    network, d = assign_traffic(od.flows, state.network, metropolis, cfg.assignment_iterations)
+    assigned, d = assign_traffic(od.flows, state.network, metropolis, cfg.assignment_iterations)
     kernel = np.multiply(d, -cfg.nu)
     np.exp(kernel, out=kernel)
     if cfg.landuse_enabled:
         metropolis = relocate(metropolis, cell_scores(metropolis, kernel))
-    row = _indicators(metropolis, d, kernel, od.flows, len(network), len(state.decisions) + 1)
-    return Advanced(metropolis, network, row)
+    row = _indicators(metropolis, d, kernel, od.flows, len(assigned), len(state.decisions) + 1)
+    return Advanced(metropolis, assigned, row)
 
 
-def step(state: SimState, rng: random.Random, *, xi: float, memo: dict, scenario: str,
-         swap_mayor_weights: bool = False) -> SimState:
+def step(state: SimState, rng: random.Random, *, xi: float, memo: dict, scenario: str) -> SimState:
     """Advance one time step: transport, land use, governance, indicators.
 
     `advance` runs transport and land use, the stakeholder drawn from rng
@@ -180,35 +184,25 @@ def step(state: SimState, rng: random.Random, *, xi: float, memo: dict, scenario
 
     scenario is the key `run` found the initial state under in memo. The
     advanced half is looked up by the state's build prefix, scenario plus
-    the links its decisions chose, and the built network and record by
-    (build prefix, stakeholder); each is computed and stored only on a miss.
+    the links its decisions chose, and the decision record by (build prefix,
+    stakeholder); each is computed and stored only on a miss.
     """
     prefix = (scenario, *(record.chosen for record in state.decisions))
     metropolis, assigned, row = _memoised(memo, prefix, lambda: advance(state))
-    weights = mayor_weights(metropolis)
-    if swap_mayor_weights:
-        weights = weights[::-1]
-    stakeholder, _ = select_stakeholder(xi, weights, rng)
-    network, record = _memoised(memo, (prefix, stakeholder), lambda: decide_and_build(
-        metropolis, assigned, stakeholder, step=row.step))
+    stakeholder, _ = select_stakeholder(xi, mayor_weights(metropolis), rng)
+    record = _memoised(memo, (prefix, stakeholder), lambda: decide_and_build(
+        metropolis, assigned, stakeholder, step=row.step)[1])
     return SimState(
         metropolis=metropolis,
-        network=network,
         assigned=assigned,
-        history=state.history + (replace(row, link_count=len(network)),),
+        history=state.history + (replace(row, link_count=len(assigned) + (record.chosen is not None)),),
         decisions=state.decisions + (record,),
         density_history=state.density_history + (metropolis.workers.sum(axis=1),),
     )
 
 
-def run(config: ScenarioConfig, seed: int, *, swap_mayor_weights: bool = False,
-        memo: dict | None = None) -> SimState:
+def run(config: ScenarioConfig, seed: int, *, memo: dict | None = None) -> SimState:
     """Execute a full run; identical (config, seed) pairs give identical output.
-
-    swap_mayor_weights reverses the mayor weight vector before each
-    stakeholder draw, which redirects local decision power toward the
-    otherwise minor mayor without touching the land use; it exists for
-    governance-regime experiments.
 
     memo, when given, is shared with other runs: the initial state and every
     step half one of them computed for the same scenario (config with xi
@@ -221,8 +215,7 @@ def run(config: ScenarioConfig, seed: int, *, swap_mayor_weights: bool = False,
     scenario = json.dumps(config_to_dict(config) | {"xi": None}, sort_keys=True)
     state = _memoised(memo, scenario, lambda: initial_state(config))
     for _ in range(config.steps):
-        state = step(state, rng, xi=config.xi, memo=memo, scenario=scenario,
-                     swap_mayor_weights=swap_mayor_weights)
+        state = step(state, rng, xi=config.xi, memo=memo, scenario=scenario)
     return replace(state, metropolis=replace(state.metropolis, config=config))
 
 
@@ -265,7 +258,7 @@ def summarize_finals(seeds: list[int], finals: np.ndarray) -> ReplicationStats:
     )
 
 
-def replicate(config: ScenarioConfig, n: int, base_seed: int, *, swap_mayor_weights: bool = False) -> ReplicationStats:
+def replicate(config: ScenarioConfig, n: int, base_seed: int) -> ReplicationStats:
     """Run seeds base_seed .. base_seed + n - 1 and aggregate their final indicators.
 
     The n runs share one memo, so a step two seeds reach with the same links
@@ -277,7 +270,7 @@ def replicate(config: ScenarioConfig, n: int, base_seed: int, *, swap_mayor_weig
     seeds = list(range(base_seed, base_seed + n))
     finals = np.empty((n, 2))
     for i, seed in enumerate(seeds):
-        state = run(config, seed, swap_mayor_weights=swap_mayor_weights, memo=memo)
+        state = run(config, seed, memo=memo)
         last = state.history[-1]
         finals[i] = (last.total_accessibility, last.total_travel_time)
     return summarize_finals(seeds, finals)

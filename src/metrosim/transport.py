@@ -136,10 +136,10 @@ class _Routing:
     flows do, so the sorted terminals, each link's endpoint indices among
     them, the AFC block between terminals and the AFC legs between each
     terminal and every cell, a (t, N) array with one contiguous row per
-    terminal, are built once. So are the (N, N) time buffer d, which each
-    fold refills with the AFC times, and the leg buffer. The loader's route
-    group and mask buffers are allocated by its first pass and reused by
-    the next ones.
+    terminal, are built once. So are the entry fold's (t, N) sums buffer
+    via, the (N, N) time buffer d, which each fold refills with the AFC
+    times, and the leg buffer. The loader's route group and mask buffers
+    are allocated by its first pass and reused by the next ones.
     """
 
     def __init__(self, network: Network, metropolis: Metropolis):
@@ -154,6 +154,7 @@ class _Routing:
         self.afc /= v_local
         self.legs = np.ascontiguousarray(metropolis.distance_km[:, terminals].T)   # (t, N)
         self.legs /= v_local
+        self.via = np.empty_like(self.legs)
         n = metropolis.n_cells
         self.d = np.empty((n, n))
         self.leg = np.empty((n, n)) if len(terminals) else None
@@ -162,13 +163,6 @@ class _Routing:
     def _afc_times(self) -> np.ndarray:
         """The time buffer refilled with the AFC times."""
         return np.divide(self.metropolis.distance_km, self.metropolis.config.v_local, out=self.d)
-
-    def _via(self) -> np.ndarray:
-        """The entry fold's (t, N) sums buffer: the first t N entries of the leg buffer.
-
-        An entry fold ends before its exit fold writes the legs.
-        """
-        return self.leg.reshape(-1)[: self.legs.size].reshape(self.legs.shape)
 
     def _graph(self, link_times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The link-endpoint graph at link_times: edge times and the link riding each edge.
@@ -201,7 +195,7 @@ class _Routing:
             dist, _ = self._graph(link_times)
             for k in range(t):
                 np.minimum(dist, dist[:, k : k + 1] + dist[k : k + 1, :], out=dist)
-            legs, leg, via = self.legs, self.leg, self._via()
+            legs, leg, via = self.legs, self.leg, self.via
             best_via = dist[0][:, None] + legs[0]                    # (t_b, N)
             for a in range(1, t):
                 np.add(dist[a][:, None], legs[a], out=via)
@@ -244,7 +238,7 @@ class _Routing:
         legs = self.legs
         best_via = dist[0][:, None] + legs[0]                        # (t_b, N)
         entry_for_exit = np.zeros(best_via.shape, dtype=np.intp)
-        via, better = self._via(), np.empty(best_via.shape, dtype=bool)
+        via, better = self.via, np.empty(best_via.shape, dtype=bool)
         for a in range(1, t):
             np.add(dist[a][:, None], legs[a], out=via)
             np.less(via, best_via, out=better)

@@ -17,11 +17,12 @@ import numpy as np
 
 from metrosim.cli import SweepSpec, cmd_sweep, sweep_configurations
 from metrosim.config import two_city_config
+from metrosim import engine
 from metrosim.engine import replicate, run
 from metrosim.governance import select_stakeholder
 from metrosim.landuse import choice_probabilities
 from metrosim.transport import Network, congested_times, furness_balance, intra_cell_time, shortest_times
-from metrosim.world import grid_centroids, init_metropolis, natural_totals
+from metrosim.world import grid_centroids, init_metropolis, mayor_weights, natural_totals
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -185,11 +186,15 @@ def test_criterion_5_argmax_dominance():
 # 6. Three-regime comparison (replications x governance level)
 
 
-def test_criterion_6_regime_ordering():
+def test_criterion_6_regime_ordering(monkeypatch):
     cfg = two_city_config()  # land use frozen by default, 6 steps
     governor = replicate(replace(cfg, xi=0.0), 30, 100)
     dominant = replicate(replace(cfg, xi=1.0), 30, 100)
-    minor = replicate(replace(cfg, xi=1.0), 30, 100, swap_mayor_weights=True)
+    # The minor-mayor regime: stakeholders drawn on the mayor weights
+    # reversed, which turns local power toward the minor mayor and leaves
+    # land use as it is.
+    monkeypatch.setattr(engine, "mayor_weights", lambda metropolis: mayor_weights(metropolis)[::-1])
+    minor = replicate(replace(cfg, xi=1.0), 30, 100)
 
     # Containment: the xi=0 regime is deterministic (point ellipse), so check
     # each mean inside the other's 1-sigma ellipse wherever that ellipse is

@@ -10,6 +10,7 @@ import pytest
 from metrosim.config import two_city_config
 from metrosim import engine
 from metrosim.engine import IndicatorRow, SimState, initial_state, replicate, run, step, summarize_finals
+from metrosim.governance import DecisionRecord, Stakeholder
 from metrosim.landuse import accessibility, cell_scores
 from metrosim.transport import assign_traffic, distribute, shortest_times, total_travel_time
 
@@ -248,12 +249,17 @@ def test_one_sided_category_is_logged_once_per_run(caplog):
     assert "category 1" not in caplog.text
 
 
-def test_swapped_weights_redirect_local_decisions():
+def _swap_mayor_weights(monkeypatch):
+    """Draw stakeholders on the mayor weights reversed, which turns local power toward the minor mayor."""
+    original = engine.mayor_weights
+    monkeypatch.setattr(engine, "mayor_weights", lambda metropolis: original(metropolis)[::-1])
+
+
+def test_swapped_weights_redirect_local_decisions(monkeypatch):
     cfg = two_city_config(steps=2, xi=1.0)
-    natural_mayors, swapped_mayors = [], []
-    for seed in range(10):
-        natural_mayors += [d.mayor for d in run(cfg, seed=seed).decisions]
-        swapped_mayors += [d.mayor for d in run(cfg, seed=seed, swap_mayor_weights=True).decisions]
+    natural_mayors = [d.mayor for seed in range(10) for d in run(cfg, seed=seed).decisions]
+    _swap_mayor_weights(monkeypatch)
+    swapped_mayors = [d.mayor for seed in range(10) for d in run(cfg, seed=seed).decisions]
     # Dominant city holds ~90% of the jobs: natural runs favour mayor 1,
     # swapped runs mirror that toward mayor 0.
     assert sum(natural_mayors) > 0.7 * len(natural_mayors)
@@ -265,23 +271,25 @@ def test_swapped_weights_redirect_local_decisions():
     (two_city_config(steps=2, congestion_in_evaluation=True), False),
     (two_city_config(steps=3), True),
 ], ids=["landuse", "congested", "swapped-weights"])
-def test_shared_memo_matches_memo_free_runs(cfg, swap):
+def test_shared_memo_matches_memo_free_runs(monkeypatch, cfg, swap):
     # Runs that share no memo are the oracle. Lanes xi 0, 0.5, 1 x seeds 0-3
     # share one memo; a lane that reuses another lane's steps must end in
     # the same state and carry its own config.
+    if swap:
+        _swap_mayor_weights(monkeypatch)
     memo = {}
     for xi in (0.0, 0.5, 1.0):
         lane = replace(cfg, xi=xi)
-        alone = [run(lane, seed, swap_mayor_weights=swap) for seed in range(4)]
+        alone = [run(lane, seed) for seed in range(4)]
         for seed, oracle in enumerate(alone):
-            shared = run(lane, seed, swap_mayor_weights=swap, memo=memo)
+            shared = run(lane, seed, memo=memo)
             assert shared.metropolis.config is lane
             assert shared.history == oracle.history
             assert shared.decisions == oracle.decisions
             assert len(shared.density_history) == len(oracle.density_history)
             assert all(np.array_equal(x, y) for x, y in zip(shared.density_history, oracle.density_history))
         finals = [(s.history[-1].total_accessibility, s.history[-1].total_travel_time) for s in alone]
-        assert np.array_equal(replicate(lane, 4, 0, swap_mayor_weights=swap).finals, finals)
+        assert np.array_equal(replicate(lane, 4, 0).finals, finals)
 
 
 def _assert_same_run(shared, oracle):
@@ -310,14 +318,14 @@ def test_memo_computes_each_build_prefix_once(monkeypatch):
     # equals its lone run. The 2x2 grid saturates after six builds, so
     # no-builds (None) enter its keys.
     cases = [
-        (two_city_config(steps=3, landuse_enabled=True), False),
-        (two_city_config(steps=2, congestion_in_evaluation=True), False),
-        (two_city_config(steps=3), True),
-        (two_city_config(grid_rows=2, grid_cols=2, minor_position=(1, 1), dominant_position=(0, 0), steps=8), False),
+        two_city_config(steps=3, landuse_enabled=True),
+        two_city_config(steps=2, congestion_in_evaluation=True),
+        two_city_config(steps=3),
+        two_city_config(grid_rows=2, grid_cols=2, minor_position=(1, 1), dominant_position=(0, 0), steps=8),
     ]
-    lanes = [(c, replace(cfg, xi=xi), seed, swap) for xi in (0.0, 0.5, 1.0) for seed in range(4)
-             for c, (cfg, swap) in enumerate(cases)]
-    oracles = [run(lane, seed, swap_mayor_weights=swap) for _, lane, seed, swap in lanes]
+    lanes = [(c, replace(cfg, xi=xi), seed) for xi in (0.0, 0.5, 1.0) for seed in range(4)
+             for c, cfg in enumerate(cases)]
+    oracles = [run(lane, seed) for _, lane, seed in lanes]
     prefixes, pairs, decider_prefixes = set(), set(), set()
     for (c, *_), oracle in zip(lanes, oracles):
         chosen = tuple(record.chosen for record in oracle.decisions)
@@ -330,8 +338,8 @@ def test_memo_computes_each_build_prefix_once(monkeypatch):
     assert len(pairs) < len(decider_prefixes)
     advanced, decided = _record_calls(monkeypatch, "advance"), _record_calls(monkeypatch, "decide_and_build")
     memo = {}
-    for (_, lane, seed, swap), oracle in zip(lanes, oracles):
-        _assert_same_run(run(lane, seed, swap_mayor_weights=swap, memo=memo), oracle)
+    for (_, lane, seed), oracle in zip(lanes, oracles):
+        _assert_same_run(run(lane, seed, memo=memo), oracle)
     assert (len(advanced), len(decided)) == (len(prefixes), len(pairs))
 
 
@@ -439,6 +447,56 @@ def test_derived_travel_times_equal_the_assigned_ones(monkeypatch, cfg):
         assert state.travel_times.tobytes() == assigned[-1][1].tobytes()
     if cfg.grid_rows == 2:
         assert state.decisions[-1].chosen is None
+
+
+def test_network_is_the_assigned_one_plus_the_chosen_link():
+    # A state stores the assigned network and its decisions; the built
+    # network is derived from them, and a memo's decision entry holds the
+    # record alone. The 2x2 grid with one pre-seeded link saturates after
+    # five builds, so its last steps build nothing.
+    assert [f.name for f in fields(SimState)] == ["metropolis", "assigned", "history", "decisions", "density_history"]
+    cfg = two_city_config(grid_rows=2, grid_cols=2, minor_position=(1, 1), dominant_position=(0, 0), steps=8,
+                          initial_links=((0, 3),))
+    state = initial_state(cfg)
+    assert state.network is state.assigned
+    rng, memo = random.Random(0), {}
+    for _ in range(cfg.steps):
+        state = step(state, rng, xi=cfg.xi, memo=memo, scenario="")
+        chosen, network, assigned = state.decisions[-1].chosen, state.network, state.assigned
+        if chosen is None:
+            assert network is assigned
+        else:
+            assert network.a.tolist() == [*assigned.a.tolist(), chosen[0]]
+            assert network.b.tolist() == [*assigned.b.tolist(), chosen[1]]
+            assert network.flow.tolist() == [*assigned.flow.tolist(), 0.0]
+    assert [row.link_count for row in state.history] == [1, 2, 3, 4, 5, 6, 6, 6, 6]
+    assert state.history[-1].link_count == len(state.network)
+    decided = [value for key, value in memo.items() if isinstance(key, tuple) and isinstance(key[-1], Stakeholder)]
+    assert len(decided) == cfg.steps and all(isinstance(record, DecisionRecord) for record in decided)
+
+
+@pytest.mark.parametrize("congested", [False, True], ids=["free-flow", "congested"])
+def test_power_of_two_scale_scales_indicators_exactly(congested):
+    # With land use off, scaling every centre's amplitude and the capacity
+    # by 2**k scales workers, jobs, trips and flows by 2**k and leaves every
+    # flow over capacity as it was, all exactly. So the same links are
+    # built on bit-equal times, while accessibility and every objective
+    # scale by exactly 4**k and total travel time by exactly 2**k.
+    cfg = two_city_config(grid_rows=8, grid_cols=8, minor_position=(6, 6), dominant_position=(1, 1), steps=3,
+                          congestion_in_evaluation=congested, capacity=60.0)
+    base = run(cfg, 0)
+    for k in (1, -2):
+        scaled = run(replace(cfg, centers=tuple(replace(c, amplitude=c.amplitude * 2.0**k) for c in cfg.centers),
+                             capacity=cfg.capacity * 2.0**k), 0)
+        assert [d.chosen for d in scaled.decisions] == [d.chosen for d in base.decisions]
+        assert scaled.travel_times.tobytes() == base.travel_times.tobytes()
+        for row, scaled_row in zip(base.history, scaled.history, strict=True):
+            assert scaled_row.total_accessibility == row.total_accessibility * 4.0**k
+            assert scaled_row.total_travel_time == row.total_travel_time * 2.0**k
+        for d, scaled_d in zip(base.decisions, scaled.decisions):
+            assert (scaled_d.objective_before, scaled_d.objective_after) == (
+                d.objective_before * 4.0**k, d.objective_after * 4.0**k)
+            assert scaled_d.evaluations == tuple((a, b, value * 4.0**k) for a, b, value in d.evaluations)
 
 
 def test_memo_keeps_scenarios_apart():
