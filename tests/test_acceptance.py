@@ -21,8 +21,10 @@ from metrosim import engine
 from metrosim.engine import replicate, run
 from metrosim.governance import select_stakeholder
 from metrosim.landuse import choice_probabilities
-from metrosim.transport import Network, congested_times, furness_balance, intra_cell_time, shortest_times
-from metrosim.world import grid_centroids, init_metropolis, mayor_weights, natural_totals
+from metrosim.transport import Network, congested_times, furness_balance, shortest_times
+from metrosim.world import init_metropolis, mayor_weights, natural_totals
+
+from oracles import floyd_warshall_oracle
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -69,13 +71,6 @@ def test_criterion_1_furness_correctness():
 # 2. Shortest-path oracle equivalence
 
 
-def _floyd_warshall(weights: np.ndarray) -> np.ndarray:
-    d = weights.copy()
-    for k in range(d.shape[0]):
-        d = np.minimum(d, d[:, k][:, None] + d[k, :][None, :])
-    return d
-
-
 def test_criterion_2_shortest_path_oracle():
     rng = random.Random(777)
     worst = 0.0
@@ -86,7 +81,6 @@ def test_criterion_2_shortest_path_oracle():
                               minor_position=(rows - 1, cols - 1), dominant_position=(0, 0))
         metropolis = init_metropolis(cfg, 100.0, 100.0)
         n = metropolis.n_cells
-        pts = grid_centroids(cfg)
         net, seen = Network(), set()
         for _ in range(rng.randint(0, 40)):
             a, b = rng.sample(range(n), 2)
@@ -99,14 +93,8 @@ def test_criterion_2_shortest_path_oracle():
         net = replace(net, flow=np.array([rng.uniform(0.0, 4.0) * cfg.capacity for _ in range(len(net))]))
 
         d = shortest_times(net, metropolis)
-
-        diff = pts[:, None, :] - pts[None, :, :]
-        weights = np.hypot(diff[..., 0], diff[..., 1]) / cfg.v_local
-        for a, b, t in zip(net.a.tolist(), net.b.tolist(), congested_times(net, metropolis).tolist()):
-            if t < weights[a, b]:
-                weights[a, b] = weights[b, a] = t
-        oracle = _floyd_warshall(weights)
-        np.fill_diagonal(oracle, intra_cell_time(metropolis))
+        oracle = floyd_warshall_oracle(metropolis, zip(net.a.tolist(), net.b.tolist()),
+                                       congested_times(net, metropolis).tolist())
         worst = max(worst, float(np.max(np.abs(d - oracle))))
     _report("criterion-2", worst < 1e-9,
             f"100 random networks (<=25 cells, <=40 links): max deviation {worst:.2e} (<1e-9)")

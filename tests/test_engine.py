@@ -499,6 +499,64 @@ def test_power_of_two_scale_scales_indicators_exactly(congested):
             assert scaled_d.evaluations == tuple((a, b, value * 4.0**k) for a, b, value in d.evaluations)
 
 
+def _assert_same_indicators(base, other):
+    """Equal link counts, and every indicator within a relative 1e-9 of the other run's."""
+    for row, other_row in zip(base.history, other.history, strict=True):
+        assert other_row.link_count == row.link_count
+        for value, other_value in zip((row.total_accessibility, row.total_travel_time, *row.mayor_objectives),
+                                      (other_row.total_accessibility, other_row.total_travel_time,
+                                       *other_row.mayor_objectives), strict=True):
+            assert abs(other_value - value) <= 1e-9 * abs(value)
+
+
+@pytest.mark.parametrize("congested", [False, True], ids=["free-flow", "congested"])
+def test_transposed_grid_builds_the_transposed_links(congested):
+    # Swapping grid_rows and grid_cols and transposing every centre and
+    # initial link maps cell r C + c to c R + r and leaves every distance as
+    # it was. So the transposed run builds the transposed links, and its
+    # indicators differ only by the order of sums.
+    rows, cols = 4, 7
+    cfg = two_city_config(grid_rows=rows, grid_cols=cols, minor_position=(3, 5), dominant_position=(0, 1), steps=3,
+                          initial_links=((0, 8),), landuse_enabled=True, congestion_in_evaluation=congested,
+                          capacity=60.0)
+
+    def transpose(cell):
+        return cell % cols * rows + cell // cols
+
+    transposed = replace(cfg, grid_rows=cols, grid_cols=rows,
+                         centers=tuple(replace(c, position=c.position[::-1]) for c in cfg.centers),
+                         initial_links=tuple((transpose(a), transpose(b)) for a, b in cfg.initial_links))
+    for seed in (0, 1):
+        base, other = run(cfg, seed), run(transposed, seed)
+        assert [d.chosen and tuple(sorted(map(transpose, d.chosen))) for d in base.decisions] == [
+            d.chosen for d in other.decisions]
+        _assert_same_indicators(base, other)
+
+
+@pytest.mark.parametrize("congested", [False, True], ids=["free-flow", "congested"])
+def test_permuted_categories_build_the_same_links(congested):
+    # Permuting the categories' mix, m and m_prime together relabels the
+    # categories and nothing else: the run builds the same links, and its
+    # indicators differ only by the order of sums over categories. The
+    # centres, mixes and preference matrices are asymmetric, so no mirror
+    # link ties with the one built.
+    base_cfg = two_city_config(grid_rows=6, grid_cols=6, minor_position=(1, 2), dominant_position=(4, 5), steps=3,
+                               landuse_enabled=True, congestion_in_evaluation=congested, capacity=60.0)
+    m = np.array([[0.05, 0.02, 0.0], [0.01, 0.04, 0.03], [0.0, 0.02, 0.06]])
+    m_prime = np.array([[0.03, 0.0, 0.01], [0.02, 0.05, 0.0], [0.01, 0.03, 0.04]])
+    mixes = ((0.5, 0.3, 0.2), (0.1, 0.6, 0.3))
+
+    def with_categories(order):
+        return replace(base_cfg, categories=3, m=m[np.ix_(order, order)], m_prime=m_prime[np.ix_(order, order)],
+                       centers=tuple(replace(c, mix=tuple(mix[k] for k in order))
+                                     for c, mix in zip(base_cfg.centers, mixes, strict=True)))
+
+    for seed in (0, 1):
+        base, permuted = run(with_categories([0, 1, 2]), seed), run(with_categories([2, 0, 1]), seed)
+        assert [d.chosen for d in base.decisions] == [d.chosen for d in permuted.decisions]
+        _assert_same_indicators(base, permuted)
+
+
 def test_memo_keeps_scenarios_apart():
     # Two scenarios that differ in more than xi share one memo but no state.
     near, far = two_city_config(steps=2, xi=0.5), two_city_config(steps=2, xi=0.5, dominant_position=(1, 8))

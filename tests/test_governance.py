@@ -29,14 +29,15 @@ from metrosim.transport import (
 )
 from metrosim.world import grid_centroids, init_metropolis
 
-
-def make_metropolis(**cfg_kwargs):
-    cfg_kwargs.setdefault("grid_rows", 5)
-    cfg_kwargs.setdefault("grid_cols", 5)
-    cfg_kwargs.setdefault("minor_position", (4, 4))
-    cfg_kwargs.setdefault("dominant_position", (0, 0))
-    cfg = two_city_config(**cfg_kwargs)
-    return init_metropolis(cfg, 1000.0, 1000.0)
+from oracles import (
+    box_bound_oracle,
+    enumerate_candidates_oracle,
+    evaluate_candidate_oracle,
+    make_metropolis,
+    row_column_bound_oracle,
+    trial_times_oracle,
+    zero_flow,
+)
 
 
 def candidate_pairs(network, metropolis):
@@ -45,72 +46,24 @@ def candidate_pairs(network, metropolis):
     return list(zip(a.tolist(), b.tolist()))
 
 
-def enumerate_candidates_oracle(network, metropolis):
-    """Brute-force candidate pairs, walking the grid cell by cell."""
-    cfg = metropolis.config
-    rows, cols = cfg.grid_rows, cfg.grid_cols
-    pairs = set()
-    for r in range(rows):
-        for c in range(cols):
-            a = r * cols + c
-            for dr, dc in ((0, 1), (1, -1), (1, 0), (1, 1)):
-                r2, c2 = r + dr, c + dc
-                if 0 <= r2 < rows and 0 <= c2 < cols:
-                    pairs.add((a, r2 * cols + c2))
-    touched = network.endpoints()
-    for i, a in enumerate(touched):
-        for b in touched[i + 1 :]:
-            (ra, ca), (rb, cb) = divmod(a, cols), divmod(b, cols)
-            if 1 <= max(abs(ra - rb), abs(ca - cb)) <= cfg.network_extension_radius:
-                pairs.add((a, b))
-    links = {(min(a, b), max(a, b)) for a, b in zip(network.a.tolist(), network.b.tolist())}
-    return sorted(pairs - links)
-
-
-def zero_flow(network):
-    """The network with its flows set to zero: its shortest times are the free-flow times."""
-    return replace(network, flow=np.zeros(len(network)))
-
-
 def zero_flow_link_times(metropolis, a, b):
     """Each candidate a-b's time at zero flow, the link times _LinkGains prices."""
     return congested_times(Network(a, b, np.zeros(len(a))), metropolis)
 
 
-def trial_times_oracle(metropolis, network, a, b):
-    """Travel times after building a-b, recomputed from scratch on a copy of the network.
-
-    Free-flow (zero-flow) shortest times by default; with congestion_in_evaluation set,
-    the current demand is re-distributed on the current times and assigned
-    on the extended network.
-    """
-    cfg = metropolis.config
-    trial = network.with_link(a, b)
-    if cfg.congestion_in_evaluation:
-        od = distribute(metropolis, shortest_times(network, metropolis))
-        return assign_traffic(od.flows, trial, metropolis, cfg.assignment_iterations)[1]
-    return shortest_times(zero_flow(trial), metropolis)
-
-
-def evaluate_candidate_oracle(metropolis, network, a, b, stakeholder):
-    """Objective after building a-b, on the times of trial_times_oracle."""
-    d = trial_times_oracle(metropolis, network, a, b)
-    return _territory_accessibility(metropolis, d, stakeholder.territory_cells(metropolis))
-
-
 STAKEHOLDERS = (Stakeholder(), Stakeholder(mayor=0), Stakeholder(mayor=1))
 
 
-def random_case(n: int, seed: int):
-    """An n x n metropolis with seeded perturbed land use and a few random links."""
-    metropolis = make_metropolis(grid_rows=n, grid_cols=n, minor_position=(n - 1, n - 1))
+def random_case(rows: int, cols: int, seed: int):
+    """A rows x cols metropolis with seeded perturbed land use and a few random links."""
+    metropolis = make_metropolis(rows, cols)
     rng = random.Random(seed)
     np_rng = np.random.default_rng(seed)
     workers = metropolis.workers * np_rng.uniform(0.5, 1.5, metropolis.workers.shape)
     metropolis = replace(metropolis, workers=workers,
                          jobs=metropolis.jobs * np_rng.uniform(0.5, 1.5, metropolis.jobs.shape))
     net = Network()
-    for _ in range(rng.randint(1, n)):
+    for _ in range(rng.randint(1, max(rows, cols))):
         a, b = rng.choice(candidate_pairs(net, metropolis))
         net = net.with_link(a, b)
     return metropolis, net
@@ -122,7 +75,7 @@ def loaded_congested_case(n: int, seed: int, capacity: float = 1500.0):
     The network is loaded by one assignment of the current demand, as a run
     step does, so its current times differ from free-flow times.
     """
-    metropolis, net = random_case(n, seed)
+    metropolis, net = random_case(n, n, seed)
     cfg = replace(metropolis.config, congestion_in_evaluation=True, capacity=capacity)
     metropolis = replace(metropolis, config=cfg)
     od = distribute(metropolis, shortest_times(net, metropolis))
@@ -186,14 +139,12 @@ def test_draw_order_is_level_then_mayor():
 
 
 def test_two_by_two_grid_has_six_candidates():
-    metropolis = make_metropolis(grid_rows=2, grid_cols=2,
-                                 minor_position=(1, 1), dominant_position=(0, 0))
+    metropolis = make_metropolis(rows=2, cols=2)
     assert candidate_pairs(Network(), metropolis) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
 
 def test_saturated_network_has_no_candidates():
-    metropolis = make_metropolis(grid_rows=2, grid_cols=2,
-                                 minor_position=(1, 1), dominant_position=(0, 0))
+    metropolis = make_metropolis(rows=2, cols=2)
     net = build_network(((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
     assert candidate_pairs(net, metropolis) == []
 
@@ -219,11 +170,14 @@ def test_extension_candidates_respect_radius():
 
 
 def test_enumeration_matches_loop_oracle():
-    for n, seed in ((5, 0), (5, 1), (5, 2), (10, 0), (10, 1), (10, 2)):
-        metropolis, net = random_case(n, seed)
+    # The non-square grids catch cells split into rows and columns by the
+    # wrong dimension.
+    for rows, cols, seed in ((5, 5, 0), (5, 5, 1), (5, 5, 2), (10, 10, 0), (10, 10, 1), (10, 10, 2),
+                             (4, 7, 0), (7, 4, 0)):
+        metropolis, net = random_case(rows, cols, seed)
         # The same links stored with their endpoints swapped (b < a).
         flipped = build_network(tuple(zip(net.b.tolist(), net.a.tolist())))
-        for radius in (1, 3, n):
+        for radius in (1, 3, max(rows, cols)):
             case = replace(metropolis, config=replace(metropolis.config, network_extension_radius=radius))
             for network in (net, flipped):
                 assert candidate_pairs(network, case) == enumerate_candidates_oracle(network, case)
@@ -302,8 +256,7 @@ def test_evaluation_leaves_network_untouched():
     # input network's arrays, in either evaluation mode.
     names = ("a", "b", "flow")
     for congested in (False, True):
-        metropolis = make_metropolis(grid_rows=3, grid_cols=3, minor_position=(2, 2),
-                                     congestion_in_evaluation=congested)
+        metropolis = make_metropolis(rows=3, cols=3, congestion_in_evaluation=congested)
         net = build_network(((0, 4),))
         net.flow[0] = 42.0
         before = {name: getattr(net, name).copy() for name in names}
@@ -320,7 +273,7 @@ def test_incremental_evaluation_matches_full_recompute():
     # the one-link relaxation, and every score it reports must match a full
     # shortest-path recomputation.
     for n, seed in ((5, 0), (5, 1), (5, 2), (10, 0), (10, 1), (10, 2)):
-        metropolis, net = random_case(n, seed)
+        metropolis, net = random_case(n, n, seed)
         candidates = candidate_pairs(net, metropolis)
         d_base = shortest_times(zero_flow(net), metropolis)
         floor = intra_cell_time(metropolis)
@@ -356,7 +309,7 @@ def test_debug_margin_never_exceeds_the_true_margin(caplog):
     caplog.set_level(logging.DEBUG, logger="metrosim.governance")
     one_scored = 0
     for n, seed in ((5, 0), (5, 1), (10, 0), (10, 1)):
-        metropolis, net = random_case(n, seed)
+        metropolis, net = random_case(n, n, seed)
         d_base = shortest_times(zero_flow(net), metropolis)
         floor = intra_cell_time(metropolis)
         for stakeholder in STAKEHOLDERS:
@@ -379,7 +332,7 @@ def test_debug_margin_never_exceeds_the_true_margin(caplog):
 
 def test_gain_bound_holds_for_every_candidate():
     for n, seed in ((5, 3), (5, 4), (10, 5)):
-        metropolis, net = random_case(n, seed)
+        metropolis, net = random_case(n, n, seed)
         a, b = enumerate_candidates(net, metropolis)
         d_base = shortest_times(zero_flow(net), metropolis)
         for stakeholder in STAKEHOLDERS:
@@ -393,37 +346,6 @@ def test_gain_bound_holds_for_every_candidate():
                 assert gains.gain(k) == pytest.approx(exact, abs=1e-12 * abs(before))
 
 
-def row_column_bound_oracle(gains):
-    """Per direction x -> y, the smaller of a row bound against P = W K^T over
-    every column and a column bound against Q = K_T^T W over every row of T."""
-    KTt = np.ascontiguousarray(gains.K.T[:, gains.cells])  # KTt[x, i] = K_ix
-    weights = gains.workers @ gains.jobs.T                 # (|T|, N)
-    P, Q = weights @ gains.K.T, KTt @ weights              # P[i, y], Q[x, j]
-    out = np.zeros(len(gains.a))
-    for k, (a, b, c) in enumerate(zip(gains.a, gains.b, gains.c)):
-        for x, y in ((a, b), (b, a)):
-            row = np.maximum(c * KTt[x] - KTt[y], 0.0) @ P[:, y]
-            col = np.maximum(c * gains.K[y] - gains.K[x], 0.0) @ Q[x]
-            out[k] += min(row, col)
-    return out
-
-
-def box_bound_oracle(gains, KTt):
-    """The box bound with K_ix read from KTt[x, i], an (N, |T|) array: per
-    chunk of 64 candidates, one masked pass per route direction."""
-    out = np.zeros(len(gains.a))
-    for s in range(0, len(out), 64):
-        a, b = gains.a[s : s + 64], gains.b[s : s + 64]
-        c = gains.c[s : s + 64, None]
-        ta, tb, ka, kb = KTt[a], KTt[b], gains.K[a], gains.K[b]
-        for tx, ty, kx, ky in ((ta, tb, ka, kb), (tb, ta, kb, ka)):
-            in_r, in_c = c * tx > ty, c * ky > kx                 # the block R x C
-            row = (((c * tx - ty) * in_r) @ gains.workers) * ((ky * in_c) @ gains.jobs)
-            col = ((tx * in_r) @ gains.workers) * (((c * ky - kx) * in_c) @ gains.jobs)
-            out[s : s + 64] += np.minimum(row.sum(axis=1), col.sum(axis=1))
-    return out
-
-
 def test_box_bound_matches_oracle_on_either_reading_of_the_kernel():
     # bounds() reads K_ix from row x of K, as K_xi. Fed those rows, the
     # two-pass oracle must give the same bounds up to rounding. Fed the true
@@ -433,7 +355,7 @@ def test_box_bound_matches_oracle_on_either_reading_of_the_kernel():
     # the same bound. Both cases must occur.
     asymmetric = flipped = 0
     for n, seed in ((5, 3), (5, 4), (10, 5), (10, 0), (15, 1)):
-        metropolis, net = random_case(n, seed)
+        metropolis, net = random_case(n, n, seed)
         a, b = enumerate_candidates(net, metropolis)
         d_base = shortest_times(zero_flow(net), metropolis)
         asymmetric += not np.array_equal(d_base, d_base.T)
@@ -465,7 +387,7 @@ def test_box_bound_is_no_looser_than_row_column_bound():
     # every row of the territory.
     tighter = 0
     for n, seed in ((5, 3), (5, 4), (10, 5)):
-        metropolis, net = random_case(n, seed)
+        metropolis, net = random_case(n, n, seed)
         a, b = enumerate_candidates(net, metropolis)
         d_base = shortest_times(zero_flow(net), metropolis)
         for stakeholder in STAKEHOLDERS:
@@ -484,7 +406,7 @@ def test_free_flow_times_obey_triangle_inequality():
     # The free-flow search is exact only because d_ij <= d_ik + d_kj: its
     # block split of a link's gain and its pruning bound both rest on it.
     for n, seed in ((5, 6), (10, 7), (10, 8)):
-        metropolis, net = random_case(n, seed)
+        metropolis, net = random_case(n, n, seed)
         d = shortest_times(zero_flow(net), metropolis)
         np.fill_diagonal(d, 0.0)
         tol = 1e-12 * d.max()
@@ -498,7 +420,7 @@ def test_free_flow_times_are_symmetric_to_rounding():
     # the closure must keep them so to within a few ulp.
     asymmetric = 0
     for n, seed in ((5, 6), (10, 7), (10, 8), (15, 1)):
-        metropolis, net = random_case(n, seed)
+        metropolis, net = random_case(n, n, seed)
         d = shortest_times(zero_flow(net), metropolis)
         assert (np.abs(d - d.T) <= 4 * np.finfo(float).eps * np.maximum(d, d.T)).all()
         asymmetric += not np.array_equal(d, d.T)
@@ -553,8 +475,7 @@ def test_free_flow_scoring_prices_links_at_their_zero_flow_times():
 
 def test_single_candidate_is_built():
     for congested in (False, True):
-        metropolis = make_metropolis(grid_rows=2, grid_cols=2, minor_position=(1, 1), dominant_position=(0, 0),
-                                     congestion_in_evaluation=congested)
+        metropolis = make_metropolis(rows=2, cols=2, congestion_in_evaluation=congested)
         net = build_network(((0, 1), (0, 2), (0, 3), (1, 2), (2, 3)))
         built, record = decide_and_build(metropolis, net, Stakeholder())
         assert record.chosen == (1, 3)
@@ -565,8 +486,7 @@ def test_single_candidate_is_built():
 
 def test_no_candidates_records_no_build():
     for congested in (False, True):
-        metropolis = make_metropolis(grid_rows=2, grid_cols=2, minor_position=(1, 1), dominant_position=(0, 0),
-                                     congestion_in_evaluation=congested)
+        metropolis = make_metropolis(rows=2, cols=2, congestion_in_evaluation=congested)
         net = build_network(((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
         built, record = decide_and_build(metropolis, net, Stakeholder())
         assert record.chosen is None

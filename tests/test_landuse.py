@@ -18,14 +18,7 @@ from metrosim.landuse import (
 from metrosim.transport import Network, shortest_times
 from metrosim.world import init_metropolis
 
-
-def make_metropolis(**cfg_kwargs):
-    cfg_kwargs.setdefault("grid_rows", 5)
-    cfg_kwargs.setdefault("grid_cols", 5)
-    cfg_kwargs.setdefault("minor_position", (4, 4))
-    cfg_kwargs.setdefault("dominant_position", (0, 0))
-    cfg = two_city_config(**cfg_kwargs)
-    return init_metropolis(cfg, 1000.0, 1000.0)
+from oracles import make_metropolis
 
 
 def afc_times(metropolis):

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import heapq
 import random
 import tracemalloc
 from dataclasses import FrozenInstanceError, replace
@@ -8,10 +7,8 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
-from metrosim.config import two_city_config
 from metrosim.governance import Stakeholder, decide_and_build, enumerate_candidates
 from metrosim.transport import (
-    FurnessResult,
     Network,
     ODMatrix,
     _Routing,
@@ -26,336 +23,24 @@ from metrosim.transport import (
     shortest_times,
     total_travel_time,
 )
-from metrosim.world import grid_centroids, init_metropolis
 
-
-def make_metropolis(rows=5, cols=5, **cfg_kwargs):
-    cfg_kwargs.setdefault("minor_position", (rows - 1, cols - 1))
-    cfg_kwargs.setdefault("dominant_position", (0, 0))
-    cfg = two_city_config(grid_rows=rows, grid_cols=cols, **cfg_kwargs)
-    return init_metropolis(cfg, 1000.0, 1000.0)
-
-
-# ---------------------------------------------------------------------------
-# Oracles
-
-
-def afc_oracle(metropolis):
-    """Local-road times between cell centres, one pair at a time, zero diagonal."""
-    cfg = metropolis.config
-    pts = grid_centroids(cfg)
-    n = metropolis.n_cells
-    w = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            w[i, j] = float(np.hypot(*(pts[i] - pts[j]))) / cfg.v_local
-    return w
-
-
-def floyd_warshall_oracle(metropolis, links, times):
-    """Dense all-pairs relaxation over AFC edges plus regional links."""
-    n = metropolis.n_cells
-    w = afc_oracle(metropolis)
-    for (a, b), t in zip(links, times):
-        if t < w[a, b]:
-            w[a, b] = w[b, a] = t
-    d = w.copy()
-    for k in range(n):
-        d = np.minimum(d, d[:, k][:, None] + d[k, :][None, :])
-    np.fill_diagonal(d, intra_cell_time(metropolis))
-    return d
-
-
-def closure_times_oracle(metropolis, network):
-    """Times of the unsplit closure that also routed: Floyd-Warshall with successors,
-    the argmin/take_along_axis join and np.where against the AFC times, on the
-    network's link times at its flows.
-    """
-    afc = metropolis.distance_km / metropolis.config.v_local
-    d = afc.copy()
-    if len(network):
-        link_times = congested_times(network, metropolis)
-        terminals = np.array(sorted(set(network.a.tolist()) | set(network.b.tolist())))
-        t = len(terminals)
-        dist = afc[np.ix_(terminals, terminals)]
-        ia = np.searchsorted(terminals, network.a)
-        ib = np.searchsorted(terminals, network.b)
-        li = np.nonzero(link_times < dist[ia, ib])[0]
-        dist[ia[li], ib[li]] = dist[ib[li], ia[li]] = link_times[li]
-        succ = np.tile(np.arange(t), (t, 1))
-        for k in range(t):
-            cand = dist[:, k : k + 1] + dist[k : k + 1, :]
-            better = cand < dist
-            if better.any():
-                dist = np.where(better, cand, dist)
-                succ = np.where(better, np.broadcast_to(succ[:, k : k + 1], succ.shape), succ)
-        access = afc[:, terminals]
-        via = access[:, :, None] + dist[None, :, :]
-        entry_for_exit = via.argmin(axis=1)
-        best_via = np.take_along_axis(via, entry_for_exit[:, None, :], axis=1)[:, 0, :]
-        full = best_via[:, None, :] + access[None, :, :]
-        exit_term = full.argmin(axis=2)
-        d_net = np.take_along_axis(full, exit_term[:, :, None], axis=2)[:, :, 0]
-        d = np.where(d_net < afc, d_net, afc)
-    np.fill_diagonal(d, intra_cell_time(metropolis))
-    return d
-
-
-def load_all_or_nothing_oracle(od, metropolis, network):
-    """The loader with the whole join at once, and how many routed pairs tie.
-
-    Builds the (N, t, t) and (N, N, t) join arrays, takes argmin and
-    take_along_axis over their terminal axes and groups routes with np.add.at.
-    Returns the loads, the routed pairs whose best entry terminal ties with
-    another and those whose best exit terminal does.
-    """
-    loads = np.zeros(len(network))
-    if not len(network):
-        return loads, 0, 0
-    afc = metropolis.distance_km / metropolis.config.v_local
-    times = congested_times(network, metropolis)
-    terminals = np.array(network.endpoints())
-    t = len(terminals)
-    dist = afc[np.ix_(terminals, terminals)]
-    edge_link = np.full((t, t), -1, dtype=int)
-    ia = np.searchsorted(terminals, network.a)
-    ib = np.searchsorted(terminals, network.b)
-    li = np.nonzero(times < dist[ia, ib])[0]
-    ia, ib = ia[li], ib[li]
-    dist[ia, ib] = dist[ib, ia] = times[li]
-    edge_link[ia, ib] = edge_link[ib, ia] = li
-
-    succ = np.tile(np.arange(t), (t, 1))
-    for k in range(t):
-        cand = dist[:, k : k + 1] + dist[k : k + 1, :]
-        better = cand < dist
-        if better.any():
-            dist = np.where(better, cand, dist)
-            succ = np.where(better, np.broadcast_to(succ[:, k : k + 1], succ.shape), succ)
-
-    access = afc[:, terminals]                                   # (N, t)
-    via = access[:, :, None] + dist[None, :, :]                  # (N, t_a, t_b)
-    entry_for_exit = via.argmin(axis=1)                          # (N, t_b)
-    best_via = np.take_along_axis(via, entry_for_exit[:, None, :], axis=1)[:, 0, :]  # (N, t_b)
-    full = best_via[:, None, :] + access[None, :, :]             # (N, N, t_b)
-    exit_term = full.argmin(axis=2)                              # (N, N)
-    d_net = np.take_along_axis(full, exit_term[:, :, None], axis=2)[:, :, 0]
-    entry_term = np.take_along_axis(entry_for_exit, exit_term, axis=1)
-
-    mask = (d_net < afc) & (od > 0.0)
-    entry_ties = (via == best_via[:, None, :]).sum(axis=1) > 1  # (N, t_b)
-    rows = np.nonzero(mask)[0]
-    n_entry_ties = int(entry_ties[rows, exit_term[mask]].sum())
-    n_exit_ties = int(((full[mask] == d_net[mask][:, None]).sum(axis=1) > 1).sum())
-    if not mask.any():
-        return loads, n_entry_ties, n_exit_ties
-    grouped = np.zeros((t, t))
-    np.add.at(grouped, (entry_term[mask], exit_term[mask]), od[mask])
-    for ei, xi in zip(*np.nonzero(grouped)):
-        flow = grouped[ei, xi]
-        u = ei
-        while u != xi:
-            v = succ[u, xi]
-            li = edge_link[u, v]
-            if li >= 0:
-                loads[li] += flow
-            u = v
-    return loads, n_entry_ties, n_exit_ties
-
-
-def per_group_walk_oracle(od, metropolis, network):
-    """The loader that walks one (entry, exit) group at a time in a Python loop.
-
-    Folds the network's congested times with np.where and masked copies,
-    takes the routed pairs from two (N, N) masks, sums their flows per group
-    with bincount and walks each group's endpoint path hop by hop, adding
-    its flow to every link it rides.
-    """
-    loads = np.zeros(len(network))
-    if not len(network):
-        return loads
-    d = metropolis.distance_km / metropolis.config.v_local
-    times = congested_times(network, metropolis)
-    terminals = network.endpoints()
-    t = len(terminals)
-    dist = d[terminals[:, None], terminals]
-    edge_link = np.full((t, t), -1, dtype=int)
-    ia = np.searchsorted(terminals, network.a)
-    ib = np.searchsorted(terminals, network.b)
-    li = np.nonzero(times < dist[ia, ib])[0]
-    ia, ib = ia[li], ib[li]
-    dist[ia, ib] = dist[ib, ia] = times[li]
-    edge_link[ia, ib] = edge_link[ib, ia] = li
-
-    succ = np.tile(np.arange(t), (t, 1))
-    for k in range(t):
-        cand = dist[:, k : k + 1] + dist[k : k + 1, :]
-        better = cand < dist
-        if better.any():
-            dist = np.where(better, cand, dist)
-            succ = np.where(better, np.broadcast_to(succ[:, k : k + 1], succ.shape), succ)
-
-    access = d[:, terminals]
-    best_via = access[:, :1] + dist[:1]
-    entry_for_exit = np.zeros(best_via.shape, dtype=np.intp)
-    for a in range(1, t):
-        via = access[:, a : a + 1] + dist[a : a + 1]
-        better = via < best_via
-        np.copyto(best_via, via, where=better)
-        np.copyto(entry_for_exit, a, where=better)
-    exit_term = np.full(d.shape, -1, dtype=np.intp)
-    for b in range(t):
-        leg = best_via[:, b : b + 1] + access[:, b]
-        better = leg < d
-        np.copyto(d, leg, where=better)
-        np.copyto(exit_term, b, where=better)
-
-    rows, cols = np.nonzero((exit_term >= 0) & (od > 0.0))
-    exits = exit_term[rows, cols]
-    pair = entry_for_exit[rows, exits] * t + exits
-    grouped = np.bincount(pair, weights=od[rows, cols], minlength=t * t).reshape(t, t)
-    for ei, xi in zip(*np.nonzero(grouped)):
-        flow = grouped[ei, xi]
-        u = ei
-        while u != xi:
-            v = succ[u, xi]
-            li = edge_link[u, v]
-            if li >= 0:
-                loads[li] += flow
-            u = v
-    return loads
+from oracles import (
+    afc_oracle,
+    closure_times_oracle,
+    dijkstra_load_oracle,
+    floyd_warshall_oracle,
+    furness_oracle,
+    furness_residual_trace,
+    ipf_oracle,
+    load_all_or_nothing_oracle,
+    make_metropolis,
+    per_group_walk_oracle,
+)
 
 
 def load_all_or_nothing(od, network, metropolis):
     """One all-or-nothing pass of assign_traffic's loader at the network's congested times."""
     return _Routing(network, metropolis).loads(od, congested_times(network, metropolis))
-
-
-def ipf_oracle(origins, destinations, d, lam, sweeps=5000, tol=1e-13):
-    """Reference iterative proportional fitting by direct row/column scaling."""
-    flows = np.outer(origins, destinations) * np.exp(-lam * d)
-    target_rows = np.asarray(origins, dtype=float)
-    target_cols = np.asarray(destinations, dtype=float) * (target_rows.sum() / destinations.sum())
-    for _ in range(sweeps):
-        row = flows.sum(axis=1)
-        flows *= np.divide(target_rows, row, out=np.ones_like(row), where=row > 0)[:, None]
-        col = flows.sum(axis=0)
-        flows *= np.divide(target_cols, col, out=np.ones_like(col), where=col > 0)[None, :]
-        if (np.abs(flows.sum(axis=1) - target_rows).max() < tol
-                and np.abs(flows.sum(axis=0) - target_cols).max() < tol):
-            break
-    return flows
-
-
-def furness_oracle(origins, destinations, d, lam, tol, max_iter):
-    """The gravity balance that forms the flow matrix and its exact residual every iteration."""
-    def _marginal_error(flows, origins, destinations):
-        row = np.abs(flows.sum(axis=1) - origins) / np.maximum(origins, 1e-12)
-        col = np.abs(flows.sum(axis=0) - destinations) / np.maximum(destinations, 1e-12)
-        return float(max(row.max(initial=0.0), col.max(initial=0.0)))
-
-    a = np.asarray(origins, dtype=float)
-    e = np.asarray(destinations, dtype=float)
-    n = a.shape[0]
-    total_a, total_e = a.sum(), e.sum()
-    if total_a <= 0.0 or total_e <= 0.0:
-        zeros = np.zeros((n, n))
-        return FurnessResult(zeros, 0.0, 0, True)
-    e = e * (total_a / total_e)
-
-    kernel = np.exp(-lam * d)
-    p = np.ones(n)
-    q = np.ones(n)
-    flows = np.zeros((n, n))
-    residual = np.inf
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        denom_p = kernel @ (q * e)
-        p = np.divide(1.0, denom_p, out=np.zeros(n), where=denom_p > 0.0)
-        denom_q = kernel.T @ (p * a)
-        q = np.divide(1.0, denom_q, out=np.zeros(n), where=denom_q > 0.0)
-        flows = (p * a)[:, None] * (q * e)[None, :] * kernel
-        residual = _marginal_error(flows, a, e)
-        if residual < tol:
-            return FurnessResult(flows, residual, iterations, True)
-    return FurnessResult(flows, residual, iterations, False)
-
-
-def furness_residual_trace(a, e, d, lam, max_iter):
-    """Per iteration of furness_oracle, the residual taken from the scaling vectors and the exact one.
-
-    The vector residual is the balance's cheap test: row sums p a (K q e),
-    column sums q e (K^T p a).
-    """
-    def relative_error(rows, cols):
-        row = np.abs(rows - a) / np.maximum(a, 1e-12)
-        col = np.abs(cols - e) / np.maximum(e, 1e-12)
-        return float(max(row.max(initial=0.0), col.max(initial=0.0)))
-
-    e = e * (a.sum() / e.sum())
-    kernel = np.exp(-lam * d)
-    n = len(a)
-    q = np.ones(n)
-    trace = []
-    for _ in range(max_iter):
-        denom_p = kernel @ (q * e)
-        p = np.divide(1.0, denom_p, out=np.zeros(n), where=denom_p > 0.0)
-        denom_q = kernel.T @ (p * a)
-        q = np.divide(1.0, denom_q, out=np.zeros(n), where=denom_q > 0.0)
-        pa, qe = p * a, q * e
-        flows = pa[:, None] * qe[None, :] * kernel
-        trace.append((relative_error(pa * (kernel @ qe), qe * denom_q),
-                      relative_error(flows.sum(axis=1), flows.sum(axis=0))))
-    return trace
-
-
-def dijkstra_load_oracle(metropolis, network, od):
-    """Per-link loads from a heap Dijkstra over the dense AFC + links graph.
-
-    Ties between a link edge and the AFC edge of the same pair go to AFC,
-    matching the production rule that equal-time traffic stays local.
-    """
-    n = metropolis.n_cells
-    afc = afc_oracle(metropolis)
-    link_at = {}
-    for li, (a, b, t) in enumerate(zip(network.a.tolist(), network.b.tolist(), congested_times(network, metropolis).tolist())):
-        link_at[(a, b)] = link_at[(b, a)] = (t, li)
-    w = afc.copy()
-    for (a, b), (t, _li) in link_at.items():
-        if t < w[a, b]:
-            w[a, b] = t
-
-    loads = np.zeros(len(network))
-    for src in range(n):
-        dist = np.full(n, np.inf)
-        prev = np.full(n, -1)
-        dist[src] = 0.0
-        heap = [(0.0, src)]
-        while heap:
-            du, u = heapq.heappop(heap)
-            if du > dist[u]:
-                continue
-            for v in range(n):
-                if v == u:
-                    continue
-                alt = du + w[u, v]
-                if alt < dist[v]:
-                    dist[v] = alt
-                    prev[v] = u
-                    heapq.heappush(heap, (alt, v))
-        for dst in range(n):
-            if dst == src or od[src, dst] <= 0.0:
-                continue
-            if dist[dst] >= afc[src, dst]:  # direct AFC wins ties
-                continue
-            v = dst
-            while prev[v] != -1:
-                u = prev[v]
-                entry = link_at.get((u, v))
-                if entry is not None and entry[0] < afc[u, v]:
-                    loads[entry[1]] += od[src, dst]
-                v = u
-    return loads
 
 
 # ---------------------------------------------------------------------------
@@ -484,12 +169,17 @@ def test_loader_equals_the_whole_join_bit_for_bit():
 
 
 def saturated_network(metropolis):
-    """The network that holds every link enumerate_candidates offers, added round by round until none is left."""
-    net = Network()
+    """The network that holds every link enumerate_candidates offers, added round by round until none is left.
+
+    Fails, rather than running on, once the links outnumber the cell pairs,
+    as they do if a built link is offered again.
+    """
+    n, net = metropolis.n_cells, Network()
     while True:
         a, b = enumerate_candidates(net, metropolis)
         if not len(a):
             return net
+        assert len(net) + len(a) <= n * (n - 1) // 2, "enumerate_candidates offers a built link"
         for pair in zip(a.tolist(), b.tolist()):
             net = net.with_link(*pair)
 

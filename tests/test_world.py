@@ -23,18 +23,7 @@ from metrosim.world import (
     raw_density,
 )
 
-
-def _density_oracle(config, cell):
-    """Independent recomputation of the multi-centre exponential law at one cell."""
-    row, col = divmod(cell, config.grid_cols)
-    x = (col + 0.5) * config.cell_size_km
-    y = (row + 0.5) * config.cell_size_km
-    total = 0.0
-    for c in config.centers:
-        cx = (c.position[1] + 0.5) * config.cell_size_km
-        cy = (c.position[0] + 0.5) * config.cell_size_km
-        total += c.amplitude * math.exp(-c.gradient * math.hypot(x - cx, y - cy))
-    return total
+from oracles import density_oracle
 
 
 def test_density_at_center_equals_amplitude(small_config):
@@ -47,7 +36,7 @@ def test_density_at_center_equals_amplitude(small_config):
 def test_density_law_matches_oracle(two_city):
     rho = raw_density(two_city)
     for cell in range(two_city.n_cells):
-        assert abs(rho[cell] - _density_oracle(two_city, cell)) < 1e-12
+        assert abs(rho[cell] - density_oracle(two_city, cell)) < 1e-12
 
 
 def test_mirrored_centers_give_mirror_symmetric_field():
