@@ -27,9 +27,10 @@ log = logging.getLogger(__name__)
 # steps and a congested 10x10 run, seeds 0 and 1). So with this slack every
 # candidate that could tie the exact maximum is scored exactly.
 PRUNE_MARGIN = 1e-9
-# Kernel entries per gathered (slab, N) row block of bounds(): 1 << 13 keeps
-# each block at 64 KiB. 1 << 14 was slower at 10x10 (about 1.2 against 0.7 ms
-# per call, one BLAS thread).
+# Kernel entries per gathered (slab, N) row block of bounds(), one slab
+# being also the highest-ceiling candidates _bound_search box-bounds before
+# its first exact score: 1 << 13 keeps each block at 64 KiB. 1 << 14 was
+# slower at 10x10 (about 1.2 against 0.7 ms per call, one BLAS thread).
 _BOUND_ENTRIES = 1 << 13
 
 
@@ -198,6 +199,7 @@ class _LinkGains:
         self.V[:, s:] = self.jobs
         self.a, self.b = a, b
         self.c = np.exp(-cfg.nu * t)
+        self.slab = max(1, _BOUND_ENTRIES // n)                      # candidates per bounds() block
 
     def _block(self, kx: np.ndarray, ky: np.ndarray, m_xy: np.ndarray, m_yx: np.ndarray, c: float) -> float:
         """Exact gain of the pairs whose new best route runs x -> y over the link.
@@ -222,8 +224,26 @@ class _LinkGains:
         m_ab, m_ba = c * ka > kb, c * kb > ka
         return self._block(ka, kb, m_ab, m_ba, c) + self._block(kb, ka, m_ba, m_ab, c)
 
-    def bounds(self) -> np.ndarray:
-        """Upper bound on every candidate's gain: one box bound per route direction.
+    def ceiling(self) -> np.ndarray:
+        """Upper bound on every candidate's box bound, at O(S) per candidate.
+
+        On the rows R of the x -> y route, c K_ix - K_iy <= K_ix (c - K_xy),
+        as K_iy >= K_ix K_xy by the triangle inequality, and the terms are
+        positive there; widening R to T and C to every cell then bounds the
+        row form of bounds() by max(c - K_xy, 0) sum_s [sum_T w_is K_ix]
+        [sum_j u_js K_yj]. With K_ix read as K_xi, both sums are entries of
+        KV = K @ V, so one (N, N) x (N, 2S) product serves every candidate.
+        K_ab stands in for K_ba on the b -> a route, which moves the ceiling
+        only by rounding.
+        """
+        s = self.V.shape[1] // 2
+        KV = self.K @ self.V
+        ka, kb = KV[self.a], KV[self.b]
+        spread = np.einsum("ks,ks->k", ka[:, :s], kb[:, s:]) + np.einsum("ks,ks->k", kb[:, :s], ka[:, s:])
+        return np.maximum(self.c - self.K[self.a, self.b], 0.0) * spread
+
+    def bounds(self, idx: np.ndarray) -> np.ndarray:
+        """Upper bound on the gain of each candidate in idx: one box bound per route direction.
 
         The x -> y route can only win on the block R x C of _block. There
         c K_ix K_yj - K_ij is at most (c K_ix - K_iy) K_yj and at most
@@ -243,25 +263,31 @@ class _LinkGains:
         far inside PRUNE_MARGIN.
         """
         n, s2 = self.V.shape
-        s, k = s2 // 2, len(self.a)
-        slab = max(1, _BOUND_ENTRIES // n)
+        s, k, slab = s2 // 2, len(idx), self.slab
         masked = np.empty((4, min(slab, k), n))
         # sums[d, 0] and sums[d, 1]: K_x and K_y masked by m_xy, times V, for
         # direction d = 0 (a -> b) and d = 1 (b -> a).
         sums = np.empty((2, 2, k, s2))
         for lo in range(0, k, slab):
-            a, b = self.a[lo : lo + slab], self.b[lo : lo + slab]
-            c = self.c[lo : lo + slab, None]
+            part = idx[lo : lo + slab]
+            a, b, c = self.a[part], self.b[part], self.c[part, None]
             m = len(a)
-            ka, kb = self.K[a], self.K[b]
-            m_ab, m_ba = c * ka > kb, c * kb > ka
             rows = masked[:, :m]
+            # No (m, N) temporary: rows K_a and K_b are gathered into the
+            # blocks that end as K_a m_ba and K_b m_ba, and the other two
+            # blocks hold c K_a and c K_b for the comparisons first. take()
+            # writes into out unbuffered only outside mode="raise"; every
+            # index is in range, so "clip" clips nothing.
+            ka = self.K.take(a, axis=0, out=rows[3], mode="clip")
+            kb = self.K.take(b, axis=0, out=rows[2], mode="clip")
+            m_ab = np.multiply(ka, c, out=rows[0]) > kb
+            m_ba = np.multiply(kb, c, out=rows[1]) > ka
             np.multiply(ka, m_ab, out=rows[0])
             np.multiply(kb, m_ab, out=rows[1])
-            np.multiply(kb, m_ba, out=rows[2])
-            np.multiply(ka, m_ba, out=rows[3])
+            kb *= m_ba
+            ka *= m_ba
             sums[:, :, lo : lo + m] = (rows.reshape(4 * m, n) @ self.V).reshape(2, 2, m, s2)
-        c = self.c[:, None]
+        c = self.c[idx, None]
         rx, ry = sums[:, 0, :, :s], sums[:, 1, :, :s]                # sum_R w K_x, sum_R w K_y
         cy, cx = sums[::-1, 0, :, s:], sums[::-1, 1, :, s:]          # sum_C u K_y, sum_C u K_x
         row = ((c * rx - ry) * cy).sum(axis=2)
@@ -274,37 +300,59 @@ def _bound_search(
     before_ff: float,
     margin: float,
     exact: Callable[[int], float],
-) -> tuple[dict[int, float], float]:
+) -> tuple[dict[int, float], float, int]:
     """Best-first search for the candidates that may hold the maximum of exact(k).
 
     Requires exact(k) <= before_ff + link_gains.gain(k) for every candidate,
-    up to rounding, so that before_ff + bounds()[k] bounds it too.
-    Candidates are visited in descending bound order until before_ff +
-    bounds()[k] falls below the best exact score minus margin. A visited
-    candidate is scored with exact(k) only if before_ff + gain(k) can still
-    reach the best minus margin; until one is scored nothing can fall below
-    that, so gain(k) is not taken. Returns the exact scores by candidate index,
-    among which is every candidate that ties the maximum within the margin,
-    and the ceiling of the unscored candidates (-inf if none was left): the
-    highest of before_ff + gain(k) over the visited ones and before_ff +
-    bounds()[k] over the rest. Up to rounding, no unscored candidate's exact
-    score exceeds it.
+    up to rounding, so that before_ff plus the box bound, or plus the
+    ceiling above it, bounds it too. Four tiers, each tighter and dearer
+    than the last: ceiling() for every candidate, bounds() for those the
+    ceiling cannot rule out, gain(k), then exact(k).
+    1. The slab of highest ceilings (one _BOUND_ENTRIES block) is
+       box-bounded, and its highest box bound is scored exactly.
+    2. The other candidates are box-bounded only where before_ff +
+       ceiling can still reach the best score minus margin.
+    3. The box-bounded candidates are visited in descending bound order
+       until before_ff + bound falls below the best minus margin. A visited
+       candidate is scored only if before_ff + gain(k) can still reach it.
+    Returns the exact scores by candidate index, among which is every
+    candidate that ties the maximum within the margin; the ceiling of the
+    unscored candidates that decide_and_build logs (-inf if none was left),
+    the highest of before_ff + gain(k) over the visited ones, before_ff +
+    bound over the other box-bounded ones and before_ff + ceiling over the
+    unrefined ones, which up to rounding no unscored candidate's exact score
+    exceeds; and the number of candidates box-bounded.
     """
-    bounds = link_gains.bounds()
-    best = ceiling = -np.inf
-    scores: dict[int, float] = {}
-    for k in np.argsort(-bounds, kind="stable").tolist():
+    ceilings = link_gains.ceiling()
+    if not len(ceilings):
+        return {}, -np.inf, 0
+    order = np.argsort(-ceilings, kind="stable")
+    bounds = np.empty(len(order))
+    top = order[: link_gains.slab]
+    bounds[top] = link_gains.bounds(top)
+    first = int(top[np.argmax(bounds[top])])
+    best = exact(first)
+    scores = {first: best}
+    # The candidates whose ceiling can reach the best score lead the
+    # descending ceiling order; those past the slab are box-bounded too.
+    reach = max(len(top), np.count_nonzero(before_ff + ceilings >= best - margin))
+    ceiling = before_ff + ceilings[order[reach]] if reach < len(order) else -np.inf
+    refined = order[len(top) : reach]
+    bounds[refined] = link_gains.bounds(refined)
+    boxed = order[:reach]
+    for k in boxed[np.argsort(-bounds[boxed], kind="stable")].tolist():
         if before_ff + bounds[k] < best - margin:
             ceiling = max(ceiling, before_ff + bounds[k])
             break
-        if best > -np.inf:
-            tight = before_ff + link_gains.gain(k)
-            if tight < best - margin:
-                ceiling = max(ceiling, tight)
-                continue
+        if k in scores:
+            continue
+        tight = before_ff + link_gains.gain(k)
+        if tight < best - margin:
+            ceiling = max(ceiling, tight)
+            continue
         scores[k] = exact(k)
         best = max(best, scores[k])
-    return scores, ceiling
+    return scores, ceiling, len(boxed)
 
 
 def decide_and_build(
@@ -317,7 +365,9 @@ def decide_and_build(
     """Score the candidates for the stakeholder and build the best one.
 
     Both evaluation modes run one bound-pruned best-first search
-    (_bound_search) on zero-flow times, each candidate priced once. A
+    (_bound_search) on zero-flow times, each candidate priced once; it rules
+    candidates out by an O(S) ceiling, then a box bound, then the exact
+    free-flow gain, before any is scored exactly. A
     candidate's objective under either mode is at most the free-flow
     objective of the network plus that link, before_ff + _LinkGains.gain(k),
     because BPR times never decrease with flow. Every candidate whose
@@ -358,7 +408,8 @@ def decide_and_build(
             return _territory_accessibility(metropolis, d, cells)
 
     margin = PRUNE_MARGIN * max(abs(before), abs(before_ff))
-    scores, ceiling = _bound_search(_LinkGains(metropolis, d_ff, cells, a, b, t_link), before_ff, margin, exact)
+    scores, ceiling, boxed = _bound_search(
+        _LinkGains(metropolis, d_ff, cells, a, b, t_link), before_ff, margin, exact)
     ordered = sorted(scores)
     best = max(ordered, key=scores.__getitem__, default=None)
 
@@ -371,7 +422,7 @@ def decide_and_build(
         gap = f"best - highest unscored bound {top[0] - ceiling:.6g} (a lower bound on best - runner-up)"
     else:
         gap = "best - runner-up n/a"
-    log.debug("step %d: n_candidates %d, scored %d, %s", step, len(a), len(scores), gap)
+    log.debug("step %d: n_candidates %d, box-bounded %d, scored %d, %s", step, len(a), boxed, len(scores), gap)
     chosen = None if best is None else (int(a[best]), int(b[best]))
     record = DecisionRecord(
         step=step, mayor=stakeholder.mayor,

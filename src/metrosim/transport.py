@@ -272,12 +272,21 @@ def _walk_groups(flow: np.ndarray, succ: np.ndarray, edge_link: np.ndarray, n_li
     the hops' links are summed by bincount, which adds in input order
     starting from zero: every link's float additions are those of walking
     the groups one by one.
+
+    A path on t endpoints has at most t - 1 hops, so a group still short of
+    its exit after t passes rides a cycle of succ: that raises RuntimeError
+    naming the unfinished (entry, exit) groups.
     """
     t = len(succ)
     groups = np.flatnonzero(flow)
     u, x = np.divmod(groups, t)
     hops = []
     while (u != x).any():
+        if len(hops) == t:
+            stuck = groups[u != x]
+            pairs = list(zip((stuck // t).tolist(), (stuck % t).tolist()))
+            raise RuntimeError(f"route groups (entry, exit) {pairs} did not reach their exit "
+                               f"in {t} hops: the successor matrix has a cycle")
         v = succ[u, x]
         hops.append(edge_link[u, v])
         u = v

@@ -432,3 +432,36 @@ def box_bound_oracle(gains, KTt):
             col = ((tx * in_r) @ gains.workers) * (((c * ky - kx) * in_c) @ gains.jobs)
             out[s : s + 64] += np.minimum(row.sum(axis=1), col.sum(axis=1))
     return out
+
+
+def ceiling_oracle(gains):
+    """The ceiling from its definition, pair by pair per route direction x -> y:
+    the sum over i in T and every cell j of W_ij K_ix max(c - K_xy, 0) K_yj,
+    reading the true transpose K[i, x]."""
+    weights = gains.workers @ gains.jobs.T                 # (|T|, N)
+    out = np.zeros(len(gains.a))
+    for k, (a, b, c) in enumerate(zip(gains.a, gains.b, gains.c)):
+        for x, y in ((a, b), (b, a)):
+            out[k] += max(c - gains.K[x, y], 0.0) * (gains.K[gains.cells, x] @ weights @ gains.K[y])
+    return out
+
+
+def whole_pass_search(link_gains, before_ff, margin, exact):
+    """The bound-pruned search that box-bounds every candidate, with the
+    signature and results of governance._bound_search: visit all candidates
+    in descending box-bound order, tightening to gain(k) once one is scored."""
+    bounds = link_gains.bounds(np.arange(len(link_gains.a)))
+    best = ceiling = -np.inf
+    scores: dict[int, float] = {}
+    for k in np.argsort(-bounds, kind="stable").tolist():
+        if before_ff + bounds[k] < best - margin:
+            ceiling = max(ceiling, before_ff + bounds[k])
+            break
+        if best > -np.inf:
+            tight = before_ff + link_gains.gain(k)
+            if tight < best - margin:
+                ceiling = max(ceiling, tight)
+                continue
+        scores[k] = exact(k)
+        best = max(best, scores[k])
+    return scores, ceiling, len(bounds)

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from metrosim import engine, governance
 from metrosim.config import two_city_config
 from metrosim.governance import (
     PRUNE_MARGIN,
@@ -31,11 +32,13 @@ from metrosim.world import grid_centroids, init_metropolis
 
 from oracles import (
     box_bound_oracle,
+    ceiling_oracle,
     enumerate_candidates_oracle,
     evaluate_candidate_oracle,
     make_metropolis,
     row_column_bound_oracle,
     trial_times_oracle,
+    whole_pass_search,
     zero_flow,
 )
 
@@ -49,6 +52,11 @@ def candidate_pairs(network, metropolis):
 def zero_flow_link_times(metropolis, a, b):
     """Each candidate a-b's time at zero flow, the link times _LinkGains prices."""
     return congested_times(Network(a, b, np.zeros(len(a))), metropolis)
+
+
+def box_bounds(gains):
+    """The box bound of every candidate of gains."""
+    return gains.bounds(np.arange(len(gains.a)))
 
 
 STAKEHOLDERS = (Stakeholder(), Stakeholder(mayor=0), Stakeholder(mayor=1))
@@ -339,7 +347,7 @@ def test_gain_bound_holds_for_every_candidate():
             before = _territory_accessibility(metropolis, d_base, stakeholder.territory_cells(metropolis))
             gains = _LinkGains(metropolis, d_base, stakeholder.territory_cells(metropolis), a, b,
                                zero_flow_link_times(metropolis, a, b))
-            bounds = gains.bounds()
+            bounds = box_bounds(gains)
             for k in range(len(a)):
                 exact = evaluate_candidate_oracle(metropolis, net, a[k], b[k], stakeholder) - before
                 assert exact <= bounds[k] + 1e-12 * abs(before)
@@ -352,7 +360,9 @@ def test_box_bound_matches_oracle_on_either_reading_of_the_kernel():
     # transpose, a row i can only change sides of the block where c K_ix and
     # K_iy tie in exact arithmetic, as when i reaches y over an existing link
     # parallel to the candidate and as long; every other candidate must get
-    # the same bound. Both cases must occur.
+    # the same bound. Both cases must occur. The ceiling, which reads K_xi
+    # too, must equal its pair-by-pair oracle on the true transpose and lie
+    # above every box bound, up to rounding.
     asymmetric = flipped = 0
     for n, seed in ((5, 3), (5, 4), (10, 5), (10, 0), (15, 1)):
         metropolis, net = random_case(n, n, seed)
@@ -363,10 +373,13 @@ def test_box_bound_matches_oracle_on_either_reading_of_the_kernel():
             cells = stakeholder.territory_cells(metropolis)
             tol = 1e-12 * abs(_territory_accessibility(metropolis, d_base, cells))
             gains = _LinkGains(metropolis, d_base, cells, a, b, zero_flow_link_times(metropolis, a, b))
-            K, bounds = gains.K, gains.bounds()
+            K, bounds = gains.K, box_bounds(gains)
             rows = box_bound_oracle(gains, np.ascontiguousarray(K[:, cells]))
             transposed = box_bound_oracle(gains, np.ascontiguousarray(K.T[:, cells]))
             assert np.abs(bounds - rows).max() <= tol
+            ceiling, ceiling_ref = gains.ceiling(), ceiling_oracle(gains)
+            assert np.abs(ceiling - ceiling_ref).max() <= tol
+            assert (ceiling >= bounds - tol).all() and (ceiling_ref >= bounds - tol).all()
             for k in range(len(a)):
                 assert gains.gain(k) <= bounds[k] + tol
                 ties = 0
@@ -379,6 +392,34 @@ def test_box_bound_matches_oracle_on_either_reading_of_the_kernel():
                     assert abs(bounds[k] - transposed[k]) <= tol
                 flipped += ties > 0
     assert asymmetric > 0 and flipped > 0
+
+
+def test_tiered_search_decides_as_the_whole_pass_search(monkeypatch):
+    # The ceiling only spares box bounds: patched to box-bound every
+    # candidate, the search must build the same links with the same
+    # objectives, on the two governor steps of a 20x20 land-use run and for
+    # every stakeholder on a 15x15 case. At 20x20 the ceiling rules out
+    # more than half of the candidates of each decision.
+    tiered, searches = governance._bound_search, []
+
+    def recording(link_gains, *args):
+        result = tiered(link_gains, *args)
+        searches.append((result[2], len(link_gains.a)))
+        return result
+
+    cfg = two_city_config(grid_rows=20, grid_cols=20, minor_position=(16, 16), dominant_position=(2, 2),
+                          landuse_enabled=True, xi=0.0, steps=2)
+    metropolis, net = random_case(15, 15, 1)
+    decisions = {}
+    for search in (recording, whole_pass_search):
+        monkeypatch.setattr(governance, "_bound_search", search)
+        records = engine.run(cfg, 0).decisions
+        records += tuple(decide_and_build(metropolis, net, stakeholder)[1] for stakeholder in STAKEHOLDERS)
+        decisions[search] = [(r.chosen, r.objective_after) for r in records]
+    assert decisions[recording] == decisions[whole_pass_search]
+    assert all(chosen is not None for chosen, _ in decisions[recording])
+    for boxed, candidates in searches[:2]:
+        assert boxed < candidates / 2
 
 
 def test_box_bound_is_no_looser_than_row_column_bound():
@@ -394,7 +435,7 @@ def test_box_bound_is_no_looser_than_row_column_bound():
             cells = stakeholder.territory_cells(metropolis)
             tol = 1e-12 * abs(_territory_accessibility(metropolis, d_base, cells))
             gains = _LinkGains(metropolis, d_base, cells, a, b, zero_flow_link_times(metropolis, a, b))
-            bounds, oracle = gains.bounds(), row_column_bound_oracle(gains)
+            bounds, oracle = box_bounds(gains), row_column_bound_oracle(gains)
             for k in range(len(a)):
                 assert gains.gain(k) <= bounds[k] + tol
                 assert bounds[k] <= oracle[k] + tol
@@ -430,7 +471,7 @@ def test_free_flow_times_are_symmetric_to_rounding():
 def test_congested_objective_is_bounded_by_free_flow_gain():
     # Congested times are never below free-flow times, so a candidate's
     # congested objective is at most the free-flow objective of the network
-    # plus that link: before_ff + gain(k) <= before_ff + bounds()[k]. The
+    # plus that link: before_ff + gain(k) <= before_ff + bounds(k). The
     # congested search prunes on exactly these two values.
     for n, seed, capacity in ((5, 0, 1500.0), (5, 1, 20.0), (10, 2, 1500.0), (10, 3, 20.0)):
         metropolis, net = loaded_congested_case(n, seed, capacity)
@@ -442,7 +483,7 @@ def test_congested_objective_is_bounded_by_free_flow_gain():
             before_ff = _territory_accessibility(metropolis, d_ff, cells)
             margin = PRUNE_MARGIN * abs(before_ff)
             gains = _LinkGains(metropolis, d_ff, cells, a, b, zero_flow_link_times(metropolis, a, b))
-            bounds = gains.bounds()
+            bounds = box_bounds(gains)
             for k, d in enumerate(trial):
                 congested = _territory_accessibility(metropolis, d, cells)
                 assert congested <= before_ff + gains.gain(k) + margin

@@ -12,6 +12,7 @@ from metrosim.transport import (
     Network,
     ODMatrix,
     _Routing,
+    _walk_groups,
     assign_traffic,
     bpr_time,
     build_network,
@@ -209,6 +210,21 @@ def test_array_walk_equals_the_per_group_walk_bit_for_bit():
                     net = replace(net, flow=(1.0 - 1.0 / k) * net.flow + (1.0 / k) * loads)
                 assert assigned.flow.tobytes() == net.flow.tobytes()
                 assert d.tobytes() == shortest_times(assigned, metropolis).tobytes()
+
+
+def test_walk_on_a_successor_cycle_fails_at_once():
+    # A path on t endpoints has at most t - 1 hops. A faulty successor matrix
+    # whose walk from 0 to exit 1 runs 0 -> 2 -> 0 must raise, naming the
+    # unfinished group, not loop forever.
+    succ = np.tile(np.arange(3), (3, 1))
+    succ[0, 1], succ[2, 1] = 2, 0
+    edge_link = np.full((3, 3), -1)
+    edge_link[0, 2] = edge_link[2, 0] = 0
+    flow = np.zeros(9)
+    flow[0 * 3 + 1] = 5.0
+    flow[2 * 3 + 0] = 1.0  # a finished group beside the stuck one
+    with pytest.raises(RuntimeError, match=r"route groups \(entry, exit\) \[\(0, 1\)\] did not reach"):
+        _walk_groups(flow, succ, edge_link, 1)
 
 
 def test_join_memory_stays_within_n_by_n_temporaries():
