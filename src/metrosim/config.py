@@ -3,13 +3,13 @@
 A scenario is a flat JSON document with a fixed key set; unknown keys are
 rejected so typos in sweep scripts fail loudly instead of silently running
 defaults. Whether built from JSON or in Python, a ScenarioConfig checks each
-field by its type and then its range when constructed.
+field by its declared type and range, then the rules that relate fields.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
@@ -20,56 +20,91 @@ class ConfigError(ValueError):
     """Malformed scenario document; the message names the offending field."""
 
 
+def _ranged(op: str, lo: float, hi: float = math.inf, **kwargs: Any) -> Any:
+    """A field whose value, or each entry of it, is > lo, >= lo or "in" [lo, hi]."""
+    return field(metadata={"range": (op, lo, hi)}, **kwargs)
+
+
+# Candidate enumeration keys a cell pair (a, b) as a * N + b in int64; sides
+# up to the int16 maximum keep N**2 below 2**63.
+_MAX_SIDE = int(np.iinfo(np.int16).max)
+
+
 @dataclass(frozen=True)
 class CenterSpec:
     """One density centre of the stylised metropolis."""
 
-    position: tuple[int, int]  # (row, col), inside the grid
-    amplitude: float           # peak workers per cell at the centre
-    gradient: float            # exponential density decay, 1/km
-    job_share: float           # relative share of metropolitan jobs
-    mix: tuple[float, ...]     # workforce composition over categories, sums to 1
+    position: tuple[int, int]                  # (row, col), inside the grid
+    amplitude: float = _ranged(">", 0)         # peak workers per cell at the centre
+    gradient: float = _ranged(">", 0)          # exponential density decay, 1/km
+    job_share: float = _ranged(">=", 0)        # relative share of metropolitan jobs
+    mix: tuple[float, ...] = _ranged(">=", 0)  # workforce composition over categories, sums to 1
 
 
 @dataclass(frozen=True, eq=False)
 class ScenarioConfig:
     """All exogenous parameters of one simulation scenario.
 
-    The constructor checks each field by its annotation, stores it as a Python
-    int or float, a tuple or a read-only float matrix, then applies `validate`.
+    The constructor checks each field by its annotation and then its range
+    (`_ranged`), stores it as a Python int or float, a tuple or a read-only
+    float matrix, and then checks the rules that relate fields.
     """
 
-    grid_rows: int
-    grid_cols: int
-    cell_size_km: float
-    categories: int
+    grid_rows: int = _ranged("in", 1, _MAX_SIDE)
+    grid_cols: int = _ranged("in", 1, _MAX_SIDE)
+    cell_size_km: float = _ranged(">", 0)
+    categories: int = _ranged(">=", 1)
     centers: tuple[CenterSpec, ...]
-    lam: float                 # trip-distribution distance aversion ("lambda" in JSON)
-    nu: float                  # accessibility decay with travel time
-    gamma: float               # utility weight on accessibility vs. urban form
-    mu: float                  # relocation choice sensitivity
-    xi: float                  # share of infrastructure decisions taken locally
-    m: np.ndarray              # category-to-category proximity preferences, S x S
-    m_prime: np.ndarray        # cross-side (workers vs. jobs) proximity, S x S
-    relocation_fraction: float
+    lam: float = _ranged(">=", 0)        # trip-distribution distance aversion ("lambda" in JSON)
+    nu: float = _ranged(">=", 0)         # accessibility decay with travel time
+    gamma: float = _ranged("in", 0, 1)   # utility weight on accessibility vs. urban form
+    mu: float = _ranged(">=", 0)         # relocation choice sensitivity
+    xi: float = _ranged("in", 0, 1)      # share of infrastructure decisions taken locally
+    m: np.ndarray                        # category-to-category proximity preferences, S x S
+    m_prime: np.ndarray                  # cross-side (workers vs. jobs) proximity, S x S
+    relocation_fraction: float = _ranged("in", 0, 1)
     landuse_enabled: bool
-    steps: int                 # infrastructures to build over the run
-    v_local: float             # local-road speed, km/h (as-the-crow-flies travel)
-    v_link: float              # regional-link speed, km/h
-    capacity: float            # regional-link capacity, vehicles per step
-    bpr_alpha: float
-    bpr_beta: float
-    furness_tolerance: float
-    furness_max_iter: int
-    assignment_iterations: int
-    network_extension_radius: int = 3
+    steps: int = _ranged(">=", 0)        # infrastructures to build; 0 runs the initial snapshot alone
+    v_local: float = _ranged(">", 0)     # local-road speed, km/h (as-the-crow-flies travel)
+    v_link: float = _ranged(">", 0)      # regional-link speed, km/h
+    capacity: float = _ranged(">", 0)    # regional-link capacity, vehicles per step
+    bpr_alpha: float = _ranged(">=", 0)
+    bpr_beta: float = _ranged(">=", 0)
+    furness_tolerance: float = _ranged(">", 0)
+    furness_max_iter: int = _ranged(">=", 1)
+    assignment_iterations: int = _ranged(">=", 1)
+    network_extension_radius: int = _ranged(">=", 1, default=3)
     congestion_in_evaluation: bool = False
     initial_links: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        for attr, key, check in _FIELD_TYPES:
-            object.__setattr__(self, attr, check(getattr(self, attr), key))
-        validate(self)
+        for attr, value in _checked(self, _SCENARIO_FIELDS).items():
+            object.__setattr__(self, attr, value)
+        s = self.categories
+        for i, c in enumerate(self.centers):
+            if not (0 <= c.position[0] < self.grid_rows and 0 <= c.position[1] < self.grid_cols):
+                raise ConfigError(f"centers[{i}].position: {c.position} outside the grid")
+            if len(c.mix) != s:
+                raise ConfigError(f"centers[{i}].mix: expected {s} entries")
+            if abs(sum(c.mix) - 1.0) > 1e-9:
+                raise ConfigError(f"centers[{i}].mix: must sum to 1, got {sum(c.mix)}")
+        for name in ("m", "m_prime"):
+            value = getattr(self, name)
+            if value.shape != (s, s):
+                raise ConfigError(f"{name}: expected a {s}x{s} matrix, got shape {value.shape}")
+            if not np.isfinite(value).all():
+                raise ConfigError(f"{name}: must be finite, got {value!r}")
+        n = self.n_cells
+        seen = set()
+        for i, (a, b) in enumerate(self.initial_links):
+            if a == b:
+                raise ConfigError(f"initial_links[{i}]: endpoints must differ")
+            if not (0 <= a < n and 0 <= b < n):
+                raise ConfigError(f"initial_links[{i}]: cell index outside the grid")
+            key = (min(a, b), max(a, b))
+            if key in seen:
+                raise ConfigError(f"initial_links[{i}]: duplicate pair {key}")
+            seen.add(key)
 
     @property
     def n_cells(self) -> int:
@@ -106,8 +141,14 @@ def _require_pair(value: Any, name: str) -> tuple[int, int]:
     return (_require_int(value[0], f"{name}[0]"), _require_int(value[1], f"{name}[1]"))
 
 
+def _reals(value: Any, name: str) -> tuple[float, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{name}: expected a list of numbers, got {value!r}")
+    return tuple(_require_real(x, name) for x in value)
+
+
 def _matrix(value: Any, name: str) -> np.ndarray:
-    """A read-only float copy; validate checks its shape and finiteness."""
+    """A read-only float copy; the constructor then checks its shape and finiteness."""
     try:
         arr = np.array(value, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -121,18 +162,9 @@ def _centers(value: Any, name: str) -> tuple[CenterSpec, ...]:
         raise ConfigError(f"{name}: expected a nonempty sequence of centres, got {value!r}")
     centers = []
     for i, c in enumerate(value):
-        at = f"{name}[{i}]"
         if not isinstance(c, CenterSpec):
-            raise ConfigError(f"{at}: expected a CenterSpec, got {c!r}")
-        if not isinstance(c.mix, (list, tuple)):
-            raise ConfigError(f"{at}.mix: expected a list of numbers, got {c.mix!r}")
-        centers.append(CenterSpec(
-            position=_require_pair(c.position, f"{at}.position"),
-            amplitude=_require_real(c.amplitude, f"{at}.amplitude"),
-            gradient=_require_real(c.gradient, f"{at}.gradient"),
-            job_share=_require_real(c.job_share, f"{at}.job_share"),
-            mix=tuple(_require_real(x, f"{at}.mix") for x in c.mix),
-        ))
+            raise ConfigError(f"{name}[{i}]: expected a CenterSpec, got {c!r}")
+        centers.append(CenterSpec(**_checked(c, _CENTER_FIELDS, f"{name}[{i}].")))
     return tuple(centers)
 
 
@@ -142,22 +174,50 @@ def _links(value: Any, name: str) -> tuple[tuple[int, int], ...]:
     return tuple(_require_pair(pair, f"{name}[{i}]") for i, pair in enumerate(value))
 
 
-# Attribute name -> JSON key, in field order. "lambda" is a Python keyword,
-# hence the rename.
-_ATTR_TO_KEY = {f.name: ("lambda" if f.name == "lam" else f.name) for f in fields(ScenarioConfig)}
-_KEY_TO_ATTR = {key: attr for attr, key in _ATTR_TO_KEY.items()}
-_OPTIONAL_KEYS = {_ATTR_TO_KEY[f.name] for f in fields(ScenarioConfig) if f.default is not MISSING}
-_CENTER_KEYS = {f.name for f in fields(CenterSpec)}
+def _checked(obj: Any, table: tuple, prefix: str = "") -> dict[str, Any]:
+    """obj's fields by table, each checked by its type and then its range:
+    {attribute: value as stored}. An error names prefix + the field's key."""
+    values = {}
+    for attr, key, check, rule in table:
+        name = prefix + key
+        value = values[attr] = check(getattr(obj, attr), name)
+        if rule is None:
+            continue
+        op, lo, hi = rule
+        entries = value if isinstance(value, tuple) else (value,)
+        for x in entries:
+            if not (lo < x if op == ">" else lo <= x <= hi):
+                bound = f"lie in [{lo}, {hi}]" if op == "in" else f"be {op} {lo}"
+                raise ConfigError(f"{name}: {'entries ' if entries is value else ''}must {bound}")
+    return values
+
+
+# "lambda" is a Python keyword, hence the one attribute whose JSON key differs.
+_ATTR_TO_KEY = {"lam": "lambda"}
 _CHECK_BY_ANNOTATION = {
     "int": _require_int,
     "float": _require_real,
     "bool": _require_bool,
+    "tuple[int, int]": _require_pair,
+    "tuple[float, ...]": _reals,
     "np.ndarray": _matrix,
     "tuple[CenterSpec, ...]": _centers,
     "tuple[tuple[int, int], ...]": _links,
 }
-# (attribute, JSON key, check), in field order: categories precedes m and m_prime.
-_FIELD_TYPES = tuple((f.name, _ATTR_TO_KEY[f.name], _CHECK_BY_ANNOTATION[f.type]) for f in fields(ScenarioConfig))
+
+
+def _field_table(cls: type) -> tuple:
+    """(attribute, JSON key, type check, declared range or None) per field of cls, in field order."""
+    return tuple((f.name, _ATTR_TO_KEY.get(f.name, f.name), _CHECK_BY_ANNOTATION[f.type], f.metadata.get("range"))
+                 for f in fields(cls))
+
+
+_CENTER_FIELDS = _field_table(CenterSpec)
+# In field order, so grid_rows, grid_cols and categories are checked before the centres.
+_SCENARIO_FIELDS = _field_table(ScenarioConfig)
+_KEY_TO_ATTR = {key: attr for attr, key, _, _ in _SCENARIO_FIELDS}
+_OPTIONAL_KEYS = {_ATTR_TO_KEY.get(f.name, f.name) for f in fields(ScenarioConfig) if f.default is not MISSING}
+_CENTER_KEYS = {f.name for f in fields(CenterSpec)}
 
 
 def _require_keys(doc: Any, keys: set[str], optional: set[str], name: str) -> None:
@@ -189,87 +249,6 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
     return ScenarioConfig(**values | {"centers": [CenterSpec(**center) for center in centers]})
 
 
-def validate(config: ScenarioConfig) -> None:
-    """Range rules on type-checked fields; raise ConfigError naming the first violated one."""
-    # Candidate enumeration keys a cell pair (a, b) as a * N + b in int64;
-    # sides up to the int16 maximum keep N**2 below 2**63.
-    max_side = int(np.iinfo(np.int16).max)
-    for name in ("grid_rows", "grid_cols"):
-        if not (1 <= getattr(config, name) <= max_side):
-            raise ConfigError(f"{name}: must lie in [1, {max_side}]")
-    if config.cell_size_km <= 0:
-        raise ConfigError("cell_size_km: must be > 0")
-    if config.categories < 1:
-        raise ConfigError("categories: must be >= 1")
-    for i, c in enumerate(config.centers):
-        r, col = c.position
-        if not (0 <= r < config.grid_rows and 0 <= col < config.grid_cols):
-            raise ConfigError(f"centers[{i}].position: {c.position} outside the grid")
-        if c.amplitude <= 0:
-            raise ConfigError(f"centers[{i}].amplitude: must be > 0")
-        if c.gradient <= 0:
-            raise ConfigError(f"centers[{i}].gradient: must be > 0")
-        if c.job_share < 0:
-            raise ConfigError(f"centers[{i}].job_share: must be >= 0")
-        if len(c.mix) != config.categories:
-            raise ConfigError(f"centers[{i}].mix: expected {config.categories} entries")
-        if any(x < 0 for x in c.mix):
-            raise ConfigError(f"centers[{i}].mix: entries must be >= 0")
-        if abs(sum(c.mix) - 1.0) > 1e-9:
-            raise ConfigError(f"centers[{i}].mix: must sum to 1, got {sum(c.mix)}")
-    if config.lam < 0:
-        raise ConfigError("lambda: must be >= 0")
-    if config.nu < 0:
-        raise ConfigError("nu: must be >= 0")
-    if not (0.0 <= config.gamma <= 1.0):
-        raise ConfigError("gamma: must lie in [0, 1]")
-    if config.mu < 0:
-        raise ConfigError("mu: must be >= 0")
-    if not (0.0 <= config.xi <= 1.0):
-        raise ConfigError("xi: must lie in [0, 1]")
-    s = config.categories
-    for name in ("m", "m_prime"):
-        value = getattr(config, name)
-        if value.shape != (s, s):
-            raise ConfigError(f"{name}: expected a {s}x{s} matrix, got shape {value.shape}")
-        if not np.isfinite(value).all():
-            raise ConfigError(f"{name}: must be finite, got {value!r}")
-    if not (0.0 <= config.relocation_fraction <= 1.0):
-        raise ConfigError("relocation_fraction: must lie in [0, 1]")
-    # steps == 0 is the degenerate "initial snapshot only" run and is allowed.
-    if config.steps < 0:
-        raise ConfigError("steps: must be >= 0")
-    if config.v_local <= 0:
-        raise ConfigError("v_local: must be > 0")
-    if config.v_link <= 0:
-        raise ConfigError("v_link: must be > 0")
-    if config.capacity <= 0:
-        raise ConfigError("capacity: must be > 0")
-    if config.bpr_alpha < 0:
-        raise ConfigError("bpr_alpha: must be >= 0")
-    if config.bpr_beta < 0:
-        raise ConfigError("bpr_beta: must be >= 0")
-    if config.furness_tolerance <= 0:
-        raise ConfigError("furness_tolerance: must be > 0")
-    if config.furness_max_iter < 1:
-        raise ConfigError("furness_max_iter: must be >= 1")
-    if config.assignment_iterations < 1:
-        raise ConfigError("assignment_iterations: must be >= 1")
-    if config.network_extension_radius < 1:
-        raise ConfigError("network_extension_radius: must be >= 1")
-    n = config.n_cells
-    seen = set()
-    for i, (a, b) in enumerate(config.initial_links):
-        if a == b:
-            raise ConfigError(f"initial_links[{i}]: endpoints must differ")
-        if not (0 <= a < n and 0 <= b < n):
-            raise ConfigError(f"initial_links[{i}]: cell index outside the grid")
-        key = (min(a, b), max(a, b))
-        if key in seen:
-            raise ConfigError(f"initial_links[{i}]: duplicate pair {key}")
-        seen.add(key)
-
-
 def _plain(value: Any) -> Any:
     """A field value as JSON holds it, by type: a CenterSpec becomes an object
     in field order, a tuple a list, an array nested lists."""
@@ -284,7 +263,7 @@ def _plain(value: Any) -> Any:
 
 def config_to_dict(config: ScenarioConfig) -> dict:
     """Inverse of config_from_dict; the result round-trips through JSON."""
-    return {key: _plain(getattr(config, attr)) for attr, key in _ATTR_TO_KEY.items()}
+    return {key: _plain(getattr(config, attr)) for attr, key, _, _ in _SCENARIO_FIELDS}
 
 
 def load_config(path: str | Path) -> ScenarioConfig:

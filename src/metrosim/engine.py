@@ -32,8 +32,8 @@ A memo keeps every entry: a metropolis, a network, a record or row, but no
 grows as entries x O(N S + links). A state keeps the network its last
 assignment returned; `SimState.network` derives the built network from that
 and the last record's link, and `SimState.travel_times` the times.
-Warnings logged while a step is computed (a one-sided category, a Furness
-balance at max_iter) fire once per computed build prefix, not once per run.
+A one-sided category warns once per computed initial state, and a Furness
+balance at max_iter in every computed `distribute` call that stops there.
 """
 from __future__ import annotations
 

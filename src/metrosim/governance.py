@@ -111,7 +111,7 @@ def enumerate_candidates(network: Network, metropolis: Metropolis) -> tuple[np.n
     cfg = metropolis.config
     n, cols = metropolis.n_cells, cfg.grid_cols
     # Pairs are keyed a * n + b: ascending keys are ascending (a, b) pairs.
-    # config.validate caps grid_rows and grid_cols at the int16 maximum, so
+    # ScenarioConfig caps grid_rows and grid_cols at the int16 maximum, so
     # every key fits in int64.
     grid = np.arange(n, dtype=np.int64).reshape(cfg.grid_rows, cols)
     # Each cell's 8-neighbours after it: right, down-left, down, down-right.

@@ -412,9 +412,10 @@ def distribute(metropolis: Metropolis, d: np.ndarray) -> ODMatrix:
     model of furness_balance, with lam, the tolerance and the iteration
     cap taken from the config; the category matrices are added in category
     order. A category with workers but no jobs, or jobs but no workers,
-    contributes no trips (engine.initial_state logs it once per run). The
-    kernel exp(-lam d) is computed once for all categories, in place, and
-    the categories are added into the first one's matrix.
+    contributes no trips: engine.initial_state warns once per initial state,
+    and a balance stopped at furness_max_iter warns on every call. The kernel
+    exp(-lam d) is computed once, in place, and the categories are added into
+    the first one's matrix.
     """
     cfg = metropolis.config
     n, s = metropolis.workers.shape

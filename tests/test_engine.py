@@ -247,6 +247,12 @@ def test_one_sided_category_is_logged_once_per_run(caplog):
     assert state.metropolis.jobs[:, 0].sum() == 0.0
     assert caplog.text.count("category 0 skipped: one-sided demand") == 1
     assert "category 1" not in caplog.text
+    # The warning fires where the initial state is computed, and a batch's
+    # seeds share it through their memo: a 3-seed replicate logs it once too.
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="metrosim"):
+        replicate(cfg, 3, 0)
+    assert caplog.text.count("category 0 skipped: one-sided demand") == 1
 
 
 def _swap_mayor_weights(monkeypatch):

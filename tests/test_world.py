@@ -2,13 +2,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
 
 from metrosim.config import (
+    CenterSpec,
     ConfigError,
+    ScenarioConfig,
     config_from_dict,
     config_to_dict,
     load_config,
@@ -165,6 +167,74 @@ def test_centroids_are_cell_centres(small_config):
     pts = grid_centroids(small_config)
     assert pts[0].tolist() == [0.5, 0.5]
     assert pts[small_config.grid_cols - 1].tolist() == [4.5, 0.5]
+
+
+# Both centres on cell (0, 0), so every grid side in range holds them.
+_EDGE_BASE = two_city_config(minor_position=(0, 0), dominant_position=(0, 0))
+
+
+def _next(value, up, integral):
+    return value + (1 if up else -1) if integral else math.nextafter(value, math.inf if up else -math.inf)
+
+
+def _declared_edge_cases():
+    """Each declared range at its edges, as (name, edit, expected message or None).
+
+    Generated from the field declarations of ScenarioConfig and CenterSpec
+    (centre 1 stands for any centre). The bound itself is accepted for >= and
+    [lo, hi] and rejected for >; the next value past the bound (±1 for an int,
+    the adjacent float for a float) is rejected. A tuple field's rule holds
+    for each entry; its value is the composition (x, 1 - x).
+    """
+    keys = dict(zip((f.name for f in fields(ScenarioConfig)), config_to_dict(_EDGE_BASE)))
+    centers = _EDGE_BASE.centers
+    cases = []
+    for cls, prefix in ((ScenarioConfig, ""), (CenterSpec, "centers[1].")):
+        for f in fields(cls):
+            if "range" not in f.metadata:
+                continue
+            op, lo, hi = f.metadata["range"]
+            name = prefix + keys.get(f.name, f.name)
+            integral, entries = f.type == "int", f.type.startswith("tuple")
+            bound = f"lie in [{lo}, {hi}]" if op == "in" else f"be {op} {lo}"
+            must = f"{name}: {'entries ' if entries else ''}must {bound}"
+            edges = [(lo, must if op == ">" else None), (_next(lo, False, integral), must)]
+            if op == ">":
+                edges.append((_next(lo, True, integral), None))
+            if op == "in":
+                edges += [(hi, None), (_next(hi, True, integral), must)]
+            for x, expected in edges:
+                x = x if integral else float(x)
+                value = (x, 1 - x) if entries else x
+                if cls is CenterSpec:
+                    edit = dict(centers=(centers[0], replace(centers[1], **{f.name: value})))
+                else:
+                    edit = {f.name: value}
+                cases.append(pytest.param(name, edit, expected, id=f"{name}={value!r}"))
+    return cases
+
+
+@pytest.mark.parametrize(("name", "edit", "expected"), _declared_edge_cases())
+def test_declared_range_holds_at_its_edges(name, edit, expected):
+    # A rejected value raises the rule's full message. An accepted one raises
+    # nothing that names its field; it may still break a rule relating it to
+    # another field (categories 1 against two-entry mixes), which names that field.
+    if expected is not None:
+        with pytest.raises(ConfigError) as info:
+            replace(_EDGE_BASE, **edit)
+        assert str(info.value) == expected
+        return
+    try:
+        replace(_EDGE_BASE, **edit)
+    except ConfigError as exc:
+        assert not str(exc).startswith(f"{name}: "), str(exc)
+
+
+def test_declared_range_messages():
+    # The generated cases cover every kind of rule with the messages a user reads.
+    messages = {case.values[2] for case in _declared_edge_cases()}
+    assert {"capacity: must be > 0", "gamma: must lie in [0, 1]", "grid_rows: must lie in [1, 32767]",
+            "lambda: must be >= 0", "centers[1].mix: entries must be >= 0"} <= messages
 
 
 class TestConfigJson:
