@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -184,7 +183,10 @@ def cmd_sweep(spec: SweepSpec) -> int:
              for name in names for g in range(groups)]
     workers = min(spec.workers, len(tasks))
     if workers > 1:
-        # The pool starts all of its workers at the first submit.
+        # Imported here, so that no other command loads multiprocessing. The
+        # pool starts all of its workers at the first submit.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_task = list(pool.map(_sweep_preset, *zip(*tasks)))
     else:

@@ -56,27 +56,35 @@ def write_decisions_csv(path: str | Path, decisions: tuple[DecisionRecord, ...])
     ))
 
 
-def _write_json_matrix(f: TextIO, m: np.ndarray) -> None:
-    """Write json.dumps(m.tolist()) of a 2-D float array, one row at a time.
+_JSON_BLOCK_ENTRIES = 8192  # matrix entries looked up, joined and written at a time
 
-    Each distinct value is formatted once. Values are told apart by bit
-    pattern, so -0.0 and 0.0 each keep their text: the distinct patterns
-    come from one sorted copy and an adjacent-difference mask, and each row
-    finds its texts by np.searchsorted. np.unique is not used: with
-    return_inverse it allocates several int64 arrays of m's size, and the
-    plain call imports numpy.ma the first time it runs.
+
+def _write_json_matrix(f: TextIO, m: np.ndarray) -> None:
+    """Write json.dumps(m.tolist()) of a 2-D float array, a block of rows at a time.
+
+    Each distinct value is formatted once, as json.dumps formats it: repr for
+    finite values, NaN, Infinity or -Infinity otherwise. Values are told apart
+    by bit pattern, so -0.0 and 0.0 each keep their text: the distinct
+    patterns come from one sorted copy and an adjacent-difference mask, and
+    each block of about _JSON_BLOCK_ENTRIES entries finds its texts by one
+    np.searchsorted. np.unique is not used: with return_inverse it allocates
+    several int64 arrays of m's size, and the plain call imports numpy.ma the
+    first time it runs.
     """
     bits = np.sort(m.view(np.int64), axis=None)
     first = np.empty(bits.shape, dtype=bool)
     first[:1] = True
     np.not_equal(bits[1:], bits[:-1], out=first[1:])
     bits = bits[first]
-    texts = np.array([json.dumps(x) for x in bits.view(np.float64).tolist()], dtype=object)
+    values = bits.view(np.float64)
+    texts = np.array(list(map(float.__repr__, values.tolist())), dtype=object)
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        texts[i] = json.dumps(float(values[i]))
+    rows = max(1, _JSON_BLOCK_ENTRIES // max(1, m.shape[1]))
     f.write("[")
-    for i, row in enumerate(m):
-        if i:
-            f.write(", ")
-        f.write("[" + ", ".join(texts[np.searchsorted(bits, row.view(np.int64))].tolist()) + "]")
+    for start in range(0, m.shape[0], rows):
+        block = texts[np.searchsorted(bits, m[start:start + rows].view(np.int64))].tolist()
+        f.write((", [" if start else "[") + "], [".join(map(", ".join, block)) + "]")
     f.write("]")
 
 
@@ -87,8 +95,8 @@ def write_final_state_json(path: str | Path, state: SimState) -> None:
     and capacity, which the metropolis and the config hold once for all links.
     The text is what json.dumps writes for the whole document, followed by a
     newline. It is streamed into the file one field at a time, and the (N, N)
-    travel times one row at a time (_write_json_matrix), so the whole text is
-    never held in memory.
+    travel times a block of rows at a time (_write_json_matrix), so the whole
+    text is never held in memory.
     """
     net, metropolis = state.network, state.metropolis
     cfg = metropolis.config
@@ -164,12 +172,6 @@ def _save_svg(path: str | Path, w: int, h: int, parts: list[str]) -> None:
     Path(path).write_text(head + "".join(parts) + "</svg>\n", encoding="utf-8")
 
 
-def _density_fill(value: float, peak: float) -> str:
-    share = 0.0 if peak <= 0 else min(value / peak, 1.0)
-    level = int(round(255 - 195 * share))
-    return f"rgb({level},255,{level})"
-
-
 def render_map_svg(
     path: str | Path,
     config: ScenarioConfig,
@@ -177,32 +179,38 @@ def render_map_svg(
     territory: np.ndarray,
     links: list[tuple[int, int]],
 ) -> None:
-    """Worker-density map with territory borders and the regional links."""
+    """Worker-density map with territory borders and the regional links.
+
+    Each cell is shaded by its share of the peak density, white to green,
+    with its level rounded half to even; a border is drawn right of and below
+    each cell whose neighbour there belongs to another mayor, in that cell's
+    colour.
+    """
     px = 36
     rows, cols = config.grid_rows, config.grid_cols
     w, h = cols * px + 20, rows * px + 20
     peak = float(np.max(density)) if density.size else 0.0
-    parts = []
-
-    def cell_xy(cell: int) -> tuple[float, float]:
-        r, c = divmod(cell, cols)
-        return 10 + c * px, 10 + r * px
-
-    for cell in range(rows * cols):
-        x, y = cell_xy(cell)
-        parts.append(
-            f'<rect x="{x}" y="{y}" width="{px}" height="{px}" '
-            f'fill="{_density_fill(float(density[cell]), peak)}" stroke="#dddddd" stroke-width="0.5"/>\n'
-        )
-    # Borders between cells assigned to different mayors.
-    for cell in range(rows * cols):
-        r, c = divmod(cell, cols)
-        x, y = cell_xy(cell)
-        color = _TERRITORY_COLORS[int(territory[cell]) % len(_TERRITORY_COLORS)]
-        if c + 1 < cols and territory[cell] != territory[cell + 1]:
-            parts.append(f'<line x1="{x + px}" y1="{y}" x2="{x + px}" y2="{y + px}" stroke="{color}" stroke-width="2"/>\n')
-        if r + 1 < rows and territory[cell] != territory[cell + cols]:
-            parts.append(f'<line x1="{x}" y1="{y + px}" x2="{x + px}" y2="{y + px}" stroke="{color}" stroke-width="2"/>\n')
+    share = np.minimum(density / peak, 1.0) if peak > 0 else np.zeros(density.shape)
+    levels = np.rint(255 - 195 * share).astype(int).tolist()
+    xs = [10 + c * px for c in range(cols)] * rows
+    ys = [10 + r * px for r in range(rows) for _ in range(cols)]
+    parts = [
+        f'<rect x="{x}" y="{y}" width="{px}" height="{px}" '
+        f'fill="rgb({level},255,{level})" stroke="#dddddd" stroke-width="0.5"/>\n'
+        for x, y, level in zip(xs, ys, levels)
+    ]
+    # Borders between cells assigned to different mayors: the right border,
+    # then the bottom one, of each cell in turn.
+    grid = territory.reshape(rows, cols)
+    borders = np.zeros((rows, cols, 2), dtype=bool)
+    np.not_equal(grid[:, :-1], grid[:, 1:], out=borders[:, :-1, 0])
+    np.not_equal(grid[:-1], grid[1:], out=borders[:-1, :, 1])
+    for k in np.flatnonzero(borders).tolist():
+        cell, below = divmod(k, 2)
+        x, y = xs[cell], ys[cell]
+        color = _TERRITORY_COLORS[int(grid.flat[cell]) % len(_TERRITORY_COLORS)]
+        x1, y1 = (x, y + px) if below else (x + px, y)
+        parts.append(f'<line x1="{x1}" y1="{y1}" x2="{x + px}" y2="{y + px}" stroke="{color}" stroke-width="2"/>\n')
     for a, b in links:
         ra, ca = divmod(a, cols)
         rb, cb = divmod(b, cols)

@@ -465,3 +465,58 @@ def whole_pass_search(link_gains, before_ff, margin, exact):
         scores[k] = exact(k)
         best = max(best, scores[k])
     return scores, ceiling, len(bounds)
+
+
+# ---------------------------------------------------------------------------
+# Output
+
+
+_MAP_COLORS = ["#666666", "#c03030", "#3060c0", "#c08020", "#7030a0", "#208060"]
+
+
+def map_svg_oracle(config, density, territory, links):
+    """The text of output.render_map_svg's map, drawn one cell at a time:
+    each cell's fill from its own share of the peak, then each cell's right
+    and bottom borders by comparing it with its neighbours."""
+    px = 36
+    rows, cols = config.grid_rows, config.grid_cols
+    w, h = cols * px + 20, rows * px + 20
+    peak = float(np.max(density)) if len(density) else 0.0
+    parts = [
+        f'<?xml version="1.0" encoding="UTF-8"?>\n<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{w}" height="{h}" viewBox="0 0 {w} {h}">\n'
+        f'<rect x="0" y="0" width="{w}" height="{h}" fill="white"/>\n'
+    ]
+
+    def cell_xy(cell):
+        r, c = divmod(cell, cols)
+        return 10 + c * px, 10 + r * px
+
+    for cell in range(rows * cols):
+        x, y = cell_xy(cell)
+        share = 0.0 if peak <= 0 else min(float(density[cell]) / peak, 1.0)
+        level = int(round(255 - 195 * share))
+        parts.append(
+            f'<rect x="{x}" y="{y}" width="{px}" height="{px}" '
+            f'fill="rgb({level},255,{level})" stroke="#dddddd" stroke-width="0.5"/>\n'
+        )
+    for cell in range(rows * cols):
+        r, c = divmod(cell, cols)
+        x, y = cell_xy(cell)
+        color = _MAP_COLORS[int(territory[cell]) % len(_MAP_COLORS)]
+        if c + 1 < cols and territory[cell] != territory[cell + 1]:
+            parts.append(f'<line x1="{x + px}" y1="{y}" x2="{x + px}" y2="{y + px}" stroke="{color}" stroke-width="2"/>\n')
+        if r + 1 < rows and territory[cell] != territory[cell + cols]:
+            parts.append(f'<line x1="{x}" y1="{y + px}" x2="{x + px}" y2="{y + px}" stroke="{color}" stroke-width="2"/>\n')
+    for a, b in links:
+        ra, ca = divmod(a, cols)
+        rb, cb = divmod(b, cols)
+        x1, y1 = 10 + (ca + 0.5) * px, 10 + (ra + 0.5) * px
+        x2, y2 = 10 + (cb + 0.5) * px, 10 + (rb + 0.5) * px
+        parts.append(f'<line x1="{x1:.1f}" y1="{y1:.1f}" x2="{x2:.1f}" y2="{y2:.1f}" stroke="#202020" stroke-width="3"/>\n')
+    for i, center in enumerate(config.centers):
+        r, c = center.position
+        x, y = 10 + (c + 0.5) * px, 10 + (r + 0.5) * px
+        color = _MAP_COLORS[i % len(_MAP_COLORS)]
+        parts.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="5" fill="{color}" stroke="black"/>\n')
+    return "".join(parts) + "</svg>\n"

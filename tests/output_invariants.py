@@ -19,10 +19,13 @@ hold. Each invariant is stated here once, and CI and the tests both call it:
   mayor is a centre's index; under free-flow evaluation no decision lowers
   its objective by more than a relative 1e-12;
 - conservation: each category's worker and job totals are the initial
-  metropolis's, within 1e-6.
+  metropolis's, within 1e-6;
+- maps: each map_step_k.svg is, byte for byte, oracles.map_svg_oracle's
+  drawing of step k: its worker_density_history entry, the territory, and
+  the first link_count links of history.csv's row k.
 
-The module imports only the standard library, numpy and metrosim, so it runs
-without the test extra:
+The module imports only the standard library, numpy, metrosim and the tests'
+oracles, so it runs without the test extra:
 
     python tests/output_invariants.py RUN_DIR [RUN_DIR ...]
 
@@ -39,6 +42,7 @@ import numpy as np
 
 from metrosim.config import config_from_dict, config_to_dict
 from metrosim.world import init_metropolis, natural_totals
+from oracles import map_svg_oracle
 
 ACCESSIBILITY_REL_TOL = 1e-9
 OBJECTIVE_REL_TOL = 1e-12
@@ -105,6 +109,13 @@ def _check(out: Path, problems: list[str]) -> None:
         before, after = float(row["obj_before"]), float(row["obj_after"])
         if not config.congestion_in_evaluation and not after >= before - OBJECTIVE_REL_TOL * abs(before):
             problems.append(f"decisions: step {row['step']} lowers its objective {before!r} to {after!r}")
+
+    densities = doc["worker_density_history"]
+    for k, count in enumerate(counts):
+        path = out / f"map_step_{k}.svg"
+        if path.is_file() and path.read_bytes() != map_svg_oracle(
+                config, densities[k], doc["territory"], pairs[:count]).encode("utf-8"):
+            problems.append(f"maps: map_step_{k}.svg is not the drawing of step {k}")
 
     start = init_metropolis(config, *natural_totals(config))
     for key, final, initial in (("workers", workers, start.workers), ("jobs", jobs, start.jobs)):

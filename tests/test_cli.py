@@ -16,10 +16,11 @@ import pytest
 import metrosim
 from metrosim.cli import SweepSpec, cmd_run, main, spearman_trend, sweep_configurations
 from metrosim.config import ConfigError, config_to_dict, two_city_config
-from metrosim import engine, governance, transport
+from metrosim import engine, governance, output, transport
 from metrosim.engine import replicate, run
 from metrosim.output import _write_json_matrix, write_final_state_json
 
+import oracles
 from output_invariants import check_run_dir
 
 
@@ -314,8 +315,9 @@ class TestSweep:
     def test_worker_pool_no_larger_than_the_sweep(self, tmp_path, monkeypatch):
         # A process pool starts all its workers at the first submit. A sweep
         # runs one task per preset and xi group, so 2 presets x 2 xi values
-        # must not ask for 8. The fake pool maps serially and starts no process.
-        import metrosim.cli as cli_mod
+        # must not ask for 8. The fake pool maps serially and starts no process;
+        # cmd_sweep imports the pool class only when it starts one.
+        import concurrent.futures
 
         requested = []
 
@@ -332,7 +334,7 @@ class TestSweep:
             def map(self, fn, *iterables, chunksize=1):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         cfg_path = write_config(tmp_path, steps=1)
         out_seq = tmp_path / "seq"
         args = ["sweep", "--config", str(cfg_path), "--xi", "0,1", "--replications", "2",
@@ -444,6 +446,15 @@ def test_cli_imports_without_scipy():
     assert proc.stdout.strip() == "False"
 
 
+def test_cli_imports_no_process_pool():
+    # Only sweep --workers above 1 starts a pool; every other process would
+    # pay for loading multiprocessing and concurrent.futures at start-up.
+    env = {**os.environ, "PYTHONPATH": str(Path(metrosim.__file__).resolve().parents[1])}
+    code = "import sys, metrosim.cli; print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 def test_cli_commands_import_nothing_after_the_cli(tmp_path):
     # A module that a command imports lazily costs every fresh process that
     # runs it; the hash path of np.unique, for one, imports numpy.ma on its
@@ -470,14 +481,64 @@ print(sorted(set(sys.modules) - before))
 
 
 def test_json_matrix_matches_json_dumps():
-    m = np.array([
-        [0.0, -0.0, 5e-324, np.inf],
-        [-np.inf, np.nan, 1.5, 1.5],
-        [0.1, 0.1, -0.0, 0.0],
-    ])
-    f = io.StringIO()
-    _write_json_matrix(f, m)
-    assert f.getvalue() == json.dumps(m.tolist())
+    special = [0.0, -0.0, 5e-324, np.inf, -np.inf, np.nan, 1.5, 0.1,
+               1e16, 9999999999999998.0, 1e-05, 0.0001, 1.7976931348623157e308, -1e16]
+    rng = np.random.default_rng(0)
+    cols = 1000
+    per_block = output._JSON_BLOCK_ENTRIES // cols
+    assert per_block > 1
+    cases = [
+        np.array([[0.0, -0.0, 5e-324, np.inf], [-np.inf, np.nan, 1.5, 1.5], [0.1, 0.1, -0.0, 0.0]]),
+        np.array(special).reshape(2, 7),
+        np.zeros((0, 5)),
+        np.zeros((4, 0)),
+        np.array([[1e-05]]),
+    ]
+    # One row fewer than a block, one block, and one row more.
+    for rows in (per_block - 1, per_block, per_block + 1):
+        m = rng.choice(special + rng.random(64).tolist(), size=(rows, cols))
+        cases.append(m)
+    for m in cases:
+        f = io.StringIO()
+        _write_json_matrix(f, m)
+        assert f.getvalue() == json.dumps(m.tolist()), m.shape
+
+
+def _map_case(rows, cols, n_centers=2, density="random", links=()):
+    base = two_city_config(grid_rows=rows, grid_cols=cols, minor_position=(rows - 1, cols - 1),
+                           dominant_position=(0, 0))
+    centers = tuple(replace(base.centers[i % 2], position=((2 * i) % rows, (3 * i) % cols))
+                    for i in range(n_centers))
+    config = replace(base, centers=centers)
+    rng = np.random.default_rng(rows * 100 + cols)
+    n = rows * cols
+    if density == "zero":
+        values = np.zeros(n)
+    else:
+        # Shares k/390 put 255 - 195 * share on halves, where rounding is to even.
+        values = rng.random(n) * 50.0
+        values[: n // 2] = values.max() * rng.integers(0, 391, n // 2) / 390
+    territory = rng.integers(0, n_centers, n)
+    return config, values, territory, list(links)
+
+
+MAP_CASES = {
+    "1x1": _map_case(1, 1),
+    "1x7": _map_case(1, 7, links=((0, 6), (2, 3))),
+    "7x1": _map_case(7, 1, links=((0, 6),)),
+    "5x9": _map_case(5, 9),
+    "5x9-seven-centres": _map_case(5, 9, n_centers=7, links=((0, 44), (4, 40), (9, 17))),
+    "5x9-zero-density": _map_case(5, 9, density="zero"),
+    "5x9-straight-links": _map_case(5, 9, links=((0, 8), (4, 40), (10, 11))),
+    "5x9-diagonal-links": _map_case(5, 9, links=((0, 10), (8, 16), (3, 41))),
+}
+
+
+@pytest.mark.parametrize("case", MAP_CASES.values(), ids=MAP_CASES.keys())
+def test_map_svg_matches_the_cell_by_cell_oracle(tmp_path, case):
+    path = tmp_path / "map.svg"
+    output.render_map_svg(path, *case)
+    assert path.read_bytes() == oracles.map_svg_oracle(*case).encode("utf-8")
 
 
 def test_final_state_json_matches_json_dumps_of_the_document(tmp_path):

@@ -81,6 +81,15 @@ def delete_a_map(out: Path) -> None:
     (out / "map_step_1.svg").unlink()
 
 
+def change_a_fill(out: Path) -> None:
+    path = out / "map_step_2.svg"
+    text = path.read_text(encoding="utf-8")
+    fill = text.index('fill="rgb(') + len('fill="rgb(')
+    level = int(text[fill:text.index(",", fill)])
+    path.write_text(text.replace(f'fill="rgb({level},255,{level})"', f'fill="rgb({level ^ 1},255,{level})"', 1),
+                    encoding="utf-8")
+
+
 def rebuild_a_built_pair(out: Path) -> None:
     """The last chosen link becomes the first initial link, in decisions.csv and final_state.json alike."""
     def edit_decisions(rows):
@@ -108,6 +117,7 @@ FAULTS = [
     (nudge_a_link_time, "links: 1 of 5 congested times are not the BPR time of their flow"),
     (scale_the_last_accessibility, "indicator: last total_accessibility"),
     (delete_a_map, "shape: no map_step_k.svg for k in [1]"),
+    (change_a_fill, "maps: map_step_2.svg is not the drawing of step 2"),
     (rebuild_a_built_pair, "decisions: a pair is built twice"),
     (scale_a_job_count, "conservation: jobs totals"),
     (flip_a_level, "decisions: step 1 has level"),
