@@ -4,9 +4,8 @@ Exit codes: 0 success, 2 invalid configuration (the message names the field),
 3 I/O failure. Batch inputs are checked before any run: `engine.replicate`
 checks the replication count, and a `SweepSpec` checks itself when built.
 Sweep cells that crash are recorded as empty rows and make the command exit
-nonzero without aborting the rest of the grid. A sweep runs each preset, or
-with spare workers each group of a preset's xi values, as one task whose xi x
-seed lanes share one engine memo, a dict.
+nonzero without aborting the rest of the grid. A sweep runs each preset as one
+task whose xi x seed lanes share one engine memo, a dict.
 """
 from __future__ import annotations
 
@@ -14,6 +13,7 @@ import argparse
 import logging
 import sys
 from dataclasses import dataclass, replace
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -176,11 +176,8 @@ def _average_ranks(values: list[float]) -> np.ndarray:
 def cmd_sweep(spec: SweepSpec) -> int:
     seeds = [spec.base_seed + i for i in range(spec.replications)]
     names = sorted(spec.configurations)
-    # Workers beyond one per preset split each preset's xi values into
-    # interleaved groups; the lanes of a group share one memo.
-    groups = max(1, min(len(spec.xi_values), spec.workers // len(names)))
-    tasks = [(name, spec.xi_values[g::groups], seeds, spec.configurations[name])
-             for name in names for g in range(groups)]
+    xi_values = tuple(sorted(spec.xi_values))
+    tasks = [(name, xi_values, seeds, spec.configurations[name]) for name in names]
     workers = min(spec.workers, len(tasks))
     if workers > 1:
         # Imported here, so that no other command loads multiprocessing. The
@@ -188,22 +185,21 @@ def cmd_sweep(spec: SweepSpec) -> int:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_task = list(pool.map(_sweep_preset, *zip(*tasks)))
+            per_preset = list(pool.map(_sweep_preset, *zip(*tasks)))
     else:
-        per_task = [_sweep_preset(*task) for task in tasks]
-    rows = [row for task_rows in per_task for row in task_rows]
-    rows.sort(key=lambda r: (r["configuration"], r["xi"], r["seed"]))
+        per_preset = [_sweep_preset(*task) for task in tasks]
+    # Presets, xi values and seeds all run in ascending order, so the rows do too.
+    rows = [row for preset_rows in per_preset for row in preset_rows]
 
     spec.out_dir.mkdir(parents=True, exist_ok=True)
     output.write_sweep_csv(spec.out_dir / "sweep.csv", rows)
 
     curves: dict[str, tuple[list[float], list[float]]] = {}
     trends: dict[str, float] = {}
-    for name in sorted(spec.configurations):
+    for name, preset_rows in zip(names, per_preset):
         xis, means = [], []
-        for xi in spec.xi_values:
-            values = [r["total_accessibility"] for r in rows
-                      if r["configuration"] == name and r["xi"] == xi and r["total_accessibility"] is not None]
+        for xi, lane_rows in groupby(preset_rows, key=lambda r: r["xi"]):
+            values = [r["total_accessibility"] for r in lane_rows if r["total_accessibility"] is not None]
             if values:
                 xis.append(xi)
                 means.append(float(np.mean(values)))
@@ -262,8 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--configurations", default=None,
                          help="comma-separated subset of equal_near,equal_far,unequal_near,unequal_far")
     p_sweep.add_argument("--workers", type=int, default=1,
-                         help="parallel sweep workers: one process per preset, or per group of a "
-                              "preset's xi values when there are more workers than presets")
+                         help="parallel sweep workers, one process per preset; no more start than there "
+                              "are presets")
     return parser
 
 

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -241,16 +242,22 @@ class TestReplicate:
 
 class TestSweep:
     def test_row_cardinality_and_order(self, tmp_path):
+        # Rows and each curve's points ascend in xi whatever order --xi lists.
+        import xml.etree.ElementTree as ET
+
         cfg_path = write_config(tmp_path, steps=1)
-        out = tmp_path / "out"
-        code = main(["sweep", "--config", str(cfg_path), "--xi", "0,1",
-                     "--replications", "1", "--configurations", "equal_far", "--out", str(out)])
-        assert code == 0
-        rows = read_csv(out / "sweep.csv")
-        assert len(rows) == 2
-        assert [r["xi"] for r in rows] == ["0.0", "1.0"]
-        assert (out / "trend.csv").exists()
-        assert (out / "sweep.svg").exists()
+        for xi in ("0,1", "1,0"):
+            out = tmp_path / xi
+            code = main(["sweep", "--config", str(cfg_path), "--xi", xi,
+                         "--replications", "1", "--configurations", "equal_far", "--out", str(out)])
+            assert code == 0
+            rows = read_csv(out / "sweep.csv")
+            assert len(rows) == 2
+            assert [r["xi"] for r in rows] == ["0.0", "1.0"]
+            assert (out / "trend.csv").exists()
+            (polyline,) = ET.parse(out / "sweep.svg").getroot().iter("{http://www.w3.org/2000/svg}polyline")
+            xs = [float(point.split(",")[0]) for point in polyline.get("points").split()]
+            assert len(xs) == 2 and xs[0] < xs[1]
 
     def test_all_configurations_run(self, tmp_path):
         cfg_path = write_config(tmp_path, steps=1)
@@ -312,11 +319,11 @@ class TestSweep:
         assert main(args + ["--out", str(out_par), "--workers", "2"]) == 0
         assert (out_seq / "sweep.csv").read_bytes() == (out_par / "sweep.csv").read_bytes()
 
-    def test_worker_pool_no_larger_than_the_sweep(self, tmp_path, monkeypatch):
-        # A process pool starts all its workers at the first submit. A sweep
-        # runs one task per preset and xi group, so 2 presets x 2 xi values
-        # must not ask for 8. The fake pool maps serially and starts no process;
-        # cmd_sweep imports the pool class only when it starts one.
+    @staticmethod
+    def _serial_pool(monkeypatch) -> list[int]:
+        # A fake pool that maps serially and starts no process; cmd_sweep
+        # imports the pool class only when it starts one. Returns the list of
+        # worker counts that the sweeps request.
         import concurrent.futures
 
         requested = []
@@ -335,6 +342,12 @@ class TestSweep:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        return requested
+
+    def test_worker_pool_no_larger_than_the_sweep(self, tmp_path, monkeypatch):
+        # A process pool starts all its workers at the first submit. A sweep
+        # runs one task per preset, so 2 presets must not ask for 8.
+        requested = self._serial_pool(monkeypatch)
         cfg_path = write_config(tmp_path, steps=1)
         out_seq = tmp_path / "seq"
         args = ["sweep", "--config", str(cfg_path), "--xi", "0,1", "--replications", "2",
@@ -343,7 +356,34 @@ class TestSweep:
         for workers in ("8", "2"):
             assert main(args + ["--out", str(tmp_path / workers), "--workers", workers]) == 0
             assert (out_seq / "sweep.csv").read_bytes() == (tmp_path / workers / "sweep.csv").read_bytes()
-        assert requested == [4, 2]
+        assert requested == [2, 2]
+
+    def test_one_preset_runs_on_one_memo_at_any_workers(self, tmp_path, monkeypatch):
+        # One preset is one task: spare workers start no pool, and its xi x
+        # seed lanes share every build prefix, so each half of a step is
+        # computed as often as in the serial run.
+        requested = self._serial_pool(monkeypatch)
+        calls = Counter()
+        for name in ("advance", "decide_and_build"):
+            real = getattr(engine, name)
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(engine, name, counted)
+        cfg_path = write_config(tmp_path, steps=3)
+        args = ["sweep", "--config", str(cfg_path), "--xi", "0,0.5,1", "--replications", "3",
+                "--configurations", "unequal_far"]
+        counts = {}
+        for workers in ("1", "4"):
+            assert main(args + ["--out", str(tmp_path / workers), "--workers", workers]) == 0
+            counts[workers] = calls.copy()
+            calls.clear()
+        assert counts["1"] == counts["4"] and counts["1"]["decide_and_build"] > 0
+        assert requested == []
+        for name in ("sweep.csv", "trend.csv", "sweep.svg"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "4" / name).read_bytes()
 
     def test_failing_lane_leaves_the_memo_clean(self, tmp_path, monkeypatch, capsys):
         # The second build of the sweep, step 2 of the first lane, raises. The
