@@ -1,11 +1,13 @@
 """Batch front door: single runs, replication batches, and the xi sensitivity sweep.
 
 Exit codes: 0 success, 2 invalid configuration (the message names the field),
-3 I/O failure. Batch inputs are checked before any run: `engine.replicate`
-checks the replication count, and a `SweepSpec` checks itself when built.
-Sweep cells that crash are recorded as empty rows and make the command exit
-nonzero without aborting the rest of the grid. A sweep runs each preset as one
-task whose xi x seed lanes share one engine memo, a dict.
+3 I/O failure; every command exits 2 on a configuration error, even a sweep
+lane's, before --out is made. Batch inputs are checked before any run:
+`engine.replicate` checks the replication count, `main` a `--configurations`
+name unknown or repeated, and a `SweepSpec` itself when built. Other errors
+of a sweep cell are recorded as empty rows and make the command exit 1 without
+aborting the rest of the grid. A sweep runs each preset as one task whose xi x
+seed lanes share one engine memo, a dict.
 """
 from __future__ import annotations
 
@@ -124,7 +126,7 @@ def cmd_replicate(config: ScenarioConfig, n: int, base_seed: int, out_dir: Path)
 
 
 def _sweep_preset(name: str, xis: tuple[float, ...], seeds: list[int], config: ScenarioConfig) -> list[dict]:
-    """Rows of every xi x seed lane of one preset; the lanes share one engine memo."""
+    """Rows of every xi x seed lane of one preset; the lanes share one engine memo. A ConfigError propagates."""
     memo = {}
     rows = []
     for xi in xis:
@@ -137,7 +139,9 @@ def _sweep_preset(name: str, xis: tuple[float, ...], seeds: list[int], config: S
                 last = state.history[-1]
                 row["total_accessibility"] = last.total_accessibility
                 row["total_travel_time"] = last.total_travel_time
-            except Exception as exc:  # recorded per row, the sweep continues
+            except ConfigError:
+                raise
+            except Exception as exc:  # any other error is recorded per row, the sweep continues
                 row["error"] = f"{type(exc).__name__}: {exc}"
             rows.append(row)
     return rows
@@ -256,7 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--replications", type=int, default=30)
     p_sweep.add_argument("--base-seed", type=int, default=0)
     p_sweep.add_argument("--configurations", default=None,
-                         help="comma-separated subset of equal_near,equal_far,unequal_near,unequal_far")
+                         help="comma-separated nonempty subset of equal_near,equal_far,unequal_near,"
+                              "unequal_far, no name repeated (default: all four)")
     p_sweep.add_argument("--workers", type=int, default=1,
                          help="parallel sweep workers, one process per preset; no more start than there "
                               "are presets")
@@ -273,11 +278,14 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "replicate":
             return cmd_replicate(config, args.replications, args.base_seed, Path(args.out))
         configurations = sweep_configurations(config)
-        if args.configurations:
-            wanted = [name.strip() for name in args.configurations.split(",")]
+        if args.configurations is not None:
+            wanted = [name.strip() for name in args.configurations.split(",") if name.strip()]
             unknown = [name for name in wanted if name not in configurations]
             if unknown:
                 raise ConfigError(f"configurations: unknown names {unknown}")
+            for i, name in enumerate(wanted):
+                if name in wanted[:i]:
+                    raise ConfigError(f"configurations: duplicate name {name!r}")
             configurations = {name: configurations[name] for name in wanted}
         spec = SweepSpec(
             configurations=configurations,

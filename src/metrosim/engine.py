@@ -42,7 +42,6 @@ import logging
 import random
 from collections.abc import Callable
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -88,18 +87,6 @@ class SimState:
         d = shortest_times(self.assigned, self.metropolis)
         d.flags.writeable = False
         return d
-
-
-class Advanced(NamedTuple):
-    """A step's decider-independent half: the world after transport and land use.
-
-    `assigned` is the network this step's assignment returned. `row` holds
-    the step's indicators; `step` sets its link count after the build.
-    """
-
-    metropolis: Metropolis
-    assigned: Network
-    row: IndicatorRow
 
 
 def _indicators(metropolis: Metropolis, d: np.ndarray, kernel: np.ndarray, flows: np.ndarray, link_count: int,
@@ -152,12 +139,13 @@ def initial_state(config: ScenarioConfig) -> SimState:
     )
 
 
-def advance(state: SimState) -> Advanced:
-    """The first half of a step: demand, assignment, land use and the step's indicators.
+def advance(state: SimState) -> tuple[Metropolis, Network, IndicatorRow]:
+    """A step's decider-independent half (metropolis, assigned, row): the world after transport and land use.
 
     Travel demand is distributed on the previous step's times, assignment
-    produces this step's congested times, and relocation (when enabled)
-    applies them. Indicators are measured on the post-assignment times. The
+    returns the network `assigned` and this step's congested times, and
+    relocation (when enabled) applies them. The indicators in `row` are
+    measured on those times; `step` sets its link count after the build. The
     OD matrix is not kept. Scoring and the indicators read the same
     accessibility kernel exp(-nu d), computed once here.
     """
@@ -170,7 +158,7 @@ def advance(state: SimState) -> Advanced:
     if cfg.landuse_enabled:
         metropolis = relocate(metropolis, cell_scores(metropolis, kernel))
     row = _indicators(metropolis, d, kernel, od.flows, len(assigned), len(state.decisions) + 1)
-    return Advanced(metropolis, assigned, row)
+    return metropolis, assigned, row
 
 
 def step(state: SimState, rng: random.Random, *, xi: float, memo: dict, scenario: str) -> SimState:

@@ -6,19 +6,11 @@ reallocation of a fixed fraction of workers and jobs each step.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .world import Metropolis
-
-
-@dataclass
-class CellScore:
-    """Per-cell, per-category utilities of the worker and job sides."""
-
-    worker_utility: np.ndarray  # (N, S)
-    job_utility: np.ndarray     # (N, S)
 
 
 def accessibility(metropolis: Metropolis, kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -56,15 +48,12 @@ def utility(access: np.ndarray, form: np.ndarray, gamma: float) -> np.ndarray:
     return access**gamma * form ** (1.0 - gamma)
 
 
-def cell_scores(metropolis: Metropolis, kernel: np.ndarray) -> CellScore:
-    """Worker and job utilities of the current land use on accessibility's kernel exp(-nu * d)."""
+def cell_scores(metropolis: Metropolis, kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(worker_utility, job_utility), each (N, S), of the land use on accessibility's kernel exp(-nu * d)."""
     cfg = metropolis.config
     worker_access, job_access, _ = accessibility(metropolis, kernel)
     worker_form, job_form = urban_form(metropolis, cfg.m, cfg.m_prime)
-    return CellScore(
-        worker_utility=utility(worker_access, worker_form, cfg.gamma),
-        job_utility=utility(job_access, job_form, cfg.gamma),
-    )
+    return utility(worker_access, worker_form, cfg.gamma), utility(job_access, job_form, cfg.gamma)
 
 
 def choice_probabilities(utilities: np.ndarray, mu: float) -> np.ndarray:
@@ -80,8 +69,8 @@ def choice_probabilities(utilities: np.ndarray, mu: float) -> np.ndarray:
     return weights / weights.sum()
 
 
-def relocate(metropolis: Metropolis, scores: CellScore) -> Metropolis:
-    """Move the configured fraction of each category between cells by logit shares.
+def relocate(metropolis: Metropolis, scores: tuple[np.ndarray, np.ndarray]) -> Metropolis:
+    """Move the configured fraction of each category between cells by logit shares of cell_scores' utilities.
 
     The pool of relocation_fraction of every cell's count is reallocated as
     expected mass pool * P(c), with P the logit shares at the configured mu;
@@ -93,7 +82,7 @@ def relocate(metropolis: Metropolis, scores: CellScore) -> Metropolis:
     cfg = metropolis.config
     fraction = cfg.relocation_fraction
     workers, jobs = metropolis.workers.copy(), metropolis.jobs.copy()
-    for counts, utilities in ((workers, scores.worker_utility), (jobs, scores.job_utility)):
+    for counts, utilities in zip((workers, jobs), scores):
         for cat in range(counts.shape[1]):
             total = counts[:, cat].sum()
             if total <= 0.0:

@@ -310,19 +310,6 @@ def shortest_times(network: Network, metropolis: Metropolis) -> np.ndarray:
 # Gravity distribution
 
 
-@dataclass(frozen=True)
-class FurnessResult:
-    """Doubly-constrained gravity matrix with its balancing state.
-
-    Column sums match the destinations rescaled to the origin total, e * (a.sum() / e.sum()).
-    """
-
-    flows: np.ndarray  # (N, N)
-    residual: float    # max marginal relative error at exit
-    iterations: int
-    converged: bool
-
-
 def _marginal_error(rows: np.ndarray, cols: np.ndarray, origins: np.ndarray, destinations: np.ndarray) -> float:
     """Worst relative error of row and column sums against their marginals."""
     row = np.abs(rows - origins) / np.maximum(origins, 1e-12)
@@ -330,14 +317,17 @@ def _marginal_error(rows: np.ndarray, cols: np.ndarray, origins: np.ndarray, des
     return float(max(row.max(initial=0.0), col.max(initial=0.0)))
 
 
-def furness_balance(a: np.ndarray, e: np.ndarray, kernel: np.ndarray, tol: float, max_iter: int) -> FurnessResult:
+def furness_balance(a: np.ndarray, e: np.ndarray, kernel: np.ndarray, tol: float,
+                    max_iter: int) -> tuple[np.ndarray, float, int, bool]:
     """Stage 2: balance flows[i, j] = p_i q_j a_i e_j kernel_ij to both marginals.
 
     The gravity model takes kernel = exp(-lam d) on travel times d.
-    Destination totals are rescaled to the origin total first (the
-    doubly-constrained system is infeasible otherwise). Alternates the p and q
-    fixed-point updates until the worst marginal relative error drops below
-    tol; a non-converged matrix is still returned, flagged, with its residual.
+    Destination totals are rescaled to the origin total first, so the column
+    sums match e * (a.sum() / e.sum()) (the doubly-constrained system is
+    infeasible otherwise). Alternates the p and q fixed-point updates until
+    the worst marginal relative error, the residual, drops below tol. Returns
+    (flows, residual, iterations, converged); a non-converged matrix is still
+    returned, flagged, with its residual.
 
     With pa = p a and qe = q e the flows are pa_i qe_j K_ij, so their row
     sums are pa (K qe) and their column sums qe (K^T pa), and both products
@@ -368,8 +358,7 @@ def furness_balance(a: np.ndarray, e: np.ndarray, kernel: np.ndarray, tol: float
     n = a.shape[0]
     total_a, total_e = a.sum(), e.sum()
     if total_a <= 0.0 or total_e <= 0.0:
-        zeros = np.zeros((n, n))
-        return FurnessResult(zeros, 0.0, 0, True)
+        return np.zeros((n, n)), 0.0, 0, True
     e = e * (total_a / total_e)
 
     guard = 4.0 * (n + 4) * np.finfo(float).eps * (1.0 + tol)
@@ -390,9 +379,9 @@ def furness_balance(a: np.ndarray, e: np.ndarray, kernel: np.ndarray, tol: float
         flows *= kernel
         residual = _marginal_error(flows.sum(axis=1), flows.sum(axis=0), a, e)
         if residual < tol:
-            return FurnessResult(flows, residual, iterations, True)
+            return flows, residual, iterations, True
     log.warning("gravity balancing stopped at max_iter=%d with residual %.3e", max_iter, residual)
-    return FurnessResult(flows, residual, iterations, False)
+    return flows, residual, iterations, False
 
 
 @dataclass(frozen=True)
@@ -426,15 +415,10 @@ def distribute(metropolis: Metropolis, d: np.ndarray) -> ODMatrix:
     converged = np.ones(s, dtype=bool)
     iterations = np.zeros(s, dtype=int)
     for cat in range(s):
-        result = furness_balance(metropolis.workers[:, cat], metropolis.jobs[:, cat], kernel,
-                                 cfg.furness_tolerance, cfg.furness_max_iter)
-        if flows is None:
-            flows = result.flows
-        else:
-            flows += result.flows
-        residuals[cat] = result.residual
-        converged[cat] = result.converged
-        iterations[cat] = result.iterations
+        part, residuals[cat], iterations[cat], converged[cat] = furness_balance(
+            metropolis.workers[:, cat], metropolis.jobs[:, cat], kernel, cfg.furness_tolerance,
+            cfg.furness_max_iter)
+        flows = part if flows is None else np.add(flows, part, out=flows)
     return ODMatrix(flows, residuals, converged, iterations)
 
 

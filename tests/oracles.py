@@ -22,7 +22,6 @@ import numpy as np
 from metrosim.config import two_city_config
 from metrosim.governance import _territory_accessibility
 from metrosim.transport import (
-    FurnessResult,
     assign_traffic,
     congested_times,
     distribute,
@@ -321,21 +320,24 @@ def furness_sweeps(a, e, kernel, max_iter):
 
 
 def furness_oracle(origins, destinations, d, lam, tol, max_iter):
-    """The gravity balance that forms the flow matrix and its exact residual every iteration."""
+    """The gravity balance that forms the flow matrix and its exact residual every iteration.
+
+    Returns (flows, residual, iterations, converged), as furness_balance does.
+    """
     a = np.asarray(origins, dtype=float)
     e = np.asarray(destinations, dtype=float)
     n = a.shape[0]
     total_a, total_e = a.sum(), e.sum()
     if total_a <= 0.0 or total_e <= 0.0:
-        return FurnessResult(np.zeros((n, n)), 0.0, 0, True)
+        return np.zeros((n, n)), 0.0, 0, True
     e = e * (total_a / total_e)
 
     flows, residual, iterations = np.zeros((n, n)), np.inf, 0
     for iterations, (_, _, _, flows) in enumerate(furness_sweeps(a, e, np.exp(-lam * d), max_iter), 1):
         residual = marginal_error(flows.sum(axis=1), flows.sum(axis=0), a, e)
         if residual < tol:
-            return FurnessResult(flows, residual, iterations, True)
-    return FurnessResult(flows, residual, iterations, False)
+            return flows, residual, iterations, True
+    return flows, residual, iterations, False
 
 
 def furness_residual_trace(a, e, d, lam, max_iter):

@@ -52,14 +52,14 @@ def test_criterion_1_furness_correctness():
         destinations = rng.uniform(0.5, 50.0, size=10)
         d = rng.uniform(0.01, 1.0, size=(10, 10))
         for lam in (0.0, 0.1, 0.5):
-            result = furness_balance(origins, destinations, np.exp(-lam * d), tol=1e-9, max_iter=5000)
+            flows, _, _, _ = furness_balance(origins, destinations, np.exp(-lam * d), tol=1e-9, max_iter=5000)
             scaled = destinations * (origins.sum() / destinations.sum())
-            row_err = np.max(np.abs(result.flows.sum(1) - origins) / np.maximum(origins, 1e-12))
-            col_err = np.max(np.abs(result.flows.sum(0) - scaled) / np.maximum(scaled, 1e-12))
+            row_err = np.max(np.abs(flows.sum(1) - origins) / np.maximum(origins, 1e-12))
+            col_err = np.max(np.abs(flows.sum(0) - scaled) / np.maximum(scaled, 1e-12))
             worst_marginal = max(worst_marginal, row_err, col_err)
             if lam == 0.0:
                 expected = np.outer(origins, scaled) / scaled.sum()
-                worst_closed_form = max(worst_closed_form, float(np.max(np.abs(result.flows - expected))))
+                worst_closed_form = max(worst_closed_form, float(np.max(np.abs(flows - expected))))
     elapsed = time.perf_counter() - start
     ok = worst_marginal < 1e-6 and worst_closed_form < 1e-9 and elapsed < 5.0
     _report("criterion-1", ok,

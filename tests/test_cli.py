@@ -279,10 +279,30 @@ class TestSweep:
                          "--out", str(tmp_path / "o")]) == 2
             assert f"configuration error: {message}\n" in capsys.readouterr().err
 
-    def test_unknown_configuration_exits_2(self, tmp_path):
+    def test_bad_configuration_list_exits_2(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, steps=1)
-        assert main(["sweep", "--config", str(cfg_path), "--configurations", "nonsense",
-                     "--out", str(tmp_path / "o")]) == 2
+        out = tmp_path / "o"
+        for names, message in (("nonsense", "configurations: unknown names ['nonsense']"),
+                               ("", "configurations: must be nonempty"),
+                               (",", "configurations: must be nonempty"),
+                               ("equal_far,equal_far", "configurations: duplicate name 'equal_far'")):
+            assert main(["sweep", "--config", str(cfg_path), "--configurations", names, "--xi", "0",
+                         "--replications", "1", "--out", str(out)]) == 2
+            assert f"configuration error: {message}\n" in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_config_error_in_a_lane_exits_2(self, tmp_path, capsys, workers):
+        # The scenario constructor accepts all job shares at 0; the initial
+        # state rejects them. That ConfigError ends the sweep, from a pool
+        # worker too, before any output is made.
+        cfg_path = write_config(tmp_path, steps=1, minor_job_share=0.0, dominant_job_share=0.0)
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(cfg_path), "--configurations", "equal_far,unequal_far",
+                     "--xi", "0,1", "--replications", "1", "--workers", workers, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "configuration error: centers: zero total job density, cannot place jobs\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, flags, message", [
         pytest.param("sweep", ["--workers", "0"], "workers: must be >= 1", id="0"),

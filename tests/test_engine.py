@@ -179,13 +179,13 @@ def test_advance_shares_one_accessibility_kernel(monkeypatch):
     monkeypatch.setattr(engine, "cell_scores", scores_recording)
     monkeypatch.setattr(engine, "accessibility", access_recording)
     monkeypatch.setattr(engine, "assign_traffic", assign_recording)
-    advanced = engine.advance(state)
+    metropolis, _, row = engine.advance(state)
     monkeypatch.undo()
     (d,) = assigned
     assert len(kernels) == 2 and kernels[0] is kernels[1]
     assert kernels[0].tobytes() == np.exp(-cfg.nu * d).tobytes()
-    _, _, total_access = accessibility(advanced.metropolis, np.exp(-cfg.nu * d))
-    assert advanced.row.total_accessibility == float(total_access.sum())
+    _, _, total_access = accessibility(metropolis, np.exp(-cfg.nu * d))
+    assert row.total_accessibility == float(total_access.sum())
 
 
 @pytest.mark.parametrize("bpr_beta", [4.0, 0.0])

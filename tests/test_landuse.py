@@ -201,7 +201,7 @@ def test_two_equal_cells_split_pool_evenly():
     metropolis = init_metropolis(cfg, 100.0, 100.0)
     metropolis.workers[:] = np.array([[40.0, 0.0], [10.0, 0.0]])  # asymmetric start
     scores = cell_scores(metropolis, afc_kernel(metropolis))
-    scores.worker_utility[:] = 1.0  # equal utility everywhere
+    scores[0][:] = 1.0  # equal worker utility everywhere
     moved = relocate(with_relocation(metropolis, mu=5.0, relocation_fraction=1.0), scores)
     assert moved.workers[0, 0] == pytest.approx(25.0, rel=1e-12)
     assert moved.workers[1, 0] == pytest.approx(25.0, rel=1e-12)
@@ -229,8 +229,9 @@ def test_relocate_returns_a_new_metropolis():
 def test_relocation_moves_mass_toward_higher_utility():
     metropolis = make_metropolis()
     scores = cell_scores(metropolis, afc_kernel(metropolis))
-    best = int(np.argmax(scores.worker_utility[:, 0]))
-    moved = relocate(with_relocation(metropolis, mu=50.0 / scores.worker_utility[:, 0].max(),
+    worker_utility, _ = scores
+    best = int(np.argmax(worker_utility[:, 0]))
+    moved = relocate(with_relocation(metropolis, mu=50.0 / worker_utility[:, 0].max(),
                                      relocation_fraction=0.5), scores)
     assert moved.workers[best, 0] > metropolis.workers[best, 0]
 
